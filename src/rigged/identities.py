@@ -208,9 +208,9 @@ def verify_polynomial_identity(k: int, l: int, a: int, b: int, N: int) -> Verify
     lhs, _ = weighted_config_sum(k, l, a, b, N)
     rhs = _chi_combination(k, l, a, b, N)
     params = {"k": k, "l": l, "a": a, "b": b, "N": N}
-    alt = _chi_combination_cases(k, l, a, b, N)
-    if _poly_mismatch(rhs, alt) is not None:
-        params["case_split_agrees"] = False
+    split = _poly_mismatch(rhs, _chi_combination_cases(k, l, a, b, N))
+    if split is not None:
+        return VerifyReport("polynomial", params, False, str(lhs), str(rhs), f"case split disagrees, {split}")
     return _poly_report("polynomial", params, lhs, rhs)
 
 

@@ -7,18 +7,23 @@ move mirrors it at the lowest such column (energy -1).  Cutting the sequence
 off just below (or above) a located particle and repeating locates all of
 them, which is what makes "move the c-th particle" well defined.
 
-The two long-running procedures live here as well: separating the highest
-particle by right moves until it floats free above everything else, and
-passing a heavy probe particle down through a lighter configuration from far
-above.  Both are plain simulations of the elementary moves; their
-termination caps are generous over-estimates and only trip on internal bugs,
-never on valid input.
+All moves run on one substrate, the padded mutable column buffer
+``_Scratch``, with one scanner (``_Scratch.sightings``) that walks either way
+and can cut off each particle it sights.  The single-move functions copy a
+configuration into a buffer; the long-running procedures keep one buffer for
+their whole run: floating the highest particle free by right moves, settling
+particles with full left sweeps, and passing a heavy probe down through a
+lighter configuration from far above.  Input is validated once at entry.  A
+move changes two adjacent columns, so separation re-checks only the windows
+reading them, which is as strong as re-checking everything.  Termination caps
+are generous over-estimates that only trip on internal bugs.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 from .configuration import (
     ZERO,
@@ -80,6 +85,83 @@ class Separation:
     remainder: Configuration
 
 
+class _Scratch:
+    """Mutable column buffer that every move loop runs on.  Internal only.
+
+    Keeps at least four zero columns of margin on both sides so window reads
+    never go out of range, and doubles on the side that runs short.
+    """
+
+    __slots__ = ("lo", "vals")
+
+    MARGIN = 4
+
+    def __init__(self, a: Configuration):
+        m = self.MARGIN
+        self.lo = a.offset - m
+        self.vals = [0] * m + list(a.counts) + [0] * m
+
+    def get(self, col: int) -> int:
+        j = col - self.lo
+        if 0 <= j < len(self.vals):
+            return self.vals[j]
+        return 0
+
+    def bump(self, col: int, delta: int) -> None:
+        j = col - self.lo
+        m = self.MARGIN
+        if j < m:
+            pad = max(m - j, len(self.vals))
+            self.vals[:0] = [0] * pad
+            self.lo -= pad
+            j += pad
+        elif j >= len(self.vals) - m:
+            self.vals.extend([0] * max(j + m + 1 - len(self.vals), len(self.vals)))
+        self.vals[j] += delta
+        if self.vals[j] < 0:
+            raise InternalCheckError(f"column {col} driven negative")
+
+    def to_configuration(self, lo: int | None = None, hi: int | None = None) -> Configuration:
+        """The buffer as a configuration, keeping only columns in [lo, hi]."""
+        a = 0 if lo is None else max(0, lo - self.lo)
+        b = len(self.vals) if hi is None else max(a, hi - self.lo + 1)
+        return Configuration(self.lo + a, tuple(self.vals[a:b]))
+
+    def sightings(
+        self, k: int, l: int, step: int, start: int | None = None, cut: bool = False
+    ) -> Iterator[tuple[int, str]]:
+        """Yield (column, kind) at each column where S = l or L = k + l.
+
+        Walks down (``step=-1``) or up (``step=+1``) from ``start``; by
+        default from the highest occupied column, or from two below the
+        lowest, which is as far out as a sighting can lie.  S is tested first,
+        so kind is "S" when both bounds are attained.  With ``cut`` every
+        sighting cuts off its particle and everything behind the walk, so
+        successive sightings locate successive particles.  Zeroing the
+        sighting's two columns in a private copy is that cut-off: every window
+        the walk reads afterwards lies on the near side of them.
+        """
+        if l == 0:
+            return
+        vals = self.vals[:] if cut else self.vals
+        n, lo, kl = len(vals), self.lo, k + l
+        if start is None:
+            outward_in = range(n - 1, -1, -1) if step < 0 else range(n)
+            j = next((j for j in outward_in if vals[j]), None)
+            if j is None:
+                return
+            if step > 0:
+                j -= 2
+        else:
+            j = start - lo
+        for j in range(min(max(j, 1), n - 3), 0 if step < 0 else n - 2, step):
+            s = vals[j] + vals[j + 1]
+            if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
+                yield lo + j, "S" if s == l else "L"
+                if cut:
+                    vals[j] = vals[j + 1] = 0
+
+
 def _require_weight_at_most(a: Configuration, k: int, l: int) -> int:
     check_level(k, l)
     w = weight(a, k)
@@ -94,39 +176,28 @@ def _require_weight_exact(a: Configuration, k: int, l: int) -> None:
         raise MoveError(f"{a} has weight {w} < l={l}; no weight-{l} particle to move")
 
 
-def _scan_sighting(a: Configuration, k: int, l: int, from_top: bool) -> ParticleSighting | None:
-    """Extreme column where S = l or L = k + l, or None if the weight is below l."""
-    if a.is_zero or l == 0:
-        return None
-    ext = (0, 0, 0) + a.counts + (0, 0, 0)
-    base = a.offset - 3  # column of ext[0]
-    kl = k + l
-    n = len(a.counts)
-    rng = range(n + 3, 0, -1) if from_top else range(1, n + 4)
-    for d in rng:
-        if ext[d] + ext[d + 1] == l:
-            return ParticleSighting(base + d, "S", l)
-        if ext[d - 1] + 2 * ext[d] + 2 * ext[d + 1] + ext[d + 2] == kl:
-            return ParticleSighting(base + d, "L", l)
-    return None
+def _sight(a: Configuration, k: int, l: int, step: int) -> ParticleSighting | None:
+    """Highest (``step=-1``) or lowest (``step=+1``) sighting, or None if the weight is below l."""
+    found = next(_Scratch(a).sightings(k, l, step), None)
+    return None if found is None else ParticleSighting(found[0], found[1], l)
 
 
 def highest_particle(a: Configuration, k: int, l: int) -> ParticleSighting | None:
     """Largest column carrying a weight-l particle, or None if the weight is < l."""
     _require_weight_at_most(a, k, l)
-    return _scan_sighting(a, k, l, from_top=True)
+    return _sight(a, k, l, -1)
 
 
 def lowest_particle(a: Configuration, k: int, l: int) -> ParticleSighting | None:
     """Smallest column carrying a weight-l particle, or None if the weight is < l."""
     _require_weight_at_most(a, k, l)
-    return _scan_sighting(a, k, l, from_top=False)
+    return _sight(a, k, l, +1)
 
 
 def right_move(a: Configuration, k: int, l: int) -> Configuration:
     """Move the highest weight-l particle one step right; energy +1, length fixed."""
     _require_weight_exact(a, k, l)
-    sight = _scan_sighting(a, k, l, from_top=True)
+    sight = _sight(a, k, l, -1)
     assert sight is not None
     i = sight.position
     return a.with_delta((i, -1), (i + 1, +1))
@@ -135,7 +206,7 @@ def right_move(a: Configuration, k: int, l: int) -> Configuration:
 def left_move(a: Configuration, k: int, l: int) -> Configuration:
     """Move the lowest weight-l particle one step left; energy -1, length fixed."""
     _require_weight_exact(a, k, l)
-    sight = _scan_sighting(a, k, l, from_top=False)
+    sight = _sight(a, k, l, +1)
     assert sight is not None
     j = sight.position
     return a.with_delta((j, +1), (j + 1, -1))
@@ -152,18 +223,8 @@ def particle_positions(a: Configuration, k: int, l: int, side: str = "right") ->
     _require_weight_at_most(a, k, l)
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    positions: list[int] = []
-    cur = a
-    from_top = side == "right"
-    while True:
-        sight = _scan_sighting(cur, k, l, from_top=from_top)
-        if sight is None:
-            return positions
-        positions.append(sight.position)
-        if from_top:
-            cur = cur.restricted(hi=sight.position - 1)
-        else:
-            cur = cur.restricted(lo=sight.position + 2)
+    step = -1 if side == "right" else +1
+    return [p for p, _ in _Scratch(a).sightings(k, l, step, cut=True)]
 
 
 def move_cth(a: Configuration, k: int, l: int, c: int, side: str = "right") -> Configuration:
@@ -215,23 +276,27 @@ def move_all(a: Configuration, k: int, l: int, side: str = "right", times: int =
     return cur
 
 
-def free_particle(a: Configuration, k: int, l: int) -> FreeParticle | None:
-    """The highest particle as a free particle, or None if it is not free.
+def _free_at(sc: _Scratch, found: tuple[int, str], top: int, l: int) -> FreeParticle | None:
+    """The sighting as a free particle, or None if it is not free.
 
     Free means: located by S with a nonzero upper column and nothing anywhere
-    above its two columns.
+    above its two columns (``top`` is the highest occupied column).
     """
-    sight = _scan_sighting(a, k, l, from_top=True)
-    if sight is None or sight.kind != "S":
-        return None
-    i = sight.position
-    c = a.get(i)
-    if c == 0:
-        return None
-    top = a.support_max
-    if top is not None and top > i + 1:
+    i, kind = found
+    c = sc.get(i)
+    if kind != "S" or c == 0 or top > i + 1:
         return None
     return FreeParticle(i, c, l)
+
+
+def free_particle(a: Configuration, k: int, l: int) -> FreeParticle | None:
+    """The highest particle as a free particle, or None if it is not free."""
+    if a.is_zero:
+        return None
+    sc = _Scratch(a)
+    top = a.support_max
+    found = next(sc.sightings(k, l, -1, top), None)
+    return None if found is None else _free_at(sc, found, top, l)
 
 
 def separate_highest(a: Configuration, k: int, l: int) -> Separation:
@@ -250,13 +315,36 @@ def separate_highest(a: Configuration, k: int, l: int) -> Separation:
     # support cannot outgrow the free position, so this cap is unreachable
     # except through a bug.
     cap = a.length() * (top + 2) - a.energy() + 2
-    cur = a
+    sc = _Scratch(a)
+    kl = k + l
+    start = top
     for t in range(cap + 1):
-        fp = free_particle(cur, k, l)
+        found = next(sc.sightings(k, l, -1, start), None)
+        if found is None:
+            raise InternalCheckError(f"weight fell below l={l} after {t} right moves from {a}")
+        fp = _free_at(sc, found, top, l)
         if fp is not None:
-            remainder = cur.restricted(hi=fp.position - 1)
-            return Separation(t, fp, fp.energy - t, remainder)
-        cur = right_move(cur, k, l)
+            return Separation(t, fp, fp.energy - t, sc.to_configuration(hi=fp.position - 1))
+        i = found[0]
+        sc.bump(i, -1)
+        sc.bump(i + 1, +1)
+        top = max(top, i + 1)
+        # The move changed columns i and i + 1 only, so the windows reading
+        # them are all that can break: the 3-windows starting at i-2..i+1,
+        # S at i-1..i+1 and L at i-2..i+2.  Windows from i + 3 up read neither
+        # and held no sighting before, so the next scan starts at i + 2.
+        j = i - sc.lo
+        w0, w1, w2, w3, w4, w5, w6, w7 = sc.vals[j - 3 : j + 5]  # columns i-3..i+4
+        if (
+            max(w1 + w2 + w3, w2 + w3 + w4, w3 + w4 + w5, w4 + w5 + w6) > k
+            or max(w2 + w3, w3 + w4, w4 + w5) > l
+            or max(w0 + w3 + 2 * (w1 + w2), w1 + w4 + 2 * (w2 + w3), w2 + w5 + 2 * (w3 + w4),
+                   w3 + w6 + 2 * (w4 + w5), w4 + w7 + 2 * (w5 + w6)) > kl
+        ):
+            raise InternalCheckError(
+                f"right move at column {i} left the weight-{l} admissible class, from {a}"
+            )
+        start = i + 2
     raise InternalCheckError(f"no free particle after {cap} right moves from {a}")
 
 
@@ -287,102 +375,13 @@ def build_free_configuration(l: int, energies: list[int], k: int) -> Configurati
 # -- passing a heavy probe ---------------------------------------------------
 
 
-class _Scratch:
-    """Mutable column buffer for long move loops.  Internal only.
-
-    Keeps at least three zero columns of margin on both sides so window reads
-    never go out of range.
-    """
-
-    __slots__ = ("lo", "vals")
-
-    def __init__(self, a: Configuration, margin: int = 4):
-        if a.is_zero:
-            self.lo = -margin
-            self.vals = [0] * (2 * margin)
-        else:
-            self.lo = a.offset - margin
-            self.vals = [0] * margin + list(a.counts) + [0] * margin
-
-    def get(self, col: int) -> int:
-        j = col - self.lo
-        if 0 <= j < len(self.vals):
-            return self.vals[j]
-        return 0
-
-    def bump(self, col: int, delta: int) -> None:
-        j = col - self.lo
-        if j < 4:
-            pad = 4 - j + 8
-            self.vals[:0] = [0] * pad
-            self.lo -= pad
-            j += pad
-        while j >= len(self.vals) - 4:
-            self.vals.extend([0] * 8)
-        self.vals[j] += delta
-        if self.vals[j] < 0:
-            raise InternalCheckError(f"column {col} driven negative")
-
-    def to_configuration(self) -> Configuration:
-        return Configuration(self.lo, tuple(self.vals))
-
-
-def _left_positions_scratch(sc: _Scratch, k: int, l: int) -> list[int]:
-    """Ascending columns of all weight-l particles, by left cut-off on a buffer."""
-    vals = sc.vals[:]
-    n = len(vals)
-    kl = k + l
-    positions: list[int] = []
-    j = 0
-    while j < n and vals[j] == 0:
-        j += 1
-    if j == n:
-        return positions
-    j -= 2
-    zeroed_upto = 0
-    while j <= n - 3:
-        if vals[j] + vals[j + 1] == l or (
-            vals[j - 1] + 2 * vals[j] + 2 * vals[j + 1] + vals[j + 2] == kl
-        ):
-            positions.append(sc.lo + j)
-            # Cut off this particle and everything below it.
-            for t in range(zeroed_upto, j + 2):
-                vals[t] = 0
-            zeroed_upto = j + 2
-        j += 1
-    return positions
-
-
-def _lowest_sighting_scratch(sc: _Scratch, k: int, l: int, start_col: int | None) -> tuple[int, str] | None:
-    """Lowest sighting on the buffer, scanning upward from ``start_col``."""
-    vals = sc.vals
-    n = len(vals)
-    kl = k + l
-    if start_col is None:
-        j = 0
-        while j < n and vals[j] == 0:
-            j += 1
-        if j == n:
-            return None
-        j -= 2
-    else:
-        j = max(2, start_col - sc.lo)
-    while j <= n - 3:
-        if vals[j] + vals[j + 1] == l:
-            return sc.lo + j, "S"
-        if vals[j - 1] + 2 * vals[j] + 2 * vals[j + 1] + vals[j + 2] == kl:
-            return sc.lo + j, "L"
-        j += 1
-    return None
-
-
 def left_sweeps(b: Configuration, k: int, l: int, times: int, expected: int | None = None) -> Configuration:
     """Apply ``times`` full bottom-up left sweeps to the weight-l particles of ``b``."""
     if times == 0:
         return b
     sc = _Scratch(b)
     for _ in range(times):
-        positions = _left_positions_scratch(sc, k, l)
+        positions = [p for p, _ in sc.sightings(k, l, +1, cut=True)]
         if expected is not None and len(positions) != expected:
             raise InternalCheckError(
                 f"expected {expected} weight-{l} particles during sweep, found {len(positions)}"
@@ -407,7 +406,7 @@ def _descend(a: Configuration, k: int, l: int, probe_column: int) -> tuple[list[
     min0 = min(0, a.support_min if not a.is_zero else 0)
     cap = l * (probe_column - min0 + 3 * (a.length() + 2) + 10) + 10
     for _ in range(cap + 1):
-        found = _lowest_sighting_scratch(sc, k, l, None if last_pos is None else last_pos - 2)
+        found = next(sc.sightings(k, l, +1, None if last_pos is None else last_pos - 2), None)
         if found is None:
             raise InternalCheckError("probe vanished during descent")
         pos, kind = found
@@ -416,9 +415,9 @@ def _descend(a: Configuration, k: int, l: int, probe_column: int) -> tuple[list[
             # Stop once the probe is isolated: nothing below it, a two-column
             # gap above it, and everything above too light to interact.  The
             # isolated state is not part of the recorded history.
-            below_clear = all(sc.get(i) == 0 for i in range(sc.lo, pos))
+            below_clear = not any(sc.vals[: pos - sc.lo])
             if below_clear and sc.get(pos + 2) == 0 and sc.get(pos + 3) == 0:
-                rest = sc.to_configuration().restricted(lo=pos + 2)
+                rest = sc.to_configuration(lo=pos + 2)
                 if weight(rest, k) < l:
                     return nodes, rest
             nodes.append((kind, pos, sc.to_configuration()))

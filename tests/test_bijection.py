@@ -1,5 +1,6 @@
 import pytest
 
+from rigged import bijection
 from rigged.bijection import (
     EMPTY,
     RiggedPartition,
@@ -11,7 +12,7 @@ from rigged.bijection import (
     multiplicities,
 )
 from rigged.configuration import ZERO, Configuration, enumerate_configurations, weight
-from rigged.moves import pass_particle, right_move
+from rigged.moves import InternalCheckError, pass_particle, right_move
 from rigged.phases import PhaseTable, gordon_phase, phase
 
 
@@ -189,3 +190,23 @@ class TestPassingShiftsRiggings:
                 assert after.riggings == tuple(
                     r + phase(k, l, w) for w, r in zip(before.weights, before.riggings)
                 )
+
+
+@pytest.mark.usefixtures("rigged_debug")
+class TestInverseMapDebug(TestInverseMap):
+    """The inverse-map tests again, each result re-settled from a higher start."""
+
+    def test_resettle_disagreement_detected(self, monkeypatch):
+        honest = bijection._kappa
+
+        def drifting(rp, k, extra):
+            return honest(rp, k, extra).shifted(1 if extra else 0)
+
+        monkeypatch.setattr(bijection, "_kappa", drifting)
+        with pytest.raises(InternalCheckError, match="settling count"):
+            kappa(rp((2, 1), (6, 2)), 4)
+
+
+@pytest.mark.usefixtures("rigged_debug")
+class TestPassingShiftsRiggingsDebug(TestPassingShiftsRiggings):
+    """The passing tests again, each probe re-dropped from one column higher."""

@@ -16,6 +16,7 @@ from rigged.identities import (
     verify_roundtrip,
     verify_shift,
 )
+from rigged.qseries import QPolynomial
 
 
 def cfg(*counts, offset=0):
@@ -93,6 +94,20 @@ class TestPolynomialIdentity:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             verify_polynomial_identity(2, 2, 2, 1, 3)
+
+    def test_case_split_disagreement_fails(self, monkeypatch):
+        from rigged import identities
+
+        honest = identities._chi_combination_cases
+
+        def skewed(k, l, a, b, N):
+            return honest(k, l, a, b, N) + QPolynomial.q_power(2)
+
+        monkeypatch.setattr(identities, "_chi_combination_cases", skewed)
+        report = verify_polynomial_identity(2, 2, 1, 0, 5)
+        assert report.passed is False
+        assert report.first_mismatch.startswith("case split disagrees")
+        assert report.parameters == {"k": 2, "l": 2, "a": 1, "b": 0, "N": 5}
 
 
 class TestInit:

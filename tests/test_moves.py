@@ -1,8 +1,10 @@
 import pytest
 
+from rigged import moves
 from rigged.configuration import ZERO, AdmissibilityError, Configuration, enumerate_configurations, weight
 from rigged.moves import (
     FreeParticle,
+    InternalCheckError,
     MoveError,
     build_free_configuration,
     free_particle,
@@ -209,6 +211,32 @@ class TestSeparation:
         with pytest.raises(MoveError):
             separate_highest(ZERO, 2, 1)
 
+    def test_local_recheck_catches_wrong_column(self, monkeypatch):
+        # A scanner that reports the lowest occupied column instead of the
+        # highest particle: moving that unit right of (1,0,0,1) at k=1 puts
+        # two units in one 3-window, which the per-move re-check must catch.
+        def lowest_column(self, k, l, step, start=None, cut=False):
+            yield min(self.lo + j for j, c in enumerate(self.vals) if c), "L"
+
+        monkeypatch.setattr(moves._Scratch, "sightings", lowest_column)
+        with pytest.raises(InternalCheckError, match="admissible class"):
+            separate_highest(cfg(1, 0, 0, 1), 1, 1)
+
+
+class TestScratch:
+    def test_grows_geometrically_on_both_ends(self):
+        # Walking a unit 2000 columns out on either side reallocates the
+        # buffer a logarithmic number of times, not once per few columns.
+        for step in (-1, +1):
+            sc = moves._Scratch(cfg(1))
+            sizes = set()
+            for col in range(0, 2000 * step, step):
+                sc.bump(col, -1)
+                sc.bump(col + step, +1)
+                sizes.add(len(sc.vals))
+            assert len(sizes) <= 12
+            assert sc.to_configuration() == cfg(1, offset=2000 * step)
+
 
 class TestFreeConfigurations:
     def test_single_particle_examples(self):
@@ -296,3 +324,19 @@ class TestPassing:
                 upper = cur.restricted(lo=top - 1)
                 assert upper.length() == lp
                 assert upper.energy() == light.energy() + phase(k, l, lp)
+
+
+@pytest.mark.usefixtures("rigged_debug")
+class TestPassingDebug(TestPassing):
+    """The passing tests again, each probe re-dropped from one column higher."""
+
+    def test_redrop_disagreement_detected(self, monkeypatch):
+        honest = moves._descend
+
+        def column_dependent(a, k, l, probe_column):
+            nodes, result = honest(a, k, l, probe_column)
+            return nodes, result.shifted(probe_column % 2)
+
+        monkeypatch.setattr(moves, "_descend", column_dependent)
+        with pytest.raises(InternalCheckError, match="placement column"):
+            pass_particle(cfg(1, 1, 1), 4, 3)
