@@ -10,7 +10,6 @@ from .characters import (
     RestrictedSet,
     RiggingFloor,
     chi_closed,
-    chi_general,
     config_sum,
     enumerate_rigged,
     floor_for,
@@ -22,7 +21,6 @@ from .configuration import (
     ZERO,
     AdmissibilityError,
     Configuration,
-    Level,
     enumerate_configurations,
     is_admissible,
     l_functional,
@@ -49,7 +47,7 @@ from .moves import (
     right_move,
     separate_highest,
 )
-from .phases import PhaseTable, gordon_phase, phase
+from .phases import gordon_phase, phase
 from .qseries import QPolynomial, gordon_quadratic_form, inv_pochhammer, q_binomial, quadratic_form_Q
 
 __version__ = "0.1.0"
@@ -60,10 +58,8 @@ __all__ = [
     "EMPTY",
     "FreeParticle",
     "InternalCheckError",
-    "Level",
     "MoveError",
     "ParticleSighting",
-    "PhaseTable",
     "QPolynomial",
     "RestrictedSet",
     "RiggedPartition",
@@ -74,7 +70,6 @@ __all__ = [
     "ZERO",
     "build_free_configuration",
     "chi_closed",
-    "chi_general",
     "config_sum",
     "e0",
     "e1",

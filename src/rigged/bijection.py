@@ -20,10 +20,8 @@ from dataclasses import dataclass
 
 from .configuration import (
     ZERO,
-    AdmissibilityError,
     Configuration,
     check_level,
-    is_admissible,
     weight,
 )
 from .moves import (
@@ -32,7 +30,7 @@ from .moves import (
     left_sweeps,
     separate_highest,
 )
-from .phases import PhaseTable, gordon_phase, phase  # re-exported  # noqa: F401
+from .phases import phase
 
 
 class RiggingError(ValueError):
@@ -145,8 +143,7 @@ def iota(a: Configuration, k: int) -> RiggedPartition:
     surplus energy, and discards it; the i-th rigging is that surplus minus
     the phase shifts against every later (lighter or equal) particle.
     """
-    if not is_admissible(a, k, 3):
-        raise AdmissibilityError(f"{a} is not (k={k}, 3)-admissible")
+    check_level(k)
     extracted: list[tuple[int, int]] = []  # (weight, surplus)
     cur = a
     while not cur.is_zero:
@@ -194,13 +191,20 @@ def kappa(rp: RiggedPartition, k: int) -> Configuration:
     free particles far above, and settles everything with full left sweeps.
     The result does not depend on how far above they start; RIGGED_DEBUG=1
     recomputes with a higher start and asserts agreement.
+
+    Shifting a configuration by d adds w * d to every weight-w rigging, so the
+    riggings are first translated until the smallest rigging-per-weight lies
+    in 0..w-1 and the result is shifted back; a common translation of the
+    input then costs nothing.
     """
     check_level(k)
     if not rp.is_empty and rp.weights[0] > k:
         raise RiggingError(f"largest weight {rp.weights[0]} exceeds the level k={k}")
+    d = -min((r // w for w, r in rp.parts), default=0)
+    rp = RiggedPartition(tuple((w, r + w * d) for w, r in rp.parts))
     result = _kappa(rp, k, 0)
     if os.environ.get("RIGGED_DEBUG", "") == "1":
         alt = _kappa(rp, k, rp.weights[0] if rp.parts else 1)
         if alt != result:
             raise InternalCheckError(f"inverse map depends on the settling count: {result} vs {alt}")
-    return result
+    return result.shifted(-d)

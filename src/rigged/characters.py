@@ -37,9 +37,6 @@ class RiggingFloor:
             raise ValueError(f"floors must be non-negative, got {values}")
         object.__setattr__(self, "values", values)
 
-    def for_weight(self, w: int) -> int:
-        return self.values[w - 1]
-
     def bumped(self, raised: frozenset[int]) -> tuple[int, ...]:
         """Floor values with every weight in ``raised`` lifted by one."""
         return tuple(v + 1 if w + 1 in raised else v for w, v in enumerate(self.values))
@@ -268,17 +265,6 @@ def chi_closed(k: int, l: int, a: int, b: int, N: int) -> QPolynomial:
         raise ValueError(f"need 0 <= a, 0 <= b, a + b <= k, got a={a}, b={b}, k={k}")
     floor = floor_for(a, b, k, k)
     return _fermionic_sum(k, floor.values, N, weight_cap=l)
-
-
-def chi_general(k: int, floor: RiggingFloor, N: int, order_cap: int | None = None) -> QPolynomial:
-    """Closed-form character for an arbitrary floor vector, full weight range."""
-    check_level(k)
-    if len(floor.values) != k:
-        raise ValueError(f"floor must cover weights 1..{k}")
-    if N < 0:
-        raise ValueError("boundary must be non-negative")
-    result = _fermionic_sum(k, floor.values, N, weight_cap=k)
-    return result.truncated(order_cap)
 
 
 def config_sum(

@@ -13,7 +13,7 @@ import sys
 from . import identities
 from .bijection import RiggedPartition, iota, kappa
 from .characters import chi_closed, config_sum
-from .configuration import Configuration, weight
+from .configuration import Configuration
 from .moves import left_move, lowest_particle, highest_particle, passing_history, right_move
 
 

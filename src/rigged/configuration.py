@@ -9,6 +9,11 @@ most l when S stays <= l and L stays <= k + l everywhere; the columns where
 either bound is attained locate the quasi-particles that the rest of the
 library moves around.
 
+One pass over the padded columns yields every window maximum these notions
+need: the largest S (which is also the largest 2-column sum), the largest
+3-column sum and the largest L.  Admissibility compares one of the first two
+with k; the weight is max(S_max, L_max - k, 0).
+
 Everything is exact integer arithmetic on immutable values.
 """
 
@@ -26,23 +31,12 @@ class AdmissibilityError(ValueError):
     """A configuration violates a window or weight bound it was required to satisfy."""
 
 
-@dataclass(frozen=True)
-class Level:
-    """Admissibility level ``k`` with an optional weight cap ``l``."""
-
-    k: int
-    l: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_LEVEL:
-            raise ValueError(f"level k must be in 1..{MAX_LEVEL}, got {self.k}")
-        if self.l is not None and not 0 <= self.l <= self.k:
-            raise ValueError(f"weight cap must satisfy 0 <= l <= k, got l={self.l} at k={self.k}")
-
-
 def check_level(k: int, l: int | None = None) -> None:
-    """Validate a (k, l) pair, raising ValueError on nonsense."""
-    Level(k, l)
+    """Validate a level ``k`` and an optional weight cap ``l``, raising ValueError on nonsense."""
+    if not 1 <= k <= MAX_LEVEL:
+        raise ValueError(f"level k must be in 1..{MAX_LEVEL}, got {k}")
+    if l is not None and not 0 <= l <= k:
+        raise ValueError(f"weight cap must satisfy 0 <= l <= k, got l={l} at k={k}")
 
 
 @dataclass(frozen=True)
@@ -135,13 +129,6 @@ class Configuration:
             return self
         return Configuration(self.offset + delta, self.counts)
 
-    def reflected(self) -> "Configuration":
-        """Mirror image: column i holds what column -i held."""
-        if self.is_zero:
-            return self
-        hi = self.offset + len(self.counts) - 1
-        return Configuration(-hi, tuple(reversed(self.counts)))
-
     def restricted(self, lo: int | None = None, hi: int | None = None) -> "Configuration":
         """Keep only columns in [lo, hi], zeroing the rest."""
         counts = tuple(
@@ -208,22 +195,28 @@ def l_functional(a: Configuration, j: int) -> int:
     return a.get(j - 1) + 2 * a.get(j) + 2 * a.get(j + 1) + a.get(j + 2)
 
 
+def _window_maxima(a: Configuration) -> tuple[int, int, int]:
+    """Largest S, largest 3-column sum and largest L over all windows; zeros for ZERO."""
+    ext = (0, 0) + a.counts + (0, 0)
+    s_max = t_max = l_max = 0
+    for w, x, y, z in zip(ext, ext[1:], ext[2:], ext[3:]):
+        s = x + y
+        if s > s_max:
+            s_max = s
+        if s + z > t_max:
+            t_max = s + z
+        if 2 * s + w + z > l_max:
+            l_max = 2 * s + w + z
+    return s_max, t_max, l_max
+
+
 def is_admissible(a: Configuration, k: int, r: int = 3) -> bool:
     """True iff every window of ``r`` consecutive columns sums to at most ``k``."""
     check_level(k)
     if r not in (2, 3):
         raise ValueError(f"window size r must be 2 or 3, got {r}")
-    if a.is_zero:
-        return True
-    cnt = a.counts
-    window = 0
-    for j in range(len(cnt) + r - 1):
-        window += cnt[j] if j < len(cnt) else 0
-        if j >= r:
-            window -= cnt[j - r] if j - r < len(cnt) else 0
-        if window > k:
-            return False
-    return True
+    s_max, t_max, _ = _window_maxima(a)
+    return (s_max if r == 2 else t_max) <= k
 
 
 def weight(a: Configuration, k: int) -> int:
@@ -232,22 +225,11 @@ def weight(a: Configuration, k: int) -> int:
     Computed in closed form as max(max_j S[j], max_j L[j] - k, 0); zero exactly
     for the zero sequence.
     """
-    if not is_admissible(a, k, 3):
+    check_level(k)
+    s_max, t_max, l_max = _window_maxima(a)
+    if t_max > k:
         raise AdmissibilityError(f"{a} is not (k={k}, 3)-admissible")
-    if a.is_zero:
-        return 0
-    # Pad so every window touching the support is covered.
-    ext = (0, 0) + a.counts + (0, 0)
-    best = 0
-    for j in range(len(ext) - 1):
-        s = ext[j] + ext[j + 1]
-        if s > best:
-            best = s
-    for j in range(1, len(ext) - 2):
-        l_val = ext[j - 1] + 2 * ext[j] + 2 * ext[j + 1] + ext[j + 2] - k
-        if l_val > best:
-            best = l_val
-    return best
+    return max(s_max, l_max - k, 0)
 
 
 def enumerate_configurations(

@@ -284,14 +284,6 @@ def verify_boundary(k: int, l: int, N: int) -> VerifyReport:
     )
 
 
-def _locate_initial_columns(rp: RiggedPartition, l: int, k: int) -> list[tuple[int, int]]:
-    """All column pairs whose family contains ``rp`` (exactly one for valid input)."""
-    pairs = [(a, b) for a in range(l + 1) for b in range(l + 1 - a)]
-    return [
-        (a, b) for a, b in pairs if member(rp, initial_columns_set(a, b, l, k), k)
-    ]
-
-
 def verify_recursion(l: int, k: int, N: int) -> VerifyReport:
     """Level-l column families decompose through the level-(l-1) families.
 

@@ -7,14 +7,9 @@ theory uses the k-independent companion G(l, l') = 2 min(l, l').
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .configuration import check_level
-
 
 def phase(k: int, l: int, lp: int) -> int:
     """Energy shift A(l, l') at level k."""
-    check_level(k)
     if not (1 <= l <= k and 1 <= lp <= k):
         raise ValueError(f"weights must lie in 1..k={k}, got ({l}, {lp})")
     return 2 * min(l, lp) + max(l + lp - k, 0)
@@ -25,23 +20,3 @@ def gordon_phase(l: int, lp: int) -> int:
     if l < 1 or lp < 1:
         raise ValueError(f"weights must be positive, got ({l}, {lp})")
     return 2 * min(l, lp)
-
-
-@dataclass(frozen=True)
-class PhaseTable:
-    """The full matrix of shifts A(l, l') for weights 1..k."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        check_level(self.k)
-
-    def a(self, l: int, lp: int) -> int:
-        return phase(self.k, l, lp)
-
-    def g(self, l: int, lp: int) -> int:
-        return gordon_phase(l, lp)
-
-    def matrix(self) -> list[list[int]]:
-        """Dense k x k matrix with entry [l-1][l'-1] = A(l, l')."""
-        return [[phase(self.k, l, lp) for lp in range(1, self.k + 1)] for l in range(1, self.k + 1)]

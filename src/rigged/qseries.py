@@ -121,15 +121,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def shifted(self, degrees: int) -> "QPolynomial":
-        """Multiply by q**degrees."""
-        return QPolynomial(tuple((d + degrees, c) for d, c in self.terms), None if self.order is None else self.order + degrees)
-
-    def truncated(self, order: int | None) -> "QPolynomial":
-        if order is None:
-            return self
-        return QPolynomial(self.terms, _min_order(self.order, order))
-
     # -- serialization ----------------------------------------------------------
 
     def to_text(self) -> str:

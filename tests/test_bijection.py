@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from rigged import bijection
@@ -11,9 +13,9 @@ from rigged.bijection import (
     kappa,
     multiplicities,
 )
-from rigged.configuration import ZERO, Configuration, enumerate_configurations, weight
+from rigged.configuration import ZERO, AdmissibilityError, Configuration, enumerate_configurations, weight
 from rigged.moves import InternalCheckError, pass_particle, right_move
-from rigged.phases import PhaseTable, gordon_phase, phase
+from rigged.phases import gordon_phase, phase
 
 
 def cfg(*counts, offset=0):
@@ -36,16 +38,15 @@ class TestPhase:
                 assert phase(k, k, j) == 3 * j
 
     def test_symmetry_and_formula(self):
-        table = PhaseTable(4)
         for l in range(1, 5):
             for lp in range(1, 5):
                 expected = 2 * min(l, lp) + max(l + lp - 4, 0)
-                assert table.a(l, lp) == expected == table.a(lp, l)
-        assert table.matrix()[2][1] == 5
+                assert phase(4, l, lp) == expected == phase(4, lp, l)
+        assert phase(4, 3, 2) == 5
 
     def test_gordon_companion(self):
         assert gordon_phase(3, 2) == 4
-        assert PhaseTable(3).g(1, 2) == 2
+        assert gordon_phase(1, 2) == 2
 
     def test_range_check(self):
         with pytest.raises(ValueError):
@@ -104,6 +105,14 @@ class TestForwardMap:
         assert iota(cfg(1, 2, 1, 1), 5) == rp((3, 2), (2, 1))
         assert iota(ZERO, 7) == EMPTY
 
+    def test_rejects_inadmissible(self):
+        with pytest.raises(AdmissibilityError, match=r"is not \(k=3, 3\)-admissible"):
+            iota(Configuration.from_text("0:2,2"), 3)
+
+    def test_rejects_bad_level(self):
+        with pytest.raises(ValueError, match="level k"):
+            iota(ZERO, 0)
+
     def test_right_move_bumps_first_rigging(self):
         for k in (2, 3):
             for a in enumerate_configurations(k, 3, 5):
@@ -142,6 +151,12 @@ class TestInverseMap:
     def test_rejects_overweight(self):
         with pytest.raises(RiggingError):
             kappa(rp((4,), (0,)), 3)
+
+    def test_far_negative_rigging_is_cheap(self):
+        # The cost must not grow with a common translation of the riggings.
+        start = time.perf_counter()
+        assert kappa(rp((2,), (-10**6,)), 3) == Configuration(-500000, (2,))
+        assert time.perf_counter() - start < 1.0
 
     def test_roundtrip_both_ways(self):
         from rigged.characters import enumerate_rigged

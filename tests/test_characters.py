@@ -5,7 +5,6 @@ from rigged.characters import (
     RestrictedSet,
     RiggingFloor,
     chi_closed,
-    chi_general,
     config_sum,
     enumerate_rigged,
     floor_for,
@@ -92,22 +91,6 @@ class TestChiClosed:
             chi_closed(2, 2, 1, 3, 4)
         with pytest.raises(ValueError):
             chi_closed(2, 2, 0, 0, -1)
-
-
-class TestChiGeneral:
-    def test_matches_closed_form(self):
-        assert chi_general(1, RiggingFloor((2,)), 3) == chi_closed(1, 1, 0, 0, 3)
-
-    def test_tiny_boundary(self):
-        assert chi_general(1, RiggingFloor((0,)), 0) == poly({0: 2})
-
-    def test_huge_floor_leaves_empty_partition(self):
-        assert chi_general(2, RiggingFloor((9, 9)), 2) == QPolynomial.one()
-
-    def test_order_cap(self):
-        capped = chi_general(1, RiggingFloor((0,)), 6, order_cap=2)
-        assert capped.order == 2
-        assert capped == chi_closed(1, 1, 1, 0, 6).truncated(2)
 
 
 class TestConfigSum:

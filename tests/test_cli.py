@@ -41,6 +41,11 @@ class TestMapUnmap:
         code, _, err = run(capsys, "unmap", "--k", "2", "--partition", bad)
         assert code == 2 and "error" in err
 
+    def test_unmap_far_negative_rigging(self, capsys):
+        partition = json.dumps({"parts": [{"weight": 2, "rigging": -10**6}]})
+        code, out, _ = run(capsys, "unmap", "--k", "3", "--partition", partition)
+        assert code == 0 and out.strip() == "-500000:2"
+
     def test_roundtrip_through_text(self, capsys):
         code, out, _ = run(capsys, "map", "--k", "4", "--config", "1,1,1")
         assert code == 0

@@ -8,7 +8,7 @@ from rigged.configuration import (
     ZERO,
     AdmissibilityError,
     Configuration,
-    Level,
+    check_level,
     enumerate_configurations,
     is_admissible,
     l_functional,
@@ -75,9 +75,7 @@ class TestCanonicalForm:
 
     def test_reflect_and_shift(self):
         a = cfg(1, 2, offset=3)
-        assert a.reflected() == Configuration(-4, (2, 1))
         assert a.shifted(2) == cfg(1, 2, offset=5)
-        assert a.reflected().reflected() == a
 
 
 class TestFunctionals:
@@ -140,10 +138,50 @@ class TestAdmissibility:
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
-            Level(0)
+            check_level(0)
         with pytest.raises(ValueError):
-            Level(3, 4)
-        Level(3, 3)
+            check_level(3, 4)
+        check_level(3, 3)
+
+
+def reference_window_maxima(a: Configuration) -> tuple[int, int, int, int]:
+    """Largest 2-window, 3-window, S and L, window by window through ``get``."""
+    if a.is_zero:
+        return 0, 0, 0, 0
+    cols = range(a.support_min - 3, a.support_max + 2)
+    return (
+        max(a.get(j) + a.get(j + 1) for j in cols),
+        max(a.get(j) + a.get(j + 1) + a.get(j + 2) for j in cols),
+        max(s_functional(a, j) for j in cols),
+        max(l_functional(a, j) for j in cols),
+    )
+
+
+@st.composite
+def levelled_configurations(draw):
+    """A level k and a (k, 3)-admissible configuration, sometimes bumped by one unit."""
+    k = draw(st.integers(1, 8))
+    counts: list[int] = []
+    for _ in range(draw(st.integers(0, 12))):
+        counts.append(draw(st.integers(0, k - sum(counts[-2:]))))
+    if counts and draw(st.booleans()):
+        counts[draw(st.integers(0, len(counts) - 1))] += 1
+    return k, Configuration(draw(st.integers(-10, 10)), tuple(counts))
+
+
+class TestWindowPass:
+    @given(levelled_configurations())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_window_by_window_reference(self, case):
+        k, a = case
+        two, three, s_max, l_max = reference_window_maxima(a)
+        assert is_admissible(a, k, 2) == (two <= k)
+        assert is_admissible(a, k, 3) == (three <= k)
+        if three > k:
+            with pytest.raises(AdmissibilityError):
+                weight(a, k)
+        else:
+            assert weight(a, k) == max(s_max, l_max - k, 0)
 
 
 class TestEnumeration:
