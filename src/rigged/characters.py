@@ -243,7 +243,7 @@ def _fermionic_sum(k: int, floor_values: tuple[int, ...], N: int, weight_cap: in
                 product = QPolynomial.zero()
                 break
             product = product * q_binomial(upper, m_j)
-        for d, c in product.terms:
+        for d, c in enumerate(product.coeffs):
             acc[d + exponent] = acc.get(d + exponent, 0) + c
     return QPolynomial.from_dict(acc)
 

@@ -49,9 +49,14 @@ def _cmd_unmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    given = {"right": args.right is not None, "left": args.left is not None, "pass": args.do_pass}
+    chosen = [name for name, on in given.items() if on]
+    if len(chosen) != 1:
+        raise ValueError("trace needs exactly one of --right N, --left N, or --pass")
+    (direction,) = chosen
     cfg = _parse_config(args.config)
     k, l = args.k, args.l
-    if args.do_pass:
+    if direction == "pass":
         nodes, result = passing_history(cfg, k, l)
         top = cfg.support_max if not cfg.is_zero else 0
         shown = [(kind, pos, c) for kind, pos, c in nodes if pos <= (top if top is not None else 0) + 1]
@@ -72,10 +77,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 print(f"{kind}@{pos}  {c.to_text()}")
             print(f"result  {result.to_text()}")
         return 0
-    steps = args.right if args.right is not None else args.left
-    direction = "right" if args.right is not None else "left"
-    if steps is None:
-        raise ValueError("trace needs one of --right N, --left N, or --pass")
+    steps = args.right if direction == "right" else args.left
     chain = [cfg]
     for _ in range(steps):
         chain.append(right_move(chain[-1], k, l) if direction == "right" else left_move(chain[-1], k, l))

@@ -129,14 +129,6 @@ class Configuration:
             return self
         return Configuration(self.offset + delta, self.counts)
 
-    def restricted(self, lo: int | None = None, hi: int | None = None) -> "Configuration":
-        """Keep only columns in [lo, hi], zeroing the rest."""
-        counts = tuple(
-            c if (lo is None or i >= lo) and (hi is None or i <= hi) else 0
-            for i, c in zip(range(self.offset, self.offset + len(self.counts)), self.counts)
-        )
-        return Configuration(self.offset, counts)
-
     def superposed(self, other: "Configuration") -> "Configuration":
         """Column-wise sum of two sequences."""
         if other.is_zero:

@@ -70,8 +70,7 @@ def _iota(a: Configuration, k: int) -> RiggedPartition:
 
 def _poly_mismatch(lhs: QPolynomial, rhs: QPolynomial) -> str | None:
     """Smallest degree where two polynomials disagree, or None."""
-    degrees = sorted({d for d, _ in lhs.terms} | {d for d, _ in rhs.terms})
-    for d in degrees:
+    for d in range(max(len(lhs.coeffs), len(rhs.coeffs))):
         if lhs.coefficient(d) != rhs.coefficient(d):
             return f"q^{d}: {lhs.coefficient(d)} vs {rhs.coefficient(d)}"
     if lhs.order != rhs.order:

@@ -30,7 +30,6 @@ from .configuration import (
     AdmissibilityError,
     Configuration,
     check_level,
-    is_admissible,
     weight,
 )
 from .phases import phase
@@ -227,6 +226,14 @@ def particle_positions(a: Configuration, k: int, l: int, side: str = "right") ->
     return [p for p, _ in _Scratch(a).sightings(k, l, step, cut=True)]
 
 
+def _outside_class(a: Configuration, k: int, l: int) -> bool:
+    """True unless ``a`` is (k, 3)-admissible of weight at most ``l`` (one window pass)."""
+    try:
+        return weight(a, k) > l
+    except AdmissibilityError:
+        return True
+
+
 def move_cth(a: Configuration, k: int, l: int, c: int, side: str = "right") -> Configuration:
     """Apply the raw unit transfer at the c-th weight-l particle.
 
@@ -246,7 +253,7 @@ def move_cth(a: Configuration, k: int, l: int, c: int, side: str = "right") -> C
             moved = a.with_delta((p, +1), (p + 1, -1))
     except ValueError as exc:
         raise MoveError(f"particle #{c} of {a} cannot move {side}: {exc}") from None
-    if not is_admissible(moved, k, 3) or weight(moved, k) > l:
+    if _outside_class(moved, k, l):
         raise MoveError(
             f"moving particle #{c} of {a} {side} leaves the admissible class; "
             "composite move order violated"
@@ -271,7 +278,7 @@ def move_all(a: Configuration, k: int, l: int, side: str = "right", times: int =
         else:
             changes = [d for p in positions for d in ((p, +1), (p + 1, -1))]
         cur = cur.with_delta(*changes)
-        if not is_admissible(cur, k, 3) or weight(cur, k) > l:
+        if _outside_class(cur, k, l):
             raise InternalCheckError(f"sweep left the admissible class at {cur}")
     return cur
 

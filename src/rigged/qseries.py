@@ -2,16 +2,18 @@
 
 One type covers both: an exact polynomial has ``order=None``, a truncated
 series knows its coefficients only up to ``order`` (higher degrees are
-unknown, not zero).  Arithmetic between truncated values keeps the smaller
-order.  Coefficients are arbitrary-precision integers; divisions inside the
+unknown, not zero).  Either is a dense tuple of coefficients, one per degree
+from 0 up.  Arithmetic between truncated values keeps the smaller order.
+Coefficients are arbitrary-precision integers; divisions inside the
 Gaussian binomial are synthetic and checked to be exact, so nothing here can
 silently lose precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 from .configuration import check_level
 from .phases import gordon_phase, phase
@@ -27,30 +29,30 @@ def _min_order(a: int | None, b: int | None) -> int | None:
 
 @dataclass(frozen=True)
 class QPolynomial:
-    """Integer polynomial (or truncated series) in q, stored sparsely."""
+    """Integer polynomial (or truncated series) in q as a dense coefficient tuple.
 
-    terms: tuple[tuple[int, int], ...] = ()
+    ``coeffs[d]`` is the coefficient of q^d; no trailing zeros, nothing above ``order``.
+    """
+
+    coeffs: tuple[int, ...] = ()
     order: int | None = None
-    _lookup: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        agg: dict[int, int] = {}
-        for d, c in self.terms:
-            d, c = int(d), int(c)
-            if d < 0:
-                raise ValueError(f"negative degree {d}")
-            if self.order is not None and d > self.order:
-                continue
-            agg[d] = agg.get(d, 0) + c
-        clean = tuple(sorted((d, c) for d, c in agg.items() if c != 0))
-        object.__setattr__(self, "terms", clean)
-        self._lookup.update(agg)
+        c = self.coeffs
+        n = len(c) if self.order is None else max(0, min(len(c), self.order + 1))
+        while n and not c[n - 1]:
+            n -= 1
+        if n < len(c) or type(c) is not tuple:
+            object.__setattr__(self, "coeffs", tuple(c[:n]))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int], order: int | None = None) -> "QPolynomial":
-        return cls(tuple(coeffs.items()), order)
+        if coeffs and min(coeffs) < 0:
+            raise ValueError(f"negative degree {min(coeffs)}")
+        top = max(coeffs, default=-1) if order is None else min(max(coeffs, default=-1), order)
+        return cls(tuple(coeffs.get(d, 0) for d in range(top + 1)), order)
 
     @classmethod
     def zero(cls, order: int | None = None) -> "QPolynomial":
@@ -58,26 +60,31 @@ class QPolynomial:
 
     @classmethod
     def one(cls, order: int | None = None) -> "QPolynomial":
-        return cls(((0, 1),), order)
+        return cls((1,), order)
 
     @classmethod
     def q_power(cls, degree: int, coeff: int = 1, order: int | None = None) -> "QPolynomial":
-        return cls(((degree, coeff),), order)
+        return cls.from_dict({degree: coeff}, order)
 
     # -- queries --------------------------------------------------------------
 
     def coefficient(self, degree: int) -> int:
-        return self._lookup.get(degree, 0)
+        return self.coeffs[degree] if 0 <= degree < len(self.coeffs) else 0
 
     __getitem__ = coefficient
 
     @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        """The nonzero ``(degree, coefficient)`` pairs in ascending degree."""
+        return tuple((d, c) for d, c in enumerate(self.coeffs) if c)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def degree(self) -> int | None:
         """Largest degree with a nonzero coefficient; None for the zero value."""
-        return self.terms[-1][0] if self.terms else None
+        return len(self.coeffs) - 1 if self.coeffs else None
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -85,19 +92,17 @@ class QPolynomial:
     def _coerce(value: "QPolynomial | int") -> "QPolynomial":
         if isinstance(value, QPolynomial):
             return value
-        return QPolynomial(((0, int(value)),))
+        return QPolynomial((int(value),))
 
     def __add__(self, other: "QPolynomial | int") -> "QPolynomial":
         other = self._coerce(other)
-        merged = dict(self.terms)
-        for d, c in other.terms:
-            merged[d] = merged.get(d, 0) + c
-        return QPolynomial(tuple(merged.items()), _min_order(self.order, other.order))
+        summed = tuple(x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
+        return QPolynomial(summed, _min_order(self.order, other.order))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial(tuple((d, -c) for d, c in self.terms), self.order)
+        return QPolynomial(tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other: "QPolynomial | int") -> "QPolynomial":
         return self + (-self._coerce(other))
@@ -106,18 +111,17 @@ class QPolynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other: "QPolynomial | int") -> "QPolynomial":
+        """Convolution up to ``order``; the left factor's zero coefficients are skipped."""
         other = self._coerce(other)
         order = _min_order(self.order, other.order)
-        acc: dict[int, int] = {}
-        for d1, c1 in self.terms:
-            if order is not None and d1 > order:
-                break
-            for d2, c2 in other.terms:
-                d = d1 + d2
-                if order is not None and d > order:
-                    break
-                acc[d] = acc.get(d, 0) + c1 * c2
-        return QPolynomial(tuple(acc.items()), order)
+        a, b = self.coeffs, other.coeffs
+        top = len(a) + len(b) - 2 if order is None else min(len(a) + len(b) - 2, order)
+        acc = [0] * (top + 1)
+        for d1, c1 in enumerate(a[: top + 1]):
+            if c1:
+                for d, c2 in enumerate(b[: top + 1 - d1], d1):
+                    acc[d] += c1 * c2
+        return QPolynomial(tuple(acc), order)
 
     __rmul__ = __mul__
 
@@ -125,7 +129,7 @@ class QPolynomial:
 
     def to_text(self) -> str:
         """Human form like ``1 + q^2 + 2*q^3`` (ascending, zero terms omitted)."""
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         chunks = []
         for d, c in self.terms:
@@ -155,21 +159,15 @@ class QPolynomial:
 
 def _divide_exact(p: QPolynomial, i: int) -> QPolynomial:
     """Exact synthetic division of an exact polynomial by (1 - q**i)."""
-    if p.is_zero:
-        return p
-    top = p.degree()
-    assert top is not None
-    dense = [0] * (top + 1)
-    for d, c in p.terms:
-        dense[d] = c
-    out = [0] * (top - i + 1) if top >= i else []
-    for d in range(top + 1):
-        v = dense[d] + (out[d - i] if d - i >= 0 else 0)
-        if d <= top - i:
-            out[d] = v
-        elif v != 0:
+    c = p.coeffs
+    n = max(len(c) - i, 0)
+    out = list(c[:n])
+    for d in range(i, n):
+        out[d] += out[d - i]
+    for d in range(n, len(c)):
+        if c[d] + (out[d - i] if d >= i else 0):
             raise ArithmeticError(f"division by 1 - q^{i} left a remainder")
-    return QPolynomial(tuple((d, c) for d, c in enumerate(out) if c))
+    return QPolynomial(tuple(out))
 
 
 @lru_cache(maxsize=None)
@@ -177,13 +175,14 @@ def q_binomial(m: int, n: int) -> QPolynomial:
     """Gaussian binomial [m choose n]; zero outside 0 <= n <= m.
 
     Computed as a product of (1 - q^{m-n+i}) / (1 - q^i) factors with exact
-    synthetic division at every step.
+    synthetic division at every step.  The sparse factor goes on the left,
+    where the convolution skips zero coefficients.
     """
     if n < 0 or n > m:
         return QPolynomial.zero()
     result = QPolynomial.one()
     for i in range(1, n + 1):
-        result = result * QPolynomial(((0, 1), (m - n + i, -1)))
+        result = QPolynomial((1,) + (0,) * (m - n + i - 1) + (-1,)) * result
         result = _divide_exact(result, i)
     return result
 
@@ -196,8 +195,8 @@ def inv_pochhammer(m: int, order: int) -> QPolynomial:
         raise ValueError("need a non-negative truncation order")
     result = QPolynomial.one(order=order)
     for i in range(1, m + 1):
-        geometric = QPolynomial(tuple((j, 1) for j in range(0, order + 1, i)), order)
-        result = result * geometric
+        geometric = QPolynomial(tuple(int(j % i == 0) for j in range(order + 1)), order)
+        result = geometric * result
     return result
 
 

@@ -96,6 +96,14 @@ class TestTrace:
         code, _, err = run(capsys, "trace", "--k", "3", "--l", "3", "--config", "0:3,0,0,1")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--right", "1", "--left", "1"), ("--pass", "--right", "1"), ("--pass", "--left", "0")],
+    )
+    def test_rejects_conflicting_directions(self, capsys, flags):
+        code, out, err = run(capsys, "trace", "--k", "3", "--l", "3", *flags, "--config", "0:3,0,0,1")
+        assert code == 2 and out == "" and err.startswith("error:") and "exactly one" in err
+
 
 class TestChiAndSum:
     def test_chi_text(self, capsys):

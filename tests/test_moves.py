@@ -136,6 +136,13 @@ class TestPositions:
                 m = len(particle_positions(a, k, l))
                 assert left_sweeps(a, k, l, 2, expected=m) == move_all(a, k, l, "left", 2)
 
+    def test_sweep_leaving_the_class_detected(self, monkeypatch):
+        # Moving only the lower unit of (1,0,0,1) at k=1 puts two units in one
+        # 3-window; the sweep's check reports it as an internal fault.
+        monkeypatch.setattr(moves, "particle_positions", lambda a, k, l, side: [0])
+        with pytest.raises(InternalCheckError, match="sweep left the admissible class"):
+            move_all(cfg(1, 0, 0, 1), 1, 1, "right")
+
 
 class TestMoveCth:
     def test_examples(self):
@@ -321,7 +328,7 @@ class TestPassing:
                 for _ in range(l * 20):
                     cur = left_move(cur, k, l)
                 top = cur.support_max
-                upper = cur.restricted(lo=top - 1)
+                upper = Configuration(top - 1, (cur.get(top - 1), cur.get(top)))
                 assert upper.length() == lp
                 assert upper.energy() == light.energy() + phase(k, l, lp)
 

@@ -1,10 +1,14 @@
+import dataclasses
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigged.bijection import e0, multiplicities
 from rigged.qseries import (
     QPolynomial,
+    _divide_exact,
     gordon_quadratic_form,
     inv_pochhammer,
     q_binomial,
@@ -86,6 +90,85 @@ class TestArithmetic:
     def test_json_roundtrip(self):
         p = poly({0: 1, 2: 10**30}, order=5)
         assert QPolynomial.from_json_dict(p.to_json_dict()) == p
+
+    def test_canonical_form(self):
+        assert QPolynomial((1, 0, 2, 0, 0)).coeffs == (1, 0, 2)
+        assert QPolynomial((1, 0, 2, 5), order=1).coeffs == (1,)
+        assert QPolynomial([0, 0]) == QPolynomial.zero()
+
+    def test_replaced_order_drops_higher_coefficients(self):
+        p = dataclasses.replace(poly({0: 1, 5: 7}), order=2)
+        assert p == poly({0: 1}, order=2)
+        assert p.coefficient(5) == 0
+
+
+def reference(coeffs: dict, order) -> dict:
+    """The nonzero coefficients a series with this data and order holds."""
+    return {d: c for d, c in coeffs.items() if c and (order is None or d <= order)}
+
+
+def reference_text(ref: dict) -> str:
+    text = ""
+    for d, c in sorted(ref.items()):
+        mono = "" if d == 0 else "q" if d == 1 else f"q^{d}"
+        body = str(abs(c)) if not mono else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        if text:
+            text += (" + " if c > 0 else " - ") + body
+        else:
+            text = body if c > 0 else "-" + body
+    return text or "0"
+
+
+def reference_order(a, b):
+    return a if b is None else b if a is None else min(a, b)
+
+
+series = st.tuples(
+    st.dictionaries(st.integers(0, 15), st.integers(-3, 3), max_size=10),
+    st.none() | st.integers(0, 12),
+)
+
+
+def check_against_reference(value: QPolynomial, ref: dict, order) -> None:
+    assert value.order == order
+    assert [value.coefficient(d) for d in range(-2, 32)] == [ref.get(d, 0) for d in range(-2, 32)]
+    assert value.degree() == (max(ref) if ref else None)
+    assert value.to_text() == reference_text(ref)
+    assert value == QPolynomial.from_dict(ref, order)
+
+
+@given(series, series)
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_matches_dict_reference(x, y):
+    (dx, ox), (dy, oy) = x, y
+    p, r = poly(dx, ox), poly(dy, oy)
+    rp, rr = reference(dx, ox), reference(dy, oy)
+    order = reference_order(ox, oy)
+    check_against_reference(p, rp, ox)
+    check_against_reference(-p, {d: -c for d, c in rp.items()}, ox)
+    for value, sign in ((p + r, 1), (p - r, -1)):
+        combined = {d: rp.get(d, 0) + sign * rr.get(d, 0) for d in rp.keys() | rr.keys()}
+        check_against_reference(value, reference(combined, order), order)
+    product: dict[int, int] = {}
+    for d1, c1 in rp.items():
+        for d2, c2 in rr.items():
+            product[d1 + d2] = product.get(d1 + d2, 0) + c1 * c2
+    check_against_reference(p * r, reference(product, order), order)
+    assert (p == r) == (rp == rr and ox == oy)
+
+
+@given(series, st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_exact_division_by_one_minus_q_power(x, i):
+    p = poly(x[0])
+    assert _divide_exact(p * (1 - QPolynomial.q_power(i)), i) == p
+    # p is a multiple of 1 - q^i iff its coefficients sum to zero in every
+    # residue class of the degree mod i.
+    if any(sum(c for d, c in x[0].items() if d % i == res) for res in range(i)):
+        with pytest.raises(ArithmeticError):
+            _divide_exact(p, i)
+    else:
+        assert _divide_exact(p, i) * (1 - QPolynomial.q_power(i)) == p
 
 
 class TestQBinomial:
