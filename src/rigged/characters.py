@@ -15,6 +15,7 @@ verification harness plays them against each other.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -207,12 +208,8 @@ def rigged_sum(k: int, rset: RestrictedSet) -> QPolynomial:
     """Degree generating function of a restricted family, by brute enumeration."""
     if rset.boundary is None:
         raise ValueError("rigged_sum needs a boundary to be a finite sum")
-    acc: dict[int, int] = {}
-    for rp in enumerate_rigged(k, rset.l, rset.boundary, rset.floor):
-        if member(rp, rset, k):
-            d = e0(rp.weights, k) + e1(rp.riggings)
-            acc[d] = acc.get(d, 0) + 1
-    return QPolynomial.from_dict(acc)
+    family = (rp for rp in enumerate_rigged(k, rset.l, rset.boundary, rset.floor) if member(rp, rset, k))
+    return QPolynomial.from_dict(Counter(e0(rp.weights, k) + e1(rp.riggings) for rp in family))
 
 
 def _fermionic_sum(k: int, floor_values: tuple[int, ...], N: int, weight_cap: int) -> QPolynomial:
@@ -282,31 +279,18 @@ def config_sum(
     """
     if N is None and max_degree is None:
         raise ValueError("config_sum needs a boundary N or a max_degree to stay finite")
-    acc: dict[int, int] = {}
-    for cfg in enumerate_configurations(k, r, N, a0=a0, a1=a1, max_energy=max_degree):
-        d = cfg.energy()
-        acc[d] = acc.get(d, 0) + 1
-    return QPolynomial.from_dict(acc, order=max_degree)
+    if N is not None and N < 0:
+        raise ValueError("boundary must be non-negative")
+    if max_degree is not None and max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    family = enumerate_configurations(k, r, N, a0=a0, a1=a1, max_energy=max_degree)
+    return QPolynomial.from_dict(Counter(cfg.energy() for cfg in family), max_degree)
 
 
-def weighted_config_sum(
-    k: int,
-    l: int,
-    a0: int,
-    a1: int,
-    N: int,
-) -> tuple[QPolynomial, int]:
-    """Exact energy polynomial over boundary-N configurations of weight <= l.
-
-    Returns the polynomial and the number of configurations counted.
-    """
+def weighted_config_sum(k: int, l: int, a0: int, a1: int, N: int) -> QPolynomial:
+    """Exact energy polynomial over boundary-N configurations of weight <= l with a_0 = a0, a_1 = a1."""
     check_level(k, l)
-    acc: dict[int, int] = {}
-    count = 0
-    for cfg in enumerate_configurations(k, 3, N, a0=a0, a1=a1):
-        if config_weight(cfg, k) > l:
-            continue
-        d = cfg.energy()
-        acc[d] = acc.get(d, 0) + 1
-        count += 1
-    return QPolynomial.from_dict(acc), count
+    if N < 0:
+        raise ValueError("boundary must be non-negative")
+    family = (cfg for cfg in enumerate_configurations(k, 3, N, a0=a0, a1=a1) if config_weight(cfg, k) <= l)
+    return QPolynomial.from_dict(Counter(cfg.energy() for cfg in family))

@@ -58,26 +58,26 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     k, l = args.k, args.l
     if direction == "pass":
         nodes, result = passing_history(cfg, k, l)
-        top = cfg.support_max if not cfg.is_zero else 0
-        shown = [(kind, pos, c) for kind, pos, c in nodes if pos <= (top if top is not None else 0) + 1]
         if args.json:
             print(
                 json.dumps(
                     {
                         "nodes": [
                             {"kind": kind, "position": pos, "config": c.to_json_dict()}
-                            for kind, pos, c in shown
+                            for kind, pos, c in nodes
                         ],
                         "result": result.to_json_dict(),
                     }
                 )
             )
         else:
-            for kind, pos, c in shown:
+            for kind, pos, c in nodes:
                 print(f"{kind}@{pos}  {c.to_text()}")
             print(f"result  {result.to_text()}")
         return 0
     steps = args.right if direction == "right" else args.left
+    if steps < 0:
+        raise ValueError(f"--{direction} must be non-negative")
     chain = [cfg]
     for _ in range(steps):
         chain.append(right_move(chain[-1], k, l) if direction == "right" else left_move(chain[-1], k, l))

@@ -14,6 +14,15 @@ need: the largest S (which is also the largest 2-column sum), the largest
 3-column sum and the largest L.  Admissibility compares one of the first two
 with k; the weight is max(S_max, L_max - k, 0).
 
+Enumeration fills one mutable row of columns 0..limit left to right, where
+the limit is the smaller of the boundary N and the energy cap.  Each column
+takes every value its r-window and the energy left allow (or its pinned
+a_0/a_1 value), and descent stops once one unit in the next column costs
+more than the energy left, since every later column is then zero.  Each
+leaf copies the whole row into one configuration, in lexicographic order of
+(a_0, a_1, ...); this stream is the brute-force oracle the character
+identities are checked against.
+
 Everything is exact integer arithmetic on immutable values.
 """
 
@@ -237,45 +246,37 @@ def enumerate_configurations(
     The support is confined to columns 0..N; when ``max_energy`` is given the
     energy is additionally capped (and may replace N as the finiteness bound,
     since a unit at column i > max_energy already costs more than the cap).
-    Unsatisfiable a0/a1 constraints simply produce an empty stream.
+    Unsatisfiable a0/a1 constraints or a negative bound simply produce an
+    empty stream.  The order is lexicographic in (a_0, a_1, ...).
     """
     check_level(k)
     if r not in (2, 3):
         raise ValueError(f"window size r must be 2 or 3, got {r}")
     if N is None and max_energy is None:
         raise ValueError("need a boundary N or an energy cap to enumerate finitely")
-    if max_energy is not None and max_energy < 0:
+    limit = min(bound for bound in (N, max_energy) if bound is not None)
+    pins = {col: v for col, v in ((0, a0), (1, a1)) if v is not None}
+    # Columns beyond the limit are identically zero, so a pin out there is
+    # either vacuous or unsatisfiable.
+    if limit < 0 or any(v for col, v in pins.items() if col > limit):
         return
-    limit = N if N is not None else max_energy
-    if max_energy is not None and N is not None:
-        limit = min(N, max_energy)
-    if limit < 0:
-        return
-    # Columns beyond the limit are identically zero, so a constraint out there
-    # is either vacuous or unsatisfiable.
-    if a1 is not None and limit < 1 and a1 != 0:
-        return
+    row = [0] * (limit + 1)
 
-    tail_len = r - 1
-
-    def rec(i: int, tail: tuple[int, ...], budget: int | None) -> Iterator[tuple[int, ...]]:
-        if i > limit:
-            yield ()
+    def fill(i: int, budget: int) -> Iterator[Configuration]:
+        # Past the limit, or at a column dearer than the budget left, every
+        # remaining column is zero.  That column is never a pinned one: column
+        # 0 is free, so column 1 sees the whole cap, and a zero cap means limit 0.
+        if i > limit or budget < i:
+            yield Configuration(0, tuple(row))
             return
-        cap = k - sum(tail)
-        if budget is not None and i > 0:
+        cap = k - sum(row[max(0, i - r + 1) : i])
+        if i:
             cap = min(cap, budget // i)
-        if i == 0 and a0 is not None:
-            choices: range | tuple[int, ...] = (a0,) if 0 <= a0 <= cap else ()
-        elif i == 1 and a1 is not None:
-            choices = (a1,) if 0 <= a1 <= cap else ()
-        else:
-            choices = range(cap + 1)
-        for v in choices:
-            rest = budget - i * v if budget is not None else None
-            new_tail = (tail + (v,))[-tail_len:]
-            for suffix in rec(i + 1, new_tail, rest):
-                yield (v,) + suffix
+        pin = pins.get(i)
+        for v in range(cap + 1) if pin is None else (pin,) if 0 <= pin <= cap else ():
+            row[i] = v
+            yield from fill(i + 1, budget - i * v)
+        row[i] = 0
 
-    for counts in rec(0, (0,) * tail_len, max_energy):
-        yield Configuration(0, counts)
+    # Without an energy cap, the largest energy a row can carry never binds.
+    yield from fill(0, max_energy if max_energy is not None else k * limit * (limit + 1) // 2)

@@ -204,7 +204,7 @@ def verify_polynomial_identity(k: int, l: int, a: int, b: int, N: int) -> Verify
     check_level(k, l)
     if l < 1 or a < 0 or b < 0 or a + b > l or N < 0:
         raise ValueError(f"need 1 <= l <= k, 0 <= a, 0 <= b, a + b <= l, N >= 0; got {(k, l, a, b, N)}")
-    lhs, _ = weighted_config_sum(k, l, a, b, N)
+    lhs = weighted_config_sum(k, l, a, b, N)
     rhs = _chi_combination(k, l, a, b, N)
     params = {"k": k, "l": l, "a": a, "b": b, "N": N}
     split = _poly_mismatch(rhs, _chi_combination_cases(k, l, a, b, N))
@@ -213,25 +213,15 @@ def verify_polynomial_identity(k: int, l: int, a: int, b: int, N: int) -> Verify
     return _poly_report("polynomial", params, lhs, rhs)
 
 
-def _image_by_columns(k: int, l: int, N: int) -> dict[tuple[int, int], set[RiggedPartition]]:
-    """Forward-map images of the boundary-N families, grouped by (a_0, a_1)."""
-    images: dict[tuple[int, int], set[RiggedPartition]] = {}
-    for cfg in enumerate_configurations(k, 3, N):
-        if weight(cfg, k) > l:
-            continue
-        key = (cfg.get(0), cfg.get(1))
-        images.setdefault(key, set()).add(_iota(cfg, k))
-    return images
+def _init_image(k: int, l: int, a: int, b: int, N: int) -> set[RiggedPartition]:
+    """Forward-map image of the boundary-N configurations of weight <= l with (a_0, a_1) = (a, b)."""
+    return {_iota(cfg, k) for cfg in enumerate_configurations(k, 3, N, a0=a, a1=b) if weight(cfg, k) <= l}
 
 
 def verify_init(k: int, l: int, a: int, b: int, N: int) -> VerifyReport:
     """The forward image of the (a_0, a_1) = (a, b) family equals its predicate set."""
     check_level(k, l)
-    image = {
-        _iota(cfg, k)
-        for cfg in enumerate_configurations(k, 3, N, a0=a, a1=b)
-        if weight(cfg, k) <= l
-    }
+    image = _init_image(k, l, a, b, N)
     rset = initial_columns_set(a, b, l, k, boundary=N)
     predicate = {rp for rp in enumerate_rigged(k, l, N) if member(rp, rset, k)}
     witness = _set_mismatch(image, predicate)
@@ -249,14 +239,14 @@ def verify_init_cover(k: int, l: int, N: int) -> VerifyReport:
     check_level(k, l)
     pairs = [(a, b) for a in range(l + 1) for b in range(l + 1 - a)]
     sets = {(a, b): initial_columns_set(a, b, l, k, boundary=N) for a, b in pairs}
-    images = _image_by_columns(k, l, N)
+    images = {(a, b): _init_image(k, l, a, b, N) for a, b in pairs}
     witness = None
     for rp in enumerate_rigged(k, l, N):
         hits = [(a, b) for a, b in pairs if member(rp, sets[(a, b)], k)]
         if len(hits) != 1:
             witness = f"{rp} lies in {len(hits)} families: {hits}"
             break
-        if rp not in images.get(hits[0], set()):
+        if rp not in images[hits[0]]:
             witness = f"{rp} claimed by {hits[0]} but not in that image"
             break
     return VerifyReport(
@@ -267,6 +257,8 @@ def verify_init_cover(k: int, l: int, N: int) -> VerifyReport:
 def verify_boundary(k: int, l: int, N: int) -> VerifyReport:
     """Boundary confinement corresponds exactly to the rigging ceilings."""
     check_level(k, l)
+    if N < 0:
+        raise ValueError("boundary must be non-negative")
     witness = None
     checked = 0
     for cfg in enumerate_configurations(k, 3, N + 3):
@@ -390,6 +382,8 @@ def verify_fermionic_floor(k: int, l: int, N: int) -> VerifyReport:
 
 def shift_sample_space(k: int, l: int, width: int) -> list[Configuration]:
     """All positively supported admissible configurations of weight < l within the width."""
+    if width < 0:
+        raise ValueError("width must be non-negative")
     return [
         cfg
         for cfg in enumerate_configurations(k, 3, width - 1)
@@ -434,9 +428,8 @@ def verify_golden() -> VerifyReport:
         witness = f"image of {start} is {_iota(start, 3)}"
     if witness is None:
         nodes, result = passing_history(Configuration(0, (1, 1, 1)), 4, 3)
-        shown = tuple((kind, pos, cfg) for kind, pos, cfg in nodes if pos <= 3)
-        if shown != GOLDEN_PASS_NODES:
-            witness = f"passing nodes diverge: {[(kd, p, str(c)) for kd, p, c in shown]}"
+        if tuple(nodes) != GOLDEN_PASS_NODES:
+            witness = f"passing nodes diverge: {[(kd, p, str(c)) for kd, p, c in nodes]}"
         elif result != Configuration(2, (1, 0, 2)):
             witness = f"passing result is {result}"
     return VerifyReport("golden", {}, witness is None, None, None, witness)

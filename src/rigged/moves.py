@@ -400,12 +400,15 @@ def left_sweeps(b: Configuration, k: int, l: int, times: int, expected: int | No
 
 
 def _descend(a: Configuration, k: int, l: int, probe_column: int) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
-    """Drop a weight-l probe from ``probe_column`` through ``a`` by left moves.
+    """Drop a weight-l probe from ``probe_column`` through nonzero ``a`` by left moves.
 
-    Records a node the first time the probe's position reaches each column,
-    and stops as soon as the probe sits fully below the rest with a two-column
-    gap; what lies above it then is the passed configuration.
+    Records a node the first time the probe's position reaches each column
+    from top + 1 (``top`` is the highest column of ``a``) down; nodes above
+    that depend on ``probe_column``.  Stops as soon as the probe sits fully
+    below the rest with a two-column gap; what lies above it then is the
+    passed configuration.
     """
+    top = a.support_max
     sc = _Scratch(a)
     sc.bump(probe_column, l)
     nodes: list[tuple[str, int, Configuration]] = []
@@ -427,7 +430,8 @@ def _descend(a: Configuration, k: int, l: int, probe_column: int) -> tuple[list[
                 rest = sc.to_configuration(lo=pos + 2)
                 if weight(rest, k) < l:
                     return nodes, rest
-            nodes.append((kind, pos, sc.to_configuration()))
+            if pos <= top + 1:
+                nodes.append((kind, pos, sc.to_configuration()))
         sc.bump(pos, +1)
         sc.bump(pos + 1, -1)
     raise InternalCheckError(f"probe failed to pass {a} within {cap} moves")
@@ -437,9 +441,10 @@ def passing_history(a: Configuration, k: int, l: int) -> tuple[list[tuple[str, i
     """Pass a weight-l probe through ``a`` and return (nodes, result).
 
     Nodes are (kind, position, configuration) triples, one per position the
-    probe visits on its way down, starting from the placement column.  The
-    result is independent of where the probe was dropped from; with
-    RIGGED_DEBUG=1 that independence is rechecked from one column higher.
+    probe visits on its way down from the meeting column top + 1 (``top`` is
+    the highest occupied column of ``a``).  Nodes and result are independent
+    of where the probe was dropped from; with RIGGED_DEBUG=1 that
+    independence is rechecked from one column higher.
     """
     check_level(k, l)
     if l < 1:
@@ -449,9 +454,7 @@ def passing_history(a: Configuration, k: int, l: int) -> tuple[list[tuple[str, i
         raise AdmissibilityError(f"passing needs weight below l={l}, but {a} has weight {w}")
     if a.is_zero:
         return [], ZERO
-    top = a.support_max
-    assert top is not None
-    probe_column = max(3, top + 4)
+    probe_column = max(3, a.support_max + 4)
     nodes, result = _descend(a, k, l, probe_column)
     if _debug_enabled():
         nodes2, result2 = _descend(a, k, l, probe_column + 1)
@@ -459,8 +462,7 @@ def passing_history(a: Configuration, k: int, l: int) -> tuple[list[tuple[str, i
             raise InternalCheckError(
                 f"passing result depends on the placement column: {result} vs {result2}"
             )
-        trimmed = [(kd, p, cfg) for kd, p, cfg in nodes2 if p <= top + 1]
-        if [(kd, p, cfg) for kd, p, cfg in nodes if p <= top + 1] != trimmed:
+        if nodes2 != nodes:
             raise InternalCheckError("passing history depends on the placement column")
     return nodes, result
 

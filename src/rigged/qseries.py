@@ -63,8 +63,8 @@ class QPolynomial:
         return cls((1,), order)
 
     @classmethod
-    def q_power(cls, degree: int, coeff: int = 1, order: int | None = None) -> "QPolynomial":
-        return cls.from_dict({degree: coeff}, order)
+    def q_power(cls, degree: int, order: int | None = None) -> "QPolynomial":
+        return cls.from_dict({degree: 1}, order)
 
     # -- queries --------------------------------------------------------------
 

@@ -128,6 +128,24 @@ class TestChiAndSum:
         assert code == 2 and "error" in err
 
 
+class TestNegativeBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sum", "--k", "2", "--N", "-1"),
+            ("sum", "--k", "2", "--max-degree", "-1"),
+            ("verify", "boundary", "--k", "2", "--l", "2", "--N", "-2"),
+            ("verify", "gordon", "--k", "2", "--max-degree", "-1"),
+            ("verify", "shift", "--k", "3", "--l", "2", "--width", "-1"),
+            ("trace", "--k", "3", "--l", "3", "--right", "-2", "--config", "0:3,0,0,1"),
+            ("trace", "--k", "3", "--l", "3", "--left", "-1", "--config", "0:2,1,0,1"),
+        ],
+    )
+    def test_rejected_with_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:") and "non-negative" in err
+
+
 class TestVerify:
     def test_gordon_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "gordon", "--k", "2", "--max-degree", "12")

@@ -1,3 +1,5 @@
+import itertools
+import operator
 from functools import lru_cache
 
 import pytest
@@ -216,3 +218,37 @@ class TestEnumeration:
     def test_needs_some_bound(self):
         with pytest.raises(ValueError):
             list(enumerate_configurations(1, 3, None))
+
+    @pytest.mark.parametrize("k,r", [(k, r) for k in (1, 2, 3) for r in (2, 3)])
+    def test_matches_product_oracle(self, k, r):
+        """Full yielded list, order included, against a filtered itertools.product."""
+
+        @lru_cache(maxsize=None)
+        def rows(limit: int, max_energy: int | None) -> list[Configuration]:
+            # Under the cap, column i > 0 holds at most max_energy // i units;
+            # the filter below still checks every bound.
+            ranges = [
+                range(k + 1 if max_energy is None or i == 0 else min(k, max_energy // i) + 1)
+                for i in range(limit + 1)
+            ]
+            return [
+                Configuration(0, row)
+                for row in itertools.product(*ranges)
+                if (max_energy is None or sum(map(operator.mul, range(limit + 1), row)) <= max_energy)
+                and all(sum(row[j : j + r]) <= k for j in range(limit + 1))
+            ]
+
+        for N in (None, *range(6)):
+            for max_energy in (None, -1, *range(13)):
+                if N is None and max_energy is None:
+                    continue
+                limit = min(b for b in (N, max_energy) if b is not None)
+                family = rows(limit, max_energy) if limit >= 0 else []
+                for a0 in (None, -1, *range(k + 2)):
+                    for a1 in (None, -1, *range(k + 2)):
+                        expected = [
+                            a for a in family
+                            if (a0 is None or a.get(0) == a0) and (a1 is None or a.get(1) == a1)
+                        ]
+                        got = list(enumerate_configurations(k, r, N, a0=a0, a1=a1, max_energy=max_energy))
+                        assert got == expected, (N, a0, a1, max_energy)

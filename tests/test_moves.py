@@ -280,6 +280,15 @@ class TestPassing:
             ("S", -1, cfg(3, 0, 1, 0, 2)),
         ]
 
+    def test_no_node_above_meeting_column(self):
+        for k in (2, 3, 4):
+            for l in range(2, k + 1):
+                for a in enumerate_configurations(k, 3, 4):
+                    if a.is_zero or weight(a, k) >= l:
+                        continue
+                    nodes, _ = passing_history(a, k, l)
+                    assert nodes and all(pos <= a.support_max + 1 for _, pos, _ in nodes)
+
     def test_worked_example_level_five(self):
         result = pass_particle(cfg(1, 2, 1, 1), 5, 4)
         assert result == Configuration(3, (2, 1, 2))
