@@ -2,7 +2,8 @@
 
 Configurations with bounded three-column sums biject with rigged partitions;
 the bijection preserves degree and underlies Gordon-type fermionic character
-identities, all of which this package verifies by exact enumeration.
+identities, all of which this package verifies exactly, on two independent
+code paths, with brute-force enumeration as the oracle at small sizes.
 """
 
 from .bijection import EMPTY, RiggedPartition, RiggingError, e0, e1, iota, kappa, multiplicities

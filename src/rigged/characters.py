@@ -10,6 +10,15 @@ rigged side.
 Each family has two independent characters: a closed-form sum of Gaussian
 binomials over multiplicity vectors, and a brute-force enumeration.  The
 verification harness plays them against each other.
+
+The configuration side of every character identity is a column transfer
+matrix (Stanley, Enumerative Combinatorics 1, 4.7): a dynamic programme over
+columns whose state is the last few columns and which carries one dense
+energy polynomial per state, so a sum costs polynomial time in columns times
+degree.  The closed side recurses over the weights and prunes a branch as
+soon as a vacancy goes negative.  Enumerating configurations is the oracle
+both are tested against, and under RIGGED_DEBUG=1 every configuration sum is
+recounted by enumeration as well.
 """
 
 from __future__ import annotations
@@ -17,13 +26,15 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from operator import add
+from typing import Iterable, Iterator
 
 from .bijection import RiggedPartition, e0, e1
-from .configuration import check_level, enumerate_configurations
+from .configuration import Configuration, check_level, enumerate_configurations
 from .configuration import weight as config_weight
+from .moves import InternalCheckError, _debug_enabled
 from .phases import phase
-from .qseries import QPolynomial, q_binomial, quadratic_form_Q
+from .qseries import QPolynomial, q_binomial
 
 
 @dataclass(frozen=True)
@@ -103,16 +114,11 @@ def _within_floor(rp: RiggedPartition, values: tuple[int, ...]) -> bool:
     return all(r >= values[w - 1] for w, r in rp.parts)
 
 
-def boundary_ceiling(rp: RiggedPartition, k: int, N: int, index: int) -> int:
-    """Largest rigging the part at ``index`` may carry inside the boundary."""
-    w = rp.weights[index]
-    shift = sum(phase(k, w, wj) for wj in rp.weights) - phase(k, w, w)
-    return w * N - shift
-
-
 def satisfies_boundary(rp: RiggedPartition, k: int, N: int) -> bool:
-    """True iff every rigging fits under its boundary ceiling."""
-    return all(rp.riggings[i] <= boundary_ceiling(rp, k, N, i) for i in range(len(rp)))
+    """True iff every rigging fits under its weight's ceiling w*N - sum_v A(w, v) m_v + A(w, w)."""
+    mult = Counter(rp.weights)
+    ceiling = {w: w * N - sum(phase(k, w, v) * m for v, m in mult.items()) + phase(k, w, w) for w in mult}
+    return all(r <= ceiling[w] for w, r in rp.parts)
 
 
 def member(rp: RiggedPartition, rset: RestrictedSet, k: int) -> bool:
@@ -212,37 +218,53 @@ def rigged_sum(k: int, rset: RestrictedSet) -> QPolynomial:
     return QPolynomial.from_dict(Counter(e0(rp.weights, k) + e1(rp.riggings) for rp in family))
 
 
+def _add_at(acc: list[int], coeffs: list[int] | tuple[int, ...], shift: int) -> None:
+    """acc[shift + d] += coeffs[d] for every d, growing ``acc`` with zeros as needed."""
+    end = shift + len(coeffs)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    acc[shift:end] = map(add, acc[shift:end], coeffs)
+
+
 def _fermionic_sum(k: int, floor_values: tuple[int, ...], N: int, weight_cap: int) -> QPolynomial:
-    """Sum of q^(Q(m) + r.m) times Gaussian binomial factors over multiplicities."""
-    acc: dict[int, int] = {}
-    bounds = []
-    for j in range(1, k + 1):
-        if j > weight_cap:
-            bounds.append(0)
-            continue
-        a_jj = phase(k, j, j)
-        bounds.append(max(0, (j * N + a_jj - floor_values[j - 1]) // a_jj))
-    for m in itertools.product(*(range(b + 1) for b in bounds)):
-        exponent = quadratic_form_Q(m, k) + sum(r * c for r, c in zip(floor_values, m))
-        product = QPolynomial.one()
-        for j in range(1, k + 1):
-            m_j = m[j - 1]
-            if m_j == 0:
-                continue
-            upper = (
-                j * N
-                - sum(phase(k, j, i) * m[i - 1] for i in range(1, k + 1))
-                + phase(k, j, j)
-                - floor_values[j - 1]
-                + m_j
-            )
-            if upper < m_j:
-                product = QPolynomial.zero()
+    """Sum of q^(Q(m) + r.m) times Gaussian binomial factors over multiplicities.
+
+    The vacancy of weight j is p_j = j*N + A(j, j) - r_j - sum_i A(j, i) m_i,
+    and its factor is [p_j + m_j choose m_j], zero once p_j < 0 with m_j > 0.
+    Particles are added weight by weight, 1..min(k, weight_cap); each one adds
+    its old load sum_i A(j, i) m_i plus r_j to the exponent and lowers every
+    vacancy by A(i, j) >= 2.  So once an occupied weight's vacancy goes
+    negative, every further particle leaves it negative and that weight's loop
+    stops: exactly the vectors whose binomial product is zero are skipped.
+    """
+    n = min(k, weight_cap)
+    table = [[phase(k, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    base = [j * N + table[j - 1][j - 1] - floor_values[j - 1] for j in range(1, n + 1)]
+    m = [0] * n
+    acc: list[int] = []
+
+    def rec(j: int, vacancy: list[int], exponent: int) -> None:
+        if j == n:
+            product = QPolynomial.one()
+            for i, m_i in enumerate(m):
+                if m_i:
+                    product = product * q_binomial(vacancy[i] + m_i, m_i)
+            _add_at(acc, product.coeffs, exponent)
+            return
+        rec(j + 1, vacancy, exponent)
+        row = table[j]
+        while True:
+            # The old load sum_i A(j, i) m_i is base_j - vacancy_j.
+            exponent += base[j] - vacancy[j] + floor_values[j]
+            vacancy = [p - a for p, a in zip(vacancy, row)]
+            m[j] += 1
+            if any(vacancy[i] < 0 for i in range(j + 1) if m[i]):
                 break
-            product = product * q_binomial(upper, m_j)
-        for d, c in enumerate(product.coeffs):
-            acc[d + exponent] = acc.get(d + exponent, 0) + c
-    return QPolynomial.from_dict(acc)
+            rec(j + 1, vacancy, exponent)
+        m[j] = 0
+
+    rec(0, base, 0)
+    return QPolynomial(tuple(acc))
 
 
 def chi_closed(k: int, l: int, a: int, b: int, N: int) -> QPolynomial:
@@ -264,6 +286,54 @@ def chi_closed(k: int, l: int, a: int, b: int, N: int) -> QPolynomial:
     return _fermionic_sum(k, floor.values, N, weight_cap=l)
 
 
+def _column_transfer(
+    k: int, r: int, pins: dict[int, int | None], limit: int, max_degree: int | None, l: int | None = None
+) -> QPolynomial:
+    """Energy polynomial of the (k, r)-admissible rows 0..limit, column by column.
+
+    A state is the last columns the filters read: (a_{i-3}, a_{i-2}, a_{i-1})
+    under a weight cap l, else the last r - 1.  Each state carries the dense
+    coefficient list of the energies of the rows that end in it.  A new
+    column value v is kept when its r-window sum is at most k, it matches the
+    column's pin (None pins nothing), and under a cap S = a_{i-1} + v <= l and
+    L = a_{i-3} + 2 a_{i-2} + 2 a_{i-1} + v <= k + l.  One zero column past
+    the limit closes the last windows (a second one would only re-check
+    smaller L sums), and a nonzero pin out there empties the family.  Lists
+    stop at ``max_degree`` when one is given and otherwise grow with the
+    largest energy reached.
+    """
+    depth = 3 if l is not None else r - 1
+    states: dict[tuple[int, ...], list[int]] = {(0,) * depth: [1]}
+    for i in range(limit + 2):
+        pin = pins.get(i)
+        after: dict[tuple[int, ...], list[int]] = {}
+        for state, coeffs in states.items():
+            top = k - sum(state[depth - r + 1 :])
+            if i > limit:
+                top = min(top, 0)
+            if l is not None:
+                x, y, z = state
+                top = min(top, l - z, k + l - x - 2 * y - 2 * z)
+            for v in range(top + 1) if pin is None else (pin,) if 0 <= pin <= top else ():
+                shift = i * v
+                if max_degree is not None and shift > max_degree:
+                    break
+                src = coeffs if max_degree is None else coeffs[: max_degree + 1 - shift]
+                _add_at(after.setdefault((state + (v,))[1:], []), src, shift)
+        states = after
+    total: list[int] = []
+    for coeffs in states.values():
+        _add_at(total, coeffs, 0)
+    return QPolynomial(tuple(total), max_degree)
+
+
+def _check_against_enumeration(result: QPolynomial, family: Iterable[Configuration]) -> None:
+    """Raise InternalCheckError unless the enumerated family's energy histogram equals ``result``."""
+    oracle = QPolynomial.from_dict(Counter(cfg.energy() for cfg in family), result.order)
+    if oracle != result:
+        raise InternalCheckError(f"column transfer gives {result}, enumeration {oracle}")
+
+
 def config_sum(
     k: int,
     r: int,
@@ -283,8 +353,14 @@ def config_sum(
         raise ValueError("boundary must be non-negative")
     if max_degree is not None and max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    family = enumerate_configurations(k, r, N, a0=a0, a1=a1, max_energy=max_degree)
-    return QPolynomial.from_dict(Counter(cfg.energy() for cfg in family), max_degree)
+    check_level(k)
+    if r not in (2, 3):
+        raise ValueError(f"window size r must be 2 or 3, got {r}")
+    limit = min(bound for bound in (N, max_degree) if bound is not None)
+    result = _column_transfer(k, r, {0: a0, 1: a1}, limit, max_degree)
+    if _debug_enabled():
+        _check_against_enumeration(result, enumerate_configurations(k, r, N, a0=a0, a1=a1, max_energy=max_degree))
+    return result
 
 
 def weighted_config_sum(k: int, l: int, a0: int, a1: int, N: int) -> QPolynomial:
@@ -292,5 +368,8 @@ def weighted_config_sum(k: int, l: int, a0: int, a1: int, N: int) -> QPolynomial
     check_level(k, l)
     if N < 0:
         raise ValueError("boundary must be non-negative")
-    family = (cfg for cfg in enumerate_configurations(k, 3, N, a0=a0, a1=a1) if config_weight(cfg, k) <= l)
-    return QPolynomial.from_dict(Counter(cfg.energy() for cfg in family))
+    result = _column_transfer(k, 3, {0: a0, 1: a1}, N, None, l)
+    if _debug_enabled():
+        family = enumerate_configurations(k, 3, N, a0=a0, a1=a1)
+        _check_against_enumeration(result, (cfg for cfg in family if config_weight(cfg, k) <= l))
+    return result

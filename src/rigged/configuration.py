@@ -20,8 +20,10 @@ takes every value its r-window and the energy left allow (or its pinned
 a_0/a_1 value), and descent stops once one unit in the next column costs
 more than the energy left, since every later column is then zero.  Each
 leaf copies the whole row into one configuration, in lexicographic order of
-(a_0, a_1, ...); this stream is the brute-force oracle the character
-identities are checked against.
+(a_0, a_1, ...).  The character identities no longer sum this stream: their
+configuration side is a column transfer matrix over the same window rules
+(``characters.config_sum``).  This enumeration is the brute-force oracle the
+transfer is tested against, and under RIGGED_DEBUG=1 it recounts every sum.
 
 Everything is exact integer arithmetic on immutable values.
 """

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .bijection import RiggedPartition, e0, e1, iota, kappa
 from .characters import (
@@ -172,42 +172,38 @@ def verify_gordon_r2(k: int, max_degree: int) -> VerifyReport:
     return _poly_report("gordon-r2", {"k": k, "max_degree": max_degree}, lhs, rhs)
 
 
-def _chi_combination(k: int, l: int, a: int, b: int, N: int) -> QPolynomial:
+def _chi_combination(chi: Callable[[int, int], QPolynomial], a: int, b: int) -> QPolynomial:
+    """The four-term combination of floor characters ``chi(a, b)`` of columns (a, b)."""
     if b > 0:
-        return (
-            chi_closed(k, l, a, b, N)
-            - chi_closed(k, l, a - 1, b + 2, N)
-            - chi_closed(k, l, a, b - 1, N)
-            + chi_closed(k, l, a - 1, b + 1, N)
-        )
-    return chi_closed(k, l, a, 0, N) - chi_closed(k, l, a - 1, 2, N)
+        return chi(a, b) - chi(a - 1, b + 2) - chi(a, b - 1) + chi(a - 1, b + 1)
+    return chi(a, 0) - chi(a - 1, 2)
 
 
-def _chi_combination_cases(k: int, l: int, a: int, b: int, N: int) -> QPolynomial:
+def _chi_combination_cases(chi: Callable[[int, int], QPolynomial], a: int, b: int) -> QPolynomial:
     """The same combination written as an explicit four-way case split."""
     if a > 0 and b > 0:
-        return (
-            chi_closed(k, l, a, b, N)
-            - chi_closed(k, l, a - 1, b + 2, N)
-            - chi_closed(k, l, a, b - 1, N)
-            + chi_closed(k, l, a - 1, b + 1, N)
-        )
+        return chi(a, b) - chi(a - 1, b + 2) - chi(a, b - 1) + chi(a - 1, b + 1)
     if a > 0:
-        return chi_closed(k, l, a, 0, N) - chi_closed(k, l, a - 1, 2, N)
+        return chi(a, 0) - chi(a - 1, 2)
     if b > 0:
-        return chi_closed(k, l, 0, b, N) - chi_closed(k, l, 0, b - 1, N)
-    return chi_closed(k, l, 0, 0, N)
+        return chi(0, b) - chi(0, b - 1)
+    return chi(0, 0)
 
 
 def verify_polynomial_identity(k: int, l: int, a: int, b: int, N: int) -> VerifyReport:
-    """Finite character identity for fixed initial columns and boundary."""
+    """Finite character identity for fixed initial columns and boundary.
+
+    Both sides of the case split read one memo, so each distinct closed
+    character is computed once per report.
+    """
     check_level(k, l)
     if l < 1 or a < 0 or b < 0 or a + b > l or N < 0:
         raise ValueError(f"need 1 <= l <= k, 0 <= a, 0 <= b, a + b <= l, N >= 0; got {(k, l, a, b, N)}")
     lhs = weighted_config_sum(k, l, a, b, N)
-    rhs = _chi_combination(k, l, a, b, N)
+    chi = lru_cache(maxsize=None)(lambda x, y: chi_closed(k, l, x, y, N))
+    rhs = _chi_combination(chi, a, b)
     params = {"k": k, "l": l, "a": a, "b": b, "N": N}
-    split = _poly_mismatch(rhs, _chi_combination_cases(k, l, a, b, N))
+    split = _poly_mismatch(rhs, _chi_combination_cases(chi, a, b))
     if split is not None:
         return VerifyReport("polynomial", params, False, str(lhs), str(rhs), f"case split disagrees, {split}")
     return _poly_report("polynomial", params, lhs, rhs)
@@ -437,6 +433,8 @@ def verify_golden() -> VerifyReport:
 
 def verify_all(k_max: int = 3, n_max: int = 6, max_degree: int = 20) -> list[VerifyReport]:
     """The full verification grid; defaults match the acceptance grid."""
+    if k_max < 1:
+        raise ValueError(f"level cap k must be at least 1, got {k_max}")
     reports: list[VerifyReport] = []
     for k in range(1, min(k_max, 3) + 1):
         reports.append(verify_roundtrip(k, 8))

@@ -1,9 +1,16 @@
+import itertools
+import operator
+from collections import Counter
+from functools import lru_cache
+
 import pytest
 
+from rigged import characters
 from rigged.bijection import RiggedPartition, e0, e1
 from rigged.characters import (
     RestrictedSet,
     RiggingFloor,
+    _fermionic_sum,
     chi_closed,
     config_sum,
     enumerate_rigged,
@@ -13,8 +20,11 @@ from rigged.characters import (
     member_floor_difference,
     rigged_sum,
     satisfies_boundary,
+    weighted_config_sum,
 )
-from rigged.qseries import QPolynomial
+from rigged.moves import InternalCheckError
+from rigged.phases import phase
+from rigged.qseries import QPolynomial, q_binomial, quadratic_form_Q
 
 
 def rp(weights, riggings):
@@ -107,6 +117,150 @@ class TestConfigSum:
     def test_needs_bound(self):
         with pytest.raises(ValueError):
             config_sum(2, 3)
+
+
+@pytest.mark.usefixtures("rigged_debug")
+class TestConfigSumDebug(TestConfigSum):
+    """The configuration-sum tests again, each sum recounted by enumeration."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: config_sum(2, 3, N=4), lambda: weighted_config_sum(2, 2, 0, 1, 4)],
+        ids=["config_sum", "weighted_config_sum"],
+    )
+    def test_wrong_enumeration_detected(self, monkeypatch, call):
+        honest = characters.enumerate_configurations
+
+        def one_short(*args, **kwargs):
+            family = list(honest(*args, **kwargs))
+            return iter(family[:-1])
+
+        monkeypatch.setattr(characters, "enumerate_configurations", one_short)
+        with pytest.raises(InternalCheckError, match="enumeration"):
+            call()
+
+
+def product_rows(k, r, limit, max_degree=None):
+    """The (k, r)-admissible rows over columns 0..limit by filtered itertools.product, grouped by (a_0, a_1).
+
+    Under a degree cap, column i > 0 holds at most max_degree // i units; the
+    filter still checks every bound.
+    """
+    ranges = [
+        range(k + 1 if max_degree is None or i == 0 else min(k, max_degree // i) + 1) for i in range(limit + 1)
+    ]
+    groups = {}
+    for row in itertools.product(*ranges):
+        energy = sum(map(operator.mul, range(limit + 1), row))
+        if max_degree is not None and energy > max_degree:
+            continue
+        if all(sum(row[j : j + r]) <= k for j in range(limit + 1)):
+            key = (row[0], row[1] if limit else 0)
+            groups.setdefault(key, []).append(row)
+    return groups
+
+
+def plain_weight_fits(row, k, l):
+    """S <= l and L <= k + l on every window of the zero-padded row."""
+    ext = (0, 0, 0) + row + (0, 0, 0)
+    return all(
+        ext[j] + ext[j + 1] <= l and ext[j - 1] + 2 * ext[j] + 2 * ext[j + 1] + ext[j + 2] <= k + l
+        for j in range(1, len(ext) - 2)
+    )
+
+
+def pinned(groups, a0, a1):
+    return [row for (x, y), rows in groups.items() if a0 in (None, x) and a1 in (None, y) for row in rows]
+
+
+def histogram(rows, order=None):
+    return QPolynomial.from_dict(Counter(sum(map(operator.mul, range(len(row)), row)) for row in rows), order)
+
+
+class TestColumnTransfer:
+    @pytest.mark.parametrize("k,r", [(k, r) for k in (1, 2, 3) for r in (2, 3)])
+    def test_config_sum_matches_product_oracle(self, k, r):
+        groups = lru_cache(maxsize=None)(lambda limit, cap: product_rows(k, r, limit, cap))
+        for N in (None, *range(6)):
+            for max_degree in (None, *range(13)):
+                if N is None and max_degree is None:
+                    continue
+                limit = min(b for b in (N, max_degree) if b is not None)
+                for a0 in (None, *range(-1, k + 2)):
+                    for a1 in (None, *range(-1, k + 2)):
+                        expected = histogram(pinned(groups(limit, max_degree), a0, a1), max_degree)
+                        got = config_sum(k, r, a0=a0, a1=a1, N=N, max_degree=max_degree)
+                        assert got == expected, (N, max_degree, a0, a1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_weighted_sum_matches_product_oracle(self, k):
+        for N in range(6):
+            groups = product_rows(k, 3, N)
+            for l in range(k + 1):
+                for a0 in range(-1, k + 2):
+                    for a1 in range(-1, k + 2):
+                        rows = [row for row in pinned(groups, a0, a1) if plain_weight_fits(row, k, l)]
+                        assert weighted_config_sum(k, l, a0, a1, N) == histogram(rows), (N, l, a0, a1)
+
+
+def fermionic_reference(k, floor_values, N, weight_cap):
+    """The fermionic sum over the whole itertools.product box of multiplicity vectors."""
+    bounds = [
+        0 if j > weight_cap else max(0, (j * N + phase(k, j, j) - floor_values[j - 1]) // phase(k, j, j))
+        for j in range(1, k + 1)
+    ]
+    total = Counter()
+    for m in itertools.product(*(range(b + 1) for b in bounds)):
+        product = QPolynomial.one()
+        for j in range(1, k + 1):
+            if m[j - 1]:
+                vacancy = (
+                    j * N
+                    - sum(phase(k, j, i) * m[i - 1] for i in range(1, k + 1))
+                    + phase(k, j, j)
+                    - floor_values[j - 1]
+                )
+                product = product * q_binomial(vacancy + m[j - 1], m[j - 1])
+        exponent = quadratic_form_Q(m, k) + sum(map(operator.mul, floor_values, m))
+        for d, c in enumerate(product.coeffs):
+            total[d + exponent] += c
+    return QPolynomial.from_dict(total)
+
+
+class TestFermionicSum:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_full_product(self, k):
+        floors = {(0,) * k} | {floor_for(a, b, k, k).values for a in range(k + 1) for b in range(k + 1 - a)}
+        for N in range(7 if k < 5 else 5):
+            for floor in sorted(floors):
+                for cap in range(k + 1):
+                    expected = fermionic_reference(k, floor, N, cap)
+                    assert _fermionic_sum(k, floor, N, cap) == expected, (N, floor, cap)
+
+
+def boundary_reference(rp, k, N):
+    """Each part against w*N minus its phases with every other part: n^2 phase calls."""
+    ws = rp.weights
+    return all(
+        r <= w * N - sum(phase(k, w, ws[j]) for j in range(len(ws)) if j != i) for i, (w, r) in enumerate(rp.parts)
+    )
+
+
+class TestSatisfiesBoundary:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_pairwise_reference(self, k):
+        outcomes = set()
+        for N in range(5):
+            for part in enumerate_rigged(k, k, N + 2):
+                fits = satisfies_boundary(part, k, N)
+                assert fits == boundary_reference(part, k, N), (part, N)
+                outcomes.add(fits)
+        assert outcomes == {True, False}
+
+    def test_negative_riggings(self):
+        part = rp((3, 3, 2, 1), (-1, -4, 5, -7))
+        for N in range(6):
+            assert satisfies_boundary(part, 3, N) == boundary_reference(part, 3, N)
 
 
 class TestRiggedSum:

@@ -146,6 +146,13 @@ class TestNegativeBounds:
         assert code == 2 and out == "" and err.startswith("error:") and "non-negative" in err
 
 
+class TestVerifyAllLevel:
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_rejects_level_below_one(self, capsys, k):
+        code, out, err = run(capsys, "verify", "all", "--k", k)
+        assert code == 2 and out == "" and err.startswith("error:") and "at least 1" in err
+
+
 class TestVerify:
     def test_gordon_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "gordon", "--k", "2", "--max-degree", "12")

@@ -95,13 +95,28 @@ class TestPolynomialIdentity:
         with pytest.raises(ValueError):
             verify_polynomial_identity(2, 2, 2, 1, 3)
 
+    @pytest.mark.parametrize("a,b,distinct", [(1, 1, 4), (2, 0, 2), (0, 2, 4), (0, 0, 2)])
+    def test_each_closed_character_computed_once(self, monkeypatch, a, b, distinct):
+        from rigged import identities
+
+        calls = []
+        honest = identities.chi_closed
+
+        def counted(*args):
+            calls.append(args)
+            return honest(*args)
+
+        monkeypatch.setattr(identities, "chi_closed", counted)
+        assert verify_polynomial_identity(3, 3, a, b, 4).passed
+        assert len(calls) == len(set(calls)) == distinct
+
     def test_case_split_disagreement_fails(self, monkeypatch):
         from rigged import identities
 
         honest = identities._chi_combination_cases
 
-        def skewed(k, l, a, b, N):
-            return honest(k, l, a, b, N) + QPolynomial.q_power(2)
+        def skewed(chi, a, b):
+            return honest(chi, a, b) + QPolynomial.q_power(2)
 
         monkeypatch.setattr(identities, "_chi_combination_cases", skewed)
         report = verify_polynomial_identity(2, 2, 1, 0, 5)
