@@ -22,13 +22,12 @@ from .configuration import (
     ZERO,
     Configuration,
     check_level,
-    weight,
 )
 from .moves import (
     InternalCheckError,
+    _peel,
     build_free_configuration,
     left_sweeps,
-    separate_highest,
 )
 from .phases import phase
 
@@ -97,7 +96,15 @@ class RiggedPartition:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RiggedPartition":
-        return cls(tuple((int(p["weight"]), int(p["rigging"])) for p in data.get("parts", ())))
+        """Parse ``{"parts": [{"weight": w, "rigging": r}, ...]}``; w and r must be JSON integers."""
+        parts = []
+        for p in data.get("parts", ()):
+            w, r = p["weight"], p["rigging"]
+            for name, value in (("weight", w), ("rigging", r)):
+                if type(value) is not int:
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+            parts.append((w, r))
+        return cls(tuple(parts))
 
     def sort_key(self) -> tuple:
         return (self.weights, self.riggings)
@@ -127,8 +134,11 @@ def multiplicities(weights: tuple[int, ...], k: int) -> tuple[int, ...]:
 def e0(weights: tuple[int, ...], k: int) -> int:
     """Pairwise interaction energy of the particle content."""
     check_level(k)
-    ws = tuple(weights)
-    return sum(phase(k, ws[i], ws[j]) for i in range(len(ws)) for j in range(i + 1, len(ws)))
+    total, seen = 0, {}
+    for w in weights:
+        total += sum(phase(k, w, v) * m for v, m in seen.items())
+        seen[w] = seen.get(w, 0) + 1
+    return total
 
 
 def e1(riggings: tuple[int, ...]) -> int:
@@ -139,24 +149,18 @@ def e1(riggings: tuple[int, ...]) -> int:
 def iota(a: Configuration, k: int) -> RiggedPartition:
     """Particle content and riggings of an admissible configuration.
 
-    Repeatedly floats the heaviest remaining particle free, records its
-    surplus energy, and discards it; the i-th rigging is that surplus minus
-    the phase shifts against every later (lighter or equal) particle.
+    Floats the heaviest remaining particle free, records its surplus energy,
+    and discards it, all in place on one column buffer; the i-th rigging is
+    that surplus minus the phase shifts against every later (lighter or
+    equal) particle, summed over a running count of the later weights.
     """
     check_level(k)
-    extracted: list[tuple[int, int]] = []  # (weight, surplus)
-    cur = a
-    while not cur.is_zero:
-        l = weight(cur, k)
-        sep = separate_highest(cur, k, l)
-        extracted.append((l, sep.surplus))
-        cur = sep.remainder
-    ws = [w for w, _ in extracted]
     parts = []
-    for i, (w, s) in enumerate(extracted):
-        rho = s - sum(phase(k, w, wj) for wj in ws[i + 1 :])
-        parts.append((w, rho))
-    return RiggedPartition(tuple(parts))
+    later: dict[int, int] = {}
+    for w, s in reversed(_peel(a, k)):
+        parts.append((w, s - sum(phase(k, w, v) * m for v, m in later.items())))
+        later[w] = later.get(w, 0) + 1
+    return RiggedPartition(tuple(reversed(parts)))
 
 
 def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
@@ -167,8 +171,10 @@ def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
     m = rp.multiplicity(l)
     tail = RiggedPartition(rp.parts[m:])
     abar = _kappa(tail, k, extra)
-    ws = rp.weights
-    surpluses = [rp.riggings[i] + sum(phase(k, l, ws[j]) for j in range(i + 1, len(ws))) for i in range(m)]
+    # Each weight-l part owes A(l, l) to every later weight-l part and
+    # A(l, w) to every lighter part.
+    shift = sum(phase(k, l, w) for w in tail.weights)
+    surpluses = [r + shift + (m - 1 - i) * phase(k, l, l) for i, (_, r) in enumerate(rp.parts[:m])]
     s_min = surpluses[-1]
     if abar.is_zero:
         t = max(0, -s_min)

@@ -31,7 +31,7 @@ Everything is exact integer arithmetic on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 #: Occupation numbers are bounded by k, and k itself is capped so that all
 #: window sums stay far inside machine-word range.
@@ -67,17 +67,27 @@ class Configuration:
         counts = tuple(int(c) for c in self.counts)
         if any(c < 0 for c in counts):
             raise ValueError(f"negative occupation number in {counts!r}")
+        self._trim(int(self.offset), counts)
+
+    @classmethod
+    def _trusted(cls, offset: int, counts: tuple[int, ...]) -> "Configuration":
+        """Internal constructor for counts already known to be non-negative ints: only trims."""
+        self = object.__new__(cls)
+        self._trim(offset, counts)
+        return self
+
+    def _trim(self, offset: int, counts: tuple[int, ...]) -> None:
         lo, hi = 0, len(counts)
         while lo < hi and counts[lo] == 0:
             lo += 1
         while hi > lo and counts[hi - 1] == 0:
             hi -= 1
         if lo == hi:
-            object.__setattr__(self, "offset", 0)
-            object.__setattr__(self, "counts", ())
-        else:
-            object.__setattr__(self, "offset", int(self.offset) + lo)
-            object.__setattr__(self, "counts", counts[lo:hi])
+            offset, counts = 0, ()
+        elif lo or hi < len(counts):
+            offset, counts = offset + lo, counts[lo:hi]
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "counts", counts)
 
     # -- basic queries ----------------------------------------------------
 
@@ -153,7 +163,7 @@ class Configuration:
             vals[i - lo] += c
         for i, c in other.support():
             vals[i - lo] += c
-        return Configuration(lo, tuple(vals))
+        return Configuration._trusted(lo, tuple(vals))
 
     # -- serialization ----------------------------------------------------
 
@@ -198,11 +208,13 @@ def l_functional(a: Configuration, j: int) -> int:
     return a.get(j - 1) + 2 * a.get(j) + 2 * a.get(j + 1) + a.get(j + 2)
 
 
-def _window_maxima(a: Configuration) -> tuple[int, int, int]:
-    """Largest S, largest 3-column sum and largest L over all windows; zeros for ZERO."""
-    ext = (0, 0) + a.counts + (0, 0)
+def _window_maxima(cols: Sequence[int]) -> tuple[int, int, int]:
+    """Largest S, largest 3-column sum and largest L over all windows of ``cols``.
+
+    ``cols`` must begin and end with two zero columns; all zeros give zeros.
+    """
     s_max = t_max = l_max = 0
-    for w, x, y, z in zip(ext, ext[1:], ext[2:], ext[3:]):
+    for w, x, y, z in zip(cols, cols[1:], cols[2:], cols[3:]):
         s = x + y
         if s > s_max:
             s_max = s
@@ -218,7 +230,7 @@ def is_admissible(a: Configuration, k: int, r: int = 3) -> bool:
     check_level(k)
     if r not in (2, 3):
         raise ValueError(f"window size r must be 2 or 3, got {r}")
-    s_max, t_max, _ = _window_maxima(a)
+    s_max, t_max, _ = _window_maxima((0, 0) + a.counts + (0, 0))
     return (s_max if r == 2 else t_max) <= k
 
 
@@ -229,7 +241,7 @@ def weight(a: Configuration, k: int) -> int:
     for the zero sequence.
     """
     check_level(k)
-    s_max, t_max, l_max = _window_maxima(a)
+    s_max, t_max, l_max = _window_maxima((0, 0) + a.counts + (0, 0))
     if t_max > k:
         raise AdmissibilityError(f"{a} is not (k={k}, 3)-admissible")
     return max(s_max, l_max - k, 0)
@@ -269,7 +281,7 @@ def enumerate_configurations(
         # remaining column is zero.  That column is never a pinned one: column
         # 0 is free, so column 1 sees the whole cap, and a zero cap means limit 0.
         if i > limit or budget < i:
-            yield Configuration(0, tuple(row))
+            yield Configuration._trusted(0, tuple(row))
             return
         cap = k - sum(row[max(0, i - r + 1) : i])
         if i:

@@ -8,15 +8,33 @@ off just below (or above) a located particle and repeating locates all of
 them, which is what makes "move the c-th particle" well defined.
 
 All moves run on one substrate, the padded mutable column buffer
-``_Scratch``, with one scanner (``_Scratch.sightings``) that walks either way
-and can cut off each particle it sights.  The single-move functions copy a
-configuration into a buffer; the long-running procedures keep one buffer for
-their whole run: floating the highest particle free by right moves, settling
-particles with full left sweeps, and passing a heavy probe down through a
-lighter configuration from far above.  Input is validated once at entry.  A
-move changes two adjacent columns, so separation re-checks only the windows
-reading them, which is as strong as re-checking everything.  Termination caps
-are generous over-estimates that only trip on internal bugs.
+``_Scratch``.  The single-move functions copy a configuration into a buffer
+and locate particles with one scanner (``_Scratch.sightings``) that walks
+either way and can cut off each particle it sights.  The long-running
+procedures keep one buffer for their whole run and work on it in place:
+
+- Floating the highest particle free by right moves (``separate_highest``).
+  A move changes two adjacent columns, so only the windows reading them are
+  re-checked, which is as strong as re-checking everything, and the next
+  scan starts just above them.  The forward map peels every particle off one
+  buffer this way: once a particle is free, zeroing its two columns leaves
+  the remainder in place.
+- Settling particles with full bottom-up left sweeps (``left_sweeps``).  Only
+  the first sweep scans every window; each later sweep rescans, in ascending
+  order, the windows within two columns of the previous sweep's sightings,
+  cutting in place and restoring the cut columns before it moves.  That is
+  exact: weight at most l means S <= l and L <= k + l everywhere, and a cut
+  only lowers window sums, so only a window whose uncut S or L attains its
+  bound can be sighted.  A window more than two columns from every sighting
+  of the last sweep reads no column that sweep cut or moved; it was not
+  sighted uncut then, so it is below both bounds, then and now.  So the
+  rescan finds exactly the sightings of a full scan, and the particle-count
+  check still counts all of them.  RIGGED_DEBUG=1 compares each sweep with
+  a full scan.
+- Passing a heavy probe down through a lighter configuration from far above.
+
+Input is validated once at entry.  Termination caps are generous
+over-estimates that only trip on internal bugs.
 """
 
 from __future__ import annotations
@@ -29,6 +47,7 @@ from .configuration import (
     ZERO,
     AdmissibilityError,
     Configuration,
+    _window_maxima,
     check_level,
     weight,
 )
@@ -124,7 +143,7 @@ class _Scratch:
         """The buffer as a configuration, keeping only columns in [lo, hi]."""
         a = 0 if lo is None else max(0, lo - self.lo)
         b = len(self.vals) if hi is None else max(a, hi - self.lo + 1)
-        return Configuration(self.lo + a, tuple(self.vals[a:b]))
+        return Configuration._trusted(self.lo + a, tuple(self.vals[a:b]))
 
     def sightings(
         self, k: int, l: int, step: int, start: int | None = None, cut: bool = False
@@ -283,27 +302,82 @@ def move_all(a: Configuration, k: int, l: int, side: str = "right", times: int =
     return cur
 
 
-def _free_at(sc: _Scratch, found: tuple[int, str], top: int, l: int) -> FreeParticle | None:
-    """The sighting as a free particle, or None if it is not free.
-
-    Free means: located by S with a nonzero upper column and nothing anywhere
-    above its two columns (``top`` is the highest occupied column).
-    """
-    i, kind = found
-    c = sc.get(i)
-    if kind != "S" or c == 0 or top > i + 1:
-        return None
-    return FreeParticle(i, c, l)
+def _sight_down(vals: list[int], l: int, kl: int, j: int) -> tuple[int, bool] | None:
+    """Highest window at or below index ``j`` where S = l or L = kl, as (index, S attained)."""
+    while j > 0:
+        s = vals[j] + vals[j + 1]
+        if s == l:
+            return j, True
+        if 2 * s + vals[j - 1] + vals[j + 2] == kl:
+            return j, False
+        j -= 1
+    return None
 
 
 def free_particle(a: Configuration, k: int, l: int) -> FreeParticle | None:
-    """The highest particle as a free particle, or None if it is not free."""
+    """The highest particle as a free particle, or None if it is not free.
+
+    Free means: located by S with a nonzero upper column and nothing anywhere
+    above its two columns.
+    """
     if a.is_zero:
         return None
     sc = _Scratch(a)
-    top = a.support_max
-    found = next(sc.sightings(k, l, -1, top), None)
-    return None if found is None else _free_at(sc, found, top, l)
+    top = len(sc.vals) - sc.MARGIN - 1
+    found = _sight_down(sc.vals, l, k + l, top)
+    if found is None:
+        return None
+    i, by_s = found
+    c = sc.vals[i]
+    return FreeParticle(sc.lo + i, c, l) if by_s and c and top <= i + 1 else None
+
+
+def _float_free(sc: _Scratch, k: int, l: int, top: int, origin: Configuration) -> tuple[int, int]:
+    """Right-move the highest weight-l particle in place until it floats free.
+
+    ``top`` is the buffer index of the highest occupied column and the buffer
+    has weight exactly l.  Returns the move count and the index of the free
+    particle's lower column.  ``origin`` only names the input in errors.
+    """
+    vals = sc.vals
+    # Energy rises by one per move but stays below length * (top + 2) while the
+    # support cannot outgrow the free position, so this cap is unreachable
+    # except through a bug.  Both terms are translation invariant, so buffer
+    # indices serve as columns.
+    cap = sum(vals) * (top + 2) - sum(j * c for j, c in enumerate(vals) if c) + 2
+    kl = k + l
+    j = top
+    for t in range(cap + 1):
+        found = _sight_down(vals, l, kl, j)
+        if found is None:
+            raise InternalCheckError(f"weight fell below l={l} after {t} right moves from {origin}")
+        i, by_s = found
+        if by_s and vals[i] and top <= i + 1:
+            return t, i
+        vals[i] -= 1
+        vals[i + 1] += 1
+        if vals[i] < 0:
+            raise InternalCheckError(f"column {sc.lo + i} driven negative")
+        if i + 1 > top:
+            top = i + 1
+            if top + sc.MARGIN >= len(vals):
+                vals.extend([0] * len(vals))
+        # The move changed columns i and i + 1 only, so the windows reading
+        # them are all that can break: the 3-windows starting at i-2..i+1,
+        # S at i-1..i+1 and L at i-2..i+2.  Windows from i + 3 up read neither
+        # and held no sighting before, so the next scan starts at i + 2.
+        w0, w1, w2, w3, w4, w5, w6, w7 = vals[i - 3 : i + 5]  # columns i-3..i+4
+        if (
+            max(w1 + w2 + w3, w2 + w3 + w4, w3 + w4 + w5, w4 + w5 + w6) > k
+            or max(w2 + w3, w3 + w4, w4 + w5) > l
+            or max(w0 + w3 + 2 * (w1 + w2), w1 + w4 + 2 * (w2 + w3), w2 + w5 + 2 * (w3 + w4),
+                   w3 + w6 + 2 * (w4 + w5), w4 + w7 + 2 * (w5 + w6)) > kl
+        ):
+            raise InternalCheckError(
+                f"right move at column {sc.lo + i} left the weight-{l} admissible class, from {origin}"
+            )
+        j = i + 2
+    raise InternalCheckError(f"no free particle after {cap} right moves from {origin}")
 
 
 def separate_highest(a: Configuration, k: int, l: int) -> Separation:
@@ -316,43 +390,38 @@ def separate_highest(a: Configuration, k: int, l: int) -> Separation:
     if a.is_zero:
         raise MoveError("the zero configuration holds no particle to separate")
     _require_weight_exact(a, k, l)
-    top = a.support_max
-    assert top is not None
-    # Energy rises by one per move but stays below length * (top + 2) while the
-    # support cannot outgrow the free position, so this cap is unreachable
-    # except through a bug.
-    cap = a.length() * (top + 2) - a.energy() + 2
     sc = _Scratch(a)
-    kl = k + l
-    start = top
-    for t in range(cap + 1):
-        found = next(sc.sightings(k, l, -1, start), None)
-        if found is None:
-            raise InternalCheckError(f"weight fell below l={l} after {t} right moves from {a}")
-        fp = _free_at(sc, found, top, l)
-        if fp is not None:
-            return Separation(t, fp, fp.energy - t, sc.to_configuration(hi=fp.position - 1))
-        i = found[0]
-        sc.bump(i, -1)
-        sc.bump(i + 1, +1)
-        top = max(top, i + 1)
-        # The move changed columns i and i + 1 only, so the windows reading
-        # them are all that can break: the 3-windows starting at i-2..i+1,
-        # S at i-1..i+1 and L at i-2..i+2.  Windows from i + 3 up read neither
-        # and held no sighting before, so the next scan starts at i + 2.
-        j = i - sc.lo
-        w0, w1, w2, w3, w4, w5, w6, w7 = sc.vals[j - 3 : j + 5]  # columns i-3..i+4
-        if (
-            max(w1 + w2 + w3, w2 + w3 + w4, w3 + w4 + w5, w4 + w5 + w6) > k
-            or max(w2 + w3, w3 + w4, w4 + w5) > l
-            or max(w0 + w3 + 2 * (w1 + w2), w1 + w4 + 2 * (w2 + w3), w2 + w5 + 2 * (w3 + w4),
-                   w3 + w6 + 2 * (w4 + w5), w4 + w7 + 2 * (w5 + w6)) > kl
-        ):
-            raise InternalCheckError(
-                f"right move at column {i} left the weight-{l} admissible class, from {a}"
-            )
-        start = i + 2
-    raise InternalCheckError(f"no free particle after {cap} right moves from {a}")
+    t, i = _float_free(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a)
+    fp = FreeParticle(sc.lo + i, sc.vals[i], l)
+    return Separation(t, fp, fp.energy - t, sc.to_configuration(hi=fp.position - 1))
+
+
+def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
+    """(weight, surplus) of every particle of ``a``, heaviest first, all on one buffer.
+
+    Each particle floats free by right moves; the remainder is what lies
+    below its free position, so zeroing its two columns in place leaves the
+    remainder in the buffer.  Right moves never lower the lowest occupied
+    column, so the next weight is one window pass from there to the top.
+    """
+    if a.is_zero:
+        return []
+    l = weight(a, k)
+    sc = _Scratch(a)
+    vals, bottom = sc.vals, sc.MARGIN
+    top = len(vals) - bottom - 1
+    peeled = []
+    while True:
+        t, i = _float_free(sc, k, l, top, a)
+        peeled.append((l, FreeParticle(sc.lo + i, vals[i], l).energy - t))
+        vals[i] = vals[i + 1] = 0
+        top = i - 1
+        while top >= bottom and not vals[top]:
+            top -= 1
+        if top < bottom:
+            return peeled
+        s_max, _, l_max = _window_maxima(vals[bottom - 2 : top + 3])
+        l = max(s_max, l_max - k)
 
 
 def build_free_configuration(l: int, energies: list[int], k: int) -> Configuration:
@@ -382,20 +451,71 @@ def build_free_configuration(l: int, energies: list[int], k: int) -> Configurati
 # -- passing a heavy probe ---------------------------------------------------
 
 
+def _cut_scan(vals: list[int], l: int, kl: int, windows) -> list[int]:
+    """Indices among ``windows`` (ascending) where S = l or L = kl, cutting as it goes.
+
+    Each sighting cuts off its particle by zeroing its two columns in place,
+    as ``_Scratch.sightings`` does in a copy; the cuts are undone before
+    returning, so the buffer is unchanged.
+    """
+    found, cuts = [], []
+    for j in windows:
+        s = vals[j] + vals[j + 1]
+        if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
+            found.append(j)
+            cuts.append((j, vals[j], vals[j + 1]))
+            vals[j] = vals[j + 1] = 0
+    for j, x, y in reversed(cuts):
+        vals[j], vals[j + 1] = x, y
+    return found
+
+
+def _near(found: list[int]) -> list[int]:
+    """The windows within two columns of each sighting, ascending and without repeats."""
+    windows: list[int] = []
+    for p in found:
+        windows.extend(range(max(p - 2, windows[-1] + 1 if windows else p - 2), p + 3))
+    return windows
+
+
 def left_sweeps(b: Configuration, k: int, l: int, times: int, expected: int | None = None) -> Configuration:
-    """Apply ``times`` full bottom-up left sweeps to the weight-l particles of ``b``."""
+    """Apply ``times`` full bottom-up left sweeps to the weight-l particles of ``b``.
+
+    The first sweep scans every window; each later one rescans only the
+    windows within two columns of the previous sweep's sightings, which finds
+    the same particles (see the module docstring).  With RIGGED_DEBUG=1 every
+    sweep is rechecked against the full scan.
+    """
     if times == 0:
         return b
     sc = _Scratch(b)
+    vals, m, kl = sc.vals, sc.MARGIN, k + l
+    debug = _debug_enabled()
+    windows = range(m - 2, len(vals) - 2) if l else ()
     for _ in range(times):
-        positions = [p for p, _ in sc.sightings(k, l, +1, cut=True)]
-        if expected is not None and len(positions) != expected:
+        found = _cut_scan(vals, l, kl, windows)
+        if debug:
+            full = [p - sc.lo for p, _ in sc.sightings(k, l, +1, cut=True)]
+            if full != found:
+                raise InternalCheckError(
+                    f"local rescan sighted weight-{l} particles at {[sc.lo + p for p in found]}, "
+                    f"the full scan at {[sc.lo + p for p in full]}"
+                )
+        if expected is not None and len(found) != expected:
             raise InternalCheckError(
-                f"expected {expected} weight-{l} particles during sweep, found {len(positions)}"
+                f"expected {expected} weight-{l} particles during sweep, found {len(found)}"
             )
-        for p in positions:
-            sc.bump(p, +1)
-            sc.bump(p + 1, -1)
+        if found and found[0] < m:
+            pad = len(vals)
+            vals[:0] = [0] * pad
+            sc.lo -= pad
+            found = [p + pad for p in found]
+        for p in found:
+            vals[p] += 1
+            vals[p + 1] -= 1
+            if vals[p + 1] < 0:
+                raise InternalCheckError(f"column {sc.lo + p + 1} driven negative")
+        windows = _near(found)
     return sc.to_configuration()
 
 

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from rigged import bijection
+from rigged import bijection, moves
 from rigged.bijection import (
     EMPTY,
     RiggedPartition,
@@ -81,6 +81,12 @@ class TestRiggedPartition:
         assert RiggedPartition.from_json_dict(part.to_json_dict()) == part
         assert EMPTY.to_json_dict() == {"parts": []}
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "1", None])
+    def test_json_rejects_non_integers(self, value):
+        for part in ({"weight": 2, "rigging": value}, {"weight": value, "rigging": 0}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                RiggedPartition.from_json_dict({"parts": [part]})
+
 
 class TestEnergySplit:
     def test_examples(self):
@@ -108,6 +114,16 @@ class TestForwardMap:
     def test_rejects_inadmissible(self):
         with pytest.raises(AdmissibilityError, match=r"is not \(k=3, 3\)-admissible"):
             iota(Configuration.from_text("0:2,2"), 3)
+
+    def test_local_recheck_catches_wrong_column(self, monkeypatch):
+        # The fault of the same test in test_moves.py, reached through iota:
+        # moving the lowest unit of (1,0,0,1) right at k=1 breaks a 3-window.
+        def lowest_column(vals, l, kl, j):
+            return min(j for j, c in enumerate(vals) if c), False
+
+        monkeypatch.setattr(moves, "_sight_down", lowest_column)
+        with pytest.raises(InternalCheckError, match="admissible class"):
+            iota(cfg(1, 0, 0, 1), 1)
 
     def test_rejects_bad_level(self):
         with pytest.raises(ValueError, match="level k"):
@@ -205,6 +221,22 @@ class TestPassingShiftsRiggings:
                 assert after.riggings == tuple(
                     r + phase(k, l, w) for w, r in zip(before.weights, before.riggings)
                 )
+
+
+class TestRiggingSpread:
+    def test_wide_mixed_sign_spread_round_trips(self, monkeypatch):
+        # The weight-2 particle starts 30,000 columns up and settles through
+        # the weight-1 particle in about 60,000 left sweeps, so each sweep
+        # must read only the windows next to the last one's sightings.
+        # RIGGED_DEBUG=1 rescans the whole buffer on every sweep by design,
+        # so it is switched off here.
+        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+        part = rp((2, 1), (-20000, 20000))
+        start = time.perf_counter()
+        a = kappa(part, 3)
+        assert iota(a, 3) == part
+        assert a.energy() == e0(part.weights, 3) + e1(part.riggings)
+        assert time.perf_counter() - start < 10.0
 
 
 @pytest.mark.usefixtures("rigged_debug")

@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigged.cli import main
+from rigged.bijection import RiggedPartition
+from rigged.cli import _parse_config, _parse_partition, main
+from rigged.configuration import Configuration
 
 
 def run(capsys, *argv):
@@ -45,6 +49,21 @@ class TestMapUnmap:
         partition = json.dumps({"parts": [{"weight": 2, "rigging": -10**6}]})
         code, out, _ = run(capsys, "unmap", "--k", "3", "--partition", partition)
         assert code == 0 and out.strip() == "-500000:2"
+
+    @pytest.mark.parametrize("rigging", ["1.5", "true"])
+    def test_unmap_rejects_non_integer_rigging(self, capsys, rigging):
+        partition = '{"parts":[{"weight":2,"rigging":%s}]}' % rigging
+        code, out, err = run(capsys, "unmap", "--k", "3", "--partition", partition)
+        assert code == 2 and out == "" and err.startswith("error:") and "integer" in err
+
+    def test_unmap_wide_mixed_sign_spread(self, capsys, monkeypatch):
+        # RIGGED_DEBUG=1 rescans the whole buffer on every sweep by design.
+        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+        partition = json.dumps({"parts": [{"weight": 2, "rigging": -20000}, {"weight": 1, "rigging": 20000}]})
+        code, out, _ = run(capsys, "unmap", "--k", "3", "--partition", partition)
+        assert code == 0
+        code, back, _ = run(capsys, "map", "--k", "3", f"--config={out.strip()}")
+        assert code == 0 and json.loads(back) == json.loads(partition)
 
     def test_roundtrip_through_text(self, capsys):
         code, out, _ = run(capsys, "map", "--k", "4", "--config", "1,1,1")
@@ -186,3 +205,46 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["map", "--k", "notanint", "--config", "0:1"])
         assert exc.value.code == 2
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+json_values = st.recursive(
+    json_scalars, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+part_dicts = st.fixed_dictionaries({"weight": json_scalars, "rigging": json_scalars})
+partition_texts = (
+    st.text(max_size=40)
+    | json_values.map(json.dumps)
+    | st.lists(part_dicts | json_values, max_size=4).map(lambda parts: json.dumps({"parts": parts}))
+)
+config_texts = st.text(max_size=40) | st.lists(st.integers(-3, 9), max_size=6).map(
+    lambda xs: ",".join(map(str, xs))
+) | st.tuples(st.integers(-50, 50), st.text("0123456789,-: ", max_size=12)).map(lambda p: f"{p[0]}:{p[1]}")
+
+
+class TestParserFuzz:
+    """Every input either parses or raises ValueError, which the CLI turns into exit 2."""
+
+    @given(config_texts)
+    @settings(max_examples=200, deadline=None)
+    def test_config(self, text):
+        try:
+            cfg = _parse_config(text)
+        except ValueError:
+            return
+        assert isinstance(cfg, Configuration) and all(type(c) is int and c >= 0 for c in cfg.counts)
+
+    @given(partition_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_partition(self, text):
+        try:
+            rp = _parse_partition(text)
+        except ValueError:
+            return
+        assert isinstance(rp, RiggedPartition)
+        # Whatever parses is exactly what the JSON says: integers, never
+        # truncated floats or booleans read as 1.
+        parts = json.loads(text).get("parts", [])
+        assert all(type(p["weight"]) is int and type(p["rigging"]) is int for p in parts)
+        assert rp.parts == tuple((p["weight"], p["rigging"]) for p in parts)

@@ -1,16 +1,16 @@
-"""Property tests of the move kernel against a plain-list reference.
+"""Property tests of the move kernels against plain-list references.
 
-The reference below applies the definitions directly: it recomputes S and L
-from a list of columns at every step, moves one unit per step, and shares no
+The references below apply the definitions directly: they recompute S and L
+from a list of columns at every step, move one unit per step, and share no
 code with ``rigged.moves``.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigged.bijection import iota, kappa
 from rigged.configuration import ZERO, Configuration
-from rigged.moves import separate_highest
+from rigged.moves import left_sweeps, separate_highest
 
 MAX_LEVEL, MAX_WIDTH, MAX_OFFSET = 8, 40, 10
 
@@ -84,3 +84,88 @@ def test_separation_matches_reference(case):
 def test_kappa_inverts_iota(case):
     k, a = case
     assert kappa(iota(a, k), k) == a
+
+
+def reference_iota(a: Configuration, k: int) -> tuple[tuple[int, int], ...]:
+    """Parts of iota(a, k) from the separation chain, with rho_i = s_i - sum_{j>i} A(w_i, w_j)."""
+
+    def phase_shift(l, lp):
+        return 2 * min(l, lp) + max(l + lp - k, 0)
+
+    chain, cur = [], a
+    while cur != ZERO:
+        l = reference_weight([0] * 3 + list(cur.counts) + [0] * 3, k)
+        _, _, surplus, cur = reference_separation(cur, k, l)
+        chain.append((l, surplus))
+    return tuple(
+        (w, s - sum(phase_shift(w, v) for v, _ in chain[i + 1 :])) for i, (w, s) in enumerate(chain)
+    )
+
+
+@given(admissible())
+@settings(max_examples=60, deadline=None)
+def test_iota_matches_reference(case):
+    k, a = case
+    assert iota(a, k).parts == reference_iota(a, k)
+
+
+MAX_SWEEPS = 40
+
+
+@st.composite
+def settling(draw):
+    """(k, l, m, t, b) as the inverse map builds b: free weight-l particles above a lighter part."""
+    k = draw(st.integers(1, 5))
+    counts: list[int] = []
+    for j in range(draw(st.integers(0, 6))):
+        counts.append(draw(st.integers(1 if j == 0 else 0, k - sum(counts[-2:]))))
+    w = reference_weight([0] * 3 + counts + [0] * 3, k) if counts else 0
+    assume(w < k)
+    l = draw(st.integers(w + 1, k))
+    offset = draw(st.integers(-3, 3))
+    # The inverse map starts the lowest free particle at energy l * (top + 3)
+    # plus its extra settling sweeps (at most t), and each higher one at
+    # least A(l, l) above the one below it.
+    t = draw(st.integers(0, MAX_SWEEPS))
+    lowest = (l * (offset + len(counts) + 2) if counts else 0) + draw(st.integers(0, t))
+    energies = [lowest]
+    for _ in range(draw(st.integers(0, 2))):
+        energies.append(energies[-1] + 2 * l + max(2 * l - k, 0) + draw(st.integers(0, 4)))
+    # Superpose the lighter part and the free particles (energy d: column
+    # d // l holds l - d % l, the next column the rest) on a plain list.
+    base = min(offset, lowest // l)
+    cols = [0] * (energies[-1] // l + 2 - base)
+    for j, c in enumerate(counts):
+        cols[offset + j - base] += c
+    for d in energies:
+        j, rem = divmod(d, l)
+        cols[j - base] += l - rem
+        cols[j + 1 - base] += rem
+    return k, l, len(energies), t, Configuration(base, tuple(cols))
+
+
+def reference_sweeps(b: Configuration, k: int, l: int, times: int, m: int) -> Configuration:
+    """``times`` sweeps, each a full bottom-up scan of a cut copy, then one left move per sighting."""
+    pad = times + 4
+    cols = [0] * pad + list(b.counts) + [0] * 4
+    base = b.offset - pad
+    for _ in range(times):
+        cut, positions = cols[:], []
+        for i in range(1, len(cut) - 2):
+            s = cut[i] + cut[i + 1]
+            if s == l or cut[i - 1] + 2 * s + cut[i + 2] == k + l:
+                positions.append(i)
+                cut[i] = cut[i + 1] = 0
+        assert len(positions) == m
+        for i in positions:
+            cols[i] += 1
+            cols[i + 1] -= 1
+            assert cols[i + 1] >= 0
+    return Configuration(base, tuple(cols))
+
+
+@given(settling())
+@settings(max_examples=150, deadline=None)
+def test_left_sweeps_match_full_scans(case):
+    k, l, m, t, b = case
+    assert left_sweeps(b, k, l, t, expected=m) == reference_sweeps(b, k, l, t, m)

@@ -144,6 +144,20 @@ class TestPositions:
             move_all(cfg(1, 0, 0, 1), 1, 1, "right")
 
 
+class TestLocalRescan:
+    def test_dropped_window_detected(self, rigged_debug, monkeypatch):
+        # Drop the window just below each sighting from the next sweep's
+        # rescan.  A free weight-2 particle at column 5 is sighted at 4 twice;
+        # on the third sweep it sits at 4 alone, so the full scan sights it
+        # at 3, which the faulty rescan no longer reads.
+        near = moves._near
+        monkeypatch.setattr(moves, "_near", lambda found: [j for j in near(found) if j + 1 not in found])
+        b = build_free_configuration(2, [10], 3)
+        assert left_sweeps(b, 3, 2, 2, expected=1) == cfg(2, offset=4)
+        with pytest.raises(InternalCheckError, match="full scan"):
+            left_sweeps(b, 3, 2, 3, expected=1)
+
+
 class TestMoveCth:
     def test_examples(self):
         a = cfg(1, 0, 0, 1)
@@ -222,10 +236,10 @@ class TestSeparation:
         # A scanner that reports the lowest occupied column instead of the
         # highest particle: moving that unit right of (1,0,0,1) at k=1 puts
         # two units in one 3-window, which the per-move re-check must catch.
-        def lowest_column(self, k, l, step, start=None, cut=False):
-            yield min(self.lo + j for j, c in enumerate(self.vals) if c), "L"
+        def lowest_column(vals, l, kl, j):
+            return min(j for j, c in enumerate(vals) if c), False
 
-        monkeypatch.setattr(moves._Scratch, "sightings", lowest_column)
+        monkeypatch.setattr(moves, "_sight_down", lowest_column)
         with pytest.raises(InternalCheckError, match="admissible class"):
             separate_highest(cfg(1, 0, 0, 1), 1, 1)
 
