@@ -18,17 +18,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .configuration import (
-    ZERO,
-    Configuration,
-    check_level,
-)
-from .moves import (
-    InternalCheckError,
-    _peel,
-    build_free_configuration,
-    left_sweeps,
-)
+from .configuration import Configuration, check_level
+from .moves import InternalCheckError, _peel, _Scratch, _settle
 from .phases import phase
 
 
@@ -146,6 +137,14 @@ def e1(riggings: tuple[int, ...]) -> int:
     return sum(riggings)
 
 
+def _owed(k: int, w: int, later: dict[int, int]) -> int:
+    """Phase shift a weight-w particle owes the particles after it: the sum of A(w, v) * m_v.
+
+    ``later`` maps each weight v to its multiplicity m_v among those particles.
+    """
+    return sum(phase(k, w, v) * m for v, m in later.items())
+
+
 def iota(a: Configuration, k: int) -> RiggedPartition:
     """Particle content and riggings of an admissible configuration.
 
@@ -158,45 +157,54 @@ def iota(a: Configuration, k: int) -> RiggedPartition:
     parts = []
     later: dict[int, int] = {}
     for w, s in reversed(_peel(a, k)):
-        parts.append((w, s - sum(phase(k, w, v) * m for v, m in later.items())))
+        parts.append((w, s - _owed(k, w, later)))
         later[w] = later.get(w, 0) + 1
     return RiggedPartition(tuple(reversed(parts)))
 
 
 def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
-    """Recursive inverse map, with ``extra`` additional settling sweeps per level."""
-    if rp.is_empty:
-        return ZERO
-    l = rp.weights[0]
-    m = rp.multiplicity(l)
-    tail = RiggedPartition(rp.parts[m:])
-    abar = _kappa(tail, k, extra)
-    # Each weight-l part owes A(l, l) to every later weight-l part and
-    # A(l, w) to every lighter part.
-    shift = sum(phase(k, l, w) for w in tail.weights)
-    surpluses = [r + shift + (m - 1 - i) * phase(k, l, l) for i, (_, r) in enumerate(rp.parts[:m])]
-    s_min = surpluses[-1]
-    if abar.is_zero:
-        t = max(0, -s_min)
-    else:
-        top = abar.support_max
-        assert top is not None
+    """Inverse map on one column buffer, with ``extra`` additional settling sweeps per weight.
+
+    Builds the weight groups from lightest to heaviest: each group's
+    particles are written into the buffer free, above everything already
+    there, and settled in place by left sweeps.
+    """
+    sc = _Scratch(Configuration())
+    vals = sc.vals
+    lighter: dict[int, int] = {}
+    end = len(rp.parts)
+    while end:
+        l = rp.parts[end - 1][0]
+        m = rp.multiplicity(l)
+        start = end - m
+        # Each weight-l part owes A(l, l) to every later weight-l part and
+        # A(l, w) to every lighter part.
+        shift = _owed(k, l, lighter)
+        self_phase = phase(k, l, l)
+        surpluses = [r + shift + (m - 1 - i) * self_phase for i, (_, r) in enumerate(rp.parts[start:end])]
+        s_min = surpluses[-1]
+        top = next((j for j in range(len(vals) - 1, -1, -1) if vals[j]), None)
         # Free particles must start strictly above everything already built,
         # with a clear three-column gap below the lowest of them.
-        t = max(0, l * (top + 3) - s_min)
-    t += extra
-    energies = [s + t for s in surpluses]
-    b = abar.superposed(build_free_configuration(l, energies, k))
-    return left_sweeps(b, k, l, t, expected=m)
+        t = max(0, -s_min if top is None else l * (sc.lo + top + 3) - s_min) + extra
+        for s in surpluses:
+            sc.place(s + t, l)
+        _settle(sc, k, l, t, m)
+        lighter[l] = m
+        end = start
+    return sc.to_configuration()
 
 
 def kappa(rp: RiggedPartition, k: int) -> Configuration:
     """Configuration whose particle content and riggings are ``rp``.
 
-    Builds the lighter particles first, drops the weight-l particles in as
-    free particles far above, and settles everything with full left sweeps.
-    The result does not depend on how far above they start; RIGGED_DEBUG=1
-    recomputes with a higher start and asserts agreement.
+    Builds the lighter particles first, then drops the weight-l particles in
+    as free particles far above and lets them settle by as many full left
+    sweeps as they started above their place, all on one column buffer.  A
+    run of sweeps that only moves isolated particles is made in one step
+    (``rigged.moves``).  The result does not depend on how far above they
+    start; RIGGED_DEBUG=1 recomputes with a higher start and asserts
+    agreement.
 
     Shifting a configuration by d adds w * d to every weight-w rigging, so the
     riggings are first translated until the smallest rigging-per-weight lies

@@ -189,7 +189,12 @@ class Configuration:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Configuration":
-        return cls(int(data.get("offset", 0)), tuple(int(c) for c in data.get("counts", ())))
+        """Parse ``{"offset": o, "counts": [c0, ...]}``; o and every c must be JSON integers."""
+        offset, counts = data.get("offset", 0), tuple(data.get("counts", ()))
+        for name, value in (("offset", offset), *(("count", c) for c in counts)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        return cls(offset, counts)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .bijection import RiggedPartition, e0, e1, iota, kappa
+from .bijection import EMPTY, RiggedPartition, _owed, e0, e1, kappa
 from .characters import (
     RestrictedSet,
     chi_closed,
@@ -27,7 +27,7 @@ from .characters import (
     weighted_config_sum,
 )
 from .configuration import Configuration, check_level, enumerate_configurations, weight
-from .moves import pass_particle, passing_history, right_move
+from .moves import pass_particle, passing_history, right_move, separate_highest
 from .phases import phase
 from .qseries import QPolynomial, gordon_quadratic_form, inv_pochhammer, quadratic_form_Q
 
@@ -65,7 +65,20 @@ class VerifyReport:
 
 @lru_cache(maxsize=None)
 def _iota(a: Configuration, k: int) -> RiggedPartition:
-    return iota(a, k)
+    """Cached ``iota(a, k)``.
+
+    A miss separates only the highest particle and looks up the remainder,
+    which the grid has usually mapped already.
+    """
+    if a.is_zero:
+        return EMPTY
+    sep = separate_highest(a, k, weight(a, k))
+    tail = _iota(sep.remainder, k)
+    later: dict[int, int] = {}
+    for v in tail.weights:
+        later[v] = later.get(v, 0) + 1
+    w = sep.free.weight
+    return RiggedPartition(((w, sep.surplus - _owed(k, w, later)),) + tail.parts)
 
 
 def _poly_mismatch(lhs: QPolynomial, rhs: QPolynomial) -> str | None:

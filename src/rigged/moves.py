@@ -19,7 +19,7 @@ procedures keep one buffer for their whole run and work on it in place:
   scan starts just above them.  The forward map peels every particle off one
   buffer this way: once a particle is free, zeroing its two columns leaves
   the remainder in place.
-- Settling particles with full bottom-up left sweeps (``left_sweeps``).  Only
+- Settling particles with full bottom-up left sweeps (``_settle``).  Only
   the first sweep scans every window; each later sweep rescans, in ascending
   order, the windows within two columns of the previous sweep's sightings,
   cutting in place and restoring the cut columns before it moves.  That is
@@ -32,6 +32,28 @@ procedures keep one buffer for their whole run and work on it in place:
   check still counts all of them.  RIGGED_DEBUG=1 compares each sweep with
   a full scan.
 - Passing a heavy probe down through a lighter configuration from far above.
+
+Free flight.  A weight-l particle is *isolated* when all l of its units lie
+in two adjacent columns with three zero columns on each side.  A window
+reads four adjacent columns, so no window reads both it and anything else,
+and a window that reads only the rest reads the same values as if the
+particle were absent.  Alone, the particle of energy e sits where
+``build_free_configuration`` lays it out: column e // l holds l - e mod l,
+the next column the rest.  A left sweep sights it at column (e - 1) // l
+and a right scan at e // l, and the unit transfer there yields the layout
+of energy e - 1 or e + 1.  So while it stays isolated a run of moves is one
+arithmetic step.  It stays isolated as long as it keeps three zero columns
+from the nearest occupied column in the direction it moves: content it
+moves away from only falls further behind.  Content that never moves caps
+the run at the last energy keeping that clearance.  In a sweep the particle
+below may itself be an isolated particle falling at the same rate; their
+column gap then only depends on the residue of the energies mod l, so a
+pair clear for every residue (energy gap at least 5l - 1) never constrains
+the fall, and any other pair can fall until the upper energy is a multiple
+of l.  ``_settle`` jumps when every sighting of a sweep is isolated, and
+``_float_free`` jumps when the particle it is floating is isolated below
+lighter content.  RIGGED_DEBUG=1 replays every jump one move at a time from
+full scans and compares.
 
 Input is validated once at entry.  Termination caps are generous
 over-estimates that only trip on internal bugs.
@@ -103,6 +125,15 @@ class Separation:
     remainder: Configuration
 
 
+def _free_columns(e: int, l: int) -> tuple[int, tuple[int, ...]]:
+    """Lower column and column counts of a free weight-l particle of energy ``e``.
+
+    Column j = e // l holds c = l - (e mod l) in 1..l, column j + 1 the rest.
+    """
+    j, rem = divmod(e, l)
+    return j, (l - rem, rem) if rem else (l,)
+
+
 class _Scratch:
     """Mutable column buffer that every move loop runs on.  Internal only.
 
@@ -138,6 +169,13 @@ class _Scratch:
         self.vals[j] += delta
         if self.vals[j] < 0:
             raise InternalCheckError(f"column {col} driven negative")
+
+    def place(self, e: int, l: int) -> None:
+        """Add a free weight-l particle of energy ``e``."""
+        j, counts = _free_columns(e, l)
+        for c in counts:
+            self.bump(j, c)
+            j += 1
 
     def to_configuration(self, lo: int | None = None, hi: int | None = None) -> Configuration:
         """The buffer as a configuration, keeping only columns in [lo, hi]."""
@@ -337,7 +375,9 @@ def _float_free(sc: _Scratch, k: int, l: int, top: int, origin: Configuration) -
 
     ``top`` is the buffer index of the highest occupied column and the buffer
     has weight exactly l.  Returns the move count and the index of the free
-    particle's lower column.  ``origin`` only names the input in errors.
+    particle's lower column.  An isolated particle below lighter content
+    rises to four columns below it in one step (module docstring); the moves
+    count one each.  ``origin`` only names the input in errors.
     """
     vals = sc.vals
     # Energy rises by one per move but stays below length * (top + 2) while the
@@ -346,14 +386,34 @@ def _float_free(sc: _Scratch, k: int, l: int, top: int, origin: Configuration) -
     # indices serve as columns.
     cap = sum(vals) * (top + 2) - sum(j * c for j, c in enumerate(vals) if c) + 2
     kl = k + l
-    j = top
-    for t in range(cap + 1):
+    j, t = top, 0
+    while t <= cap:
         found = _sight_down(vals, l, kl, j)
         if found is None:
             raise InternalCheckError(f"weight fell below l={l} after {t} right moves from {origin}")
         i, by_s = found
         if by_s and vals[i] and top <= i + 1:
             return t, i
+        if by_s and not (vals[i - 1] or vals[i + 2] or vals[i - 2] or vals[i + 3] or vals[i - 3] or vals[i + 4]):
+            # Isolated below lighter content at column n: rise until the
+            # particle's upper column is n - 4, at energy l * (n - 4).
+            n = i + 5
+            while not vals[n]:
+                n += 1
+            e = i * vals[i] + (i + 1) * vals[i + 1]
+            rise = l * (n - 4) - e
+            if rise > 0:
+                before = sc.to_configuration() if _debug_enabled() else None
+                vals[i] = vals[i + 1] = 0
+                sc.place(e + rise + l * sc.lo, l)
+                if before is not None and _replay(before, k, l, -1, rise) != sc.to_configuration():
+                    raise InternalCheckError(
+                        f"free rise of {rise} right moves from column {sc.lo + i} disagrees with "
+                        f"single moves, from {origin}"
+                    )
+                t += rise
+                j = n - 2
+                continue
         vals[i] -= 1
         vals[i + 1] += 1
         if vals[i] < 0:
@@ -377,6 +437,7 @@ def _float_free(sc: _Scratch, k: int, l: int, top: int, origin: Configuration) -
                 f"right move at column {sc.lo + i} left the weight-{l} admissible class, from {origin}"
             )
         j = i + 2
+        t += 1
     raise InternalCheckError(f"no free particle after {cap} right moves from {origin}")
 
 
@@ -428,8 +489,9 @@ def build_free_configuration(l: int, energies: list[int], k: int) -> Configurati
     """Superpose free weight-l particles at the given energies.
 
     Each energy d determines a unique column j = d // l and upper count
-    c = l - (d mod l) in 1..l.  Energies must descend by at least the
-    self-phase A(l, l) so the particles neither collide nor interact.
+    c = l - (d mod l) in 1..l (``_free_columns``).  Energies must descend by
+    at least the self-phase A(l, l) so the particles neither collide nor
+    interact.
     """
     check_level(k, l)
     if l < 1:
@@ -442,32 +504,8 @@ def build_free_configuration(l: int, energies: list[int], k: int) -> Configurati
             )
     result = ZERO
     for d in energies:
-        j, rem = divmod(d, l)
-        c = l - rem
-        result = result.superposed(Configuration(j, (c, l - c) if c < l else (l,)))
+        result = result.superposed(Configuration._trusted(*_free_columns(d, l)))
     return result
-
-
-# -- passing a heavy probe ---------------------------------------------------
-
-
-def _cut_scan(vals: list[int], l: int, kl: int, windows) -> list[int]:
-    """Indices among ``windows`` (ascending) where S = l or L = kl, cutting as it goes.
-
-    Each sighting cuts off its particle by zeroing its two columns in place,
-    as ``_Scratch.sightings`` does in a copy; the cuts are undone before
-    returning, so the buffer is unchanged.
-    """
-    found, cuts = [], []
-    for j in windows:
-        s = vals[j] + vals[j + 1]
-        if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
-            found.append(j)
-            cuts.append((j, vals[j], vals[j + 1]))
-            vals[j] = vals[j + 1] = 0
-    for j, x, y in reversed(cuts):
-        vals[j], vals[j + 1] = x, y
-    return found
 
 
 def _near(found: list[int]) -> list[int]:
@@ -478,22 +516,71 @@ def _near(found: list[int]) -> list[int]:
     return windows
 
 
-def left_sweeps(b: Configuration, k: int, l: int, times: int, expected: int | None = None) -> Configuration:
-    """Apply ``times`` full bottom-up left sweeps to the weight-l particles of ``b``.
+def _fall(vals: list[int], l: int, found: list[int], energies: list[int], left: int) -> int:
+    """Sweeps, at most ``left``, that the isolated particles sighted at ``found`` fall freely.
+
+    ``energies`` are theirs in buffer indices, ascending like ``found``.  Each
+    particle must stay three zero columns above the nearest occupied column
+    below it (module docstring), so only columns down to where the particle
+    could land are read.
+    """
+    d = left
+    for n, (p, e) in enumerate(zip(found, energies)):
+        c, stop = p - 4, max((e - d) // l - 3, 0)
+        while c >= stop and not vals[c]:
+            c -= 1
+        if c < stop:
+            continue
+        if n and c <= found[n - 1] + 1:
+            if e - energies[n - 1] < 5 * l - 1:
+                d = min(d, e % l)
+        else:
+            d = min(d, e - l * (c + 4))
+    return d
+
+
+def _replay(a: Configuration, k: int, l: int, step: int, count: int) -> Configuration:
+    """``a`` after ``count`` moves made one at a time from full scans, for checking a free flight.
+
+    ``step=+1`` makes full left sweeps, ``step=-1`` right moves of the highest
+    weight-l particle.
+    """
+    sc = _Scratch(a)
+    for _ in range(count):
+        sighted = list(sc.sightings(k, l, +1, cut=True)) if step > 0 else [next(sc.sightings(k, l, -1))]
+        for p, _ in sighted:
+            sc.bump(p, step)
+            sc.bump(p + 1, -step)
+    return sc.to_configuration()
+
+
+def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None) -> None:
+    """Apply ``times`` full bottom-up left sweeps to the weight-l particles in ``sc``, in place.
 
     The first sweep scans every window; each later one rescans only the
     windows within two columns of the previous sweep's sightings, which finds
-    the same particles (see the module docstring).  With RIGGED_DEBUG=1 every
-    sweep is rechecked against the full scan.
+    the same particles.  When every sighting of a sweep is an isolated
+    particle, they all fall by as many sweeps as keeps them isolated in one
+    step (see the module docstring).  With RIGGED_DEBUG=1 every sweep is
+    rechecked against the full scan and every fall is replayed sweep by sweep.
     """
-    if times == 0:
-        return b
-    sc = _Scratch(b)
     vals, m, kl = sc.vals, sc.MARGIN, k + l
     debug = _debug_enabled()
     windows = range(m - 2, len(vals) - 2) if l else ()
-    for _ in range(times):
-        found = _cut_scan(vals, l, kl, windows)
+    left = times
+    while left > 0:
+        # Each sighting cuts off its particle by zeroing its two columns in
+        # place, as ``_Scratch.sightings`` does in a copy; the cuts are undone
+        # before anything moves.
+        found, cuts = [], []
+        for j in windows:
+            s = vals[j] + vals[j + 1]
+            if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
+                found.append(j)
+                cuts.append((j, vals[j], vals[j + 1]))
+                vals[j] = vals[j + 1] = 0
+        for j, x, y in reversed(cuts):
+            vals[j], vals[j + 1] = x, y
         if debug:
             full = [p - sc.lo for p, _ in sc.sightings(k, l, +1, cut=True)]
             if full != found:
@@ -511,12 +598,49 @@ def left_sweeps(b: Configuration, k: int, l: int, times: int, expected: int | No
             sc.lo -= pad
             found = [p + pad for p in found]
         for p in found:
+            if (vals[p - 1] or vals[p + 2] or vals[p - 2] or vals[p + 3] or vals[p - 3] or vals[p + 4]
+                    or vals[p] + vals[p + 1] != l):
+                break
+        else:
+            energies = [p * vals[p] + (p + 1) * vals[p + 1] for p in found]
+            d = _fall(vals, l, found, energies, left)
+            if d > 1:
+                before = sc.to_configuration() if debug else None
+                lo = sc.lo
+                for p in found:
+                    vals[p] = vals[p + 1] = 0
+                for e in energies:
+                    sc.place(e - d + l * lo, l)
+                if before is not None and _replay(before, k, l, +1, d) != sc.to_configuration():
+                    raise InternalCheckError(
+                        f"free fall of {d} sweeps of weight-{l} particles at {[lo + p for p in found]} "
+                        "disagrees with single sweeps"
+                    )
+                # The last of the d sweeps sighted each particle at (e - d) // l.
+                found = [(e - d) // l + lo - sc.lo for e in energies]
+                windows = _near(found)
+                left -= d
+                continue
+        for p in found:
             vals[p] += 1
             vals[p + 1] -= 1
             if vals[p + 1] < 0:
                 raise InternalCheckError(f"column {sc.lo + p + 1} driven negative")
         windows = _near(found)
+        left -= 1
+
+
+def left_sweeps(b: Configuration, k: int, l: int, times: int, expected: int | None = None) -> Configuration:
+    """Apply ``times`` full bottom-up left sweeps to the weight-l particles of ``b`` (see ``_settle``).
+
+    ``expected``, when given, is the number of particles every sweep must sight.
+    """
+    sc = _Scratch(b)
+    _settle(sc, k, l, times, expected)
     return sc.to_configuration()
+
+
+# -- passing a heavy probe ---------------------------------------------------
 
 
 def _descend(a: Configuration, k: int, l: int, probe_column: int) -> tuple[list[tuple[str, int, Configuration]], Configuration]:

@@ -59,11 +59,12 @@ class TestMapUnmap:
     def test_unmap_wide_mixed_sign_spread(self, capsys, monkeypatch):
         # RIGGED_DEBUG=1 rescans the whole buffer on every sweep by design.
         monkeypatch.delenv("RIGGED_DEBUG", raising=False)
-        partition = json.dumps({"parts": [{"weight": 2, "rigging": -20000}, {"weight": 1, "rigging": 20000}]})
-        code, out, _ = run(capsys, "unmap", "--k", "3", "--partition", partition)
-        assert code == 0
-        code, back, _ = run(capsys, "map", "--k", "3", f"--config={out.strip()}")
-        assert code == 0 and json.loads(back) == json.loads(partition)
+        for k, parts in ((3, ((2, -20000), (1, 20000))), (4, ((3, 0), (3, -50000), (2, 7), (1, 90000)))):
+            partition = json.dumps({"parts": [{"weight": w, "rigging": r} for w, r in parts]})
+            code, out, _ = run(capsys, "unmap", "--k", str(k), "--partition", partition)
+            assert code == 0
+            code, back, _ = run(capsys, "map", "--k", str(k), f"--config={out.strip()}")
+            assert code == 0 and json.loads(back) == json.loads(partition)
 
     def test_roundtrip_through_text(self, capsys):
         code, out, _ = run(capsys, "map", "--k", "4", "--config", "1,1,1")

@@ -67,6 +67,14 @@ class TestCanonicalForm:
         a = Configuration(offset, tuple(counts))
         assert Configuration.from_json_dict(a.to_json_dict()) == a
 
+    @pytest.mark.parametrize("value", [1.7, 2.0, True, "1", None])
+    def test_json_rejects_non_integers(self, value):
+        # Neither a float nor a bool may be truncated or coerced to an integer.
+        with pytest.raises(ValueError, match="offset must be an integer"):
+            Configuration.from_json_dict({"offset": value, "counts": [1]})
+        with pytest.raises(ValueError, match="count must be an integer"):
+            Configuration.from_json_dict({"offset": 0, "counts": [1, value]})
+
     def test_text_without_offset(self):
         assert Configuration.from_text("3,0,0,1") == cfg(3, 0, 0, 1)
         assert Configuration.from_text("0:") == ZERO

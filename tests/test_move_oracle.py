@@ -8,8 +8,9 @@ code with ``rigged.moves``.
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rigged import identities, moves
 from rigged.bijection import iota, kappa
-from rigged.configuration import ZERO, Configuration
+from rigged.configuration import ZERO, Configuration, enumerate_configurations
 from rigged.moves import left_sweeps, separate_highest
 
 MAX_LEVEL, MAX_WIDTH, MAX_OFFSET = 8, 40, 10
@@ -25,6 +26,25 @@ def admissible(draw):
     for j in range(width):
         counts.append(draw(st.integers(1 if j == 0 else 0, k - sum(counts[-2:]))))
     return k, Configuration(offset, tuple(counts))
+
+
+@st.composite
+def gapped(draw):
+    """(k, configuration): dense admissible blocks separated by 4-30 zero columns.
+
+    Dense rows hardly ever hold an isolated particle; these hold several, so
+    the maps cross the gaps in free flight.
+    """
+    k = draw(st.integers(1, MAX_LEVEL))
+    counts: list[int] = []
+    for b in range(draw(st.integers(2, 4))):
+        if b:
+            counts += [0] * draw(st.integers(4, 30))
+        block: list[int] = []
+        for j in range(draw(st.integers(1, 6))):
+            block.append(draw(st.integers(1 if j == 0 else 0, k - sum(block[-2:]))))
+        counts += block
+    return k, Configuration(draw(st.integers(-MAX_OFFSET, MAX_OFFSET)), tuple(counts))
 
 
 def _window_values(cols: list[int]):
@@ -63,8 +83,8 @@ def reference_separation(a: Configuration, k: int, l: int):
         steps += 1
 
 
-@given(admissible())
-@settings(max_examples=80, deadline=None)
+@given(st.one_of(admissible(), gapped()))
+@settings(max_examples=120, deadline=None)
 def test_separation_matches_reference(case):
     # Every particle of the chain that iota reads, heaviest first.
     k, cur = case
@@ -79,8 +99,8 @@ def test_separation_matches_reference(case):
         cur = remainder
 
 
-@given(admissible())
-@settings(max_examples=80, deadline=None)
+@given(st.one_of(admissible(), gapped()))
+@settings(max_examples=120, deadline=None)
 def test_kappa_inverts_iota(case):
     k, a = case
     assert kappa(iota(a, k), k) == a
@@ -102,14 +122,23 @@ def reference_iota(a: Configuration, k: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-@given(admissible())
-@settings(max_examples=60, deadline=None)
+@given(st.one_of(admissible(), gapped()))
+@settings(max_examples=100, deadline=None)
 def test_iota_matches_reference(case):
     k, a = case
     assert iota(a, k).parts == reference_iota(a, k)
 
 
-MAX_SWEEPS = 40
+def test_cached_iota_matches_iota():
+    # The grid's cached map builds each image from its remainder's image.
+    identities._iota.cache_clear()
+    for k in (1, 2, 3):
+        for a in enumerate_configurations(k, 3, 8):
+            assert identities._iota(a, k) == iota(a, k)
+    identities._iota.cache_clear()
+
+
+MAX_SWEEPS = 120
 
 
 @st.composite
@@ -125,12 +154,14 @@ def settling(draw):
     offset = draw(st.integers(-3, 3))
     # The inverse map starts the lowest free particle at energy l * (top + 3)
     # plus its extra settling sweeps (at most t), and each higher one at
-    # least A(l, l) above the one below it.
+    # least A(l, l) above the one below it.  Gaps of up to 8l more let the
+    # particles fall freely side by side, as pairs clear for every residue
+    # (gap 5l - 1 and up) or not.
     t = draw(st.integers(0, MAX_SWEEPS))
     lowest = (l * (offset + len(counts) + 2) if counts else 0) + draw(st.integers(0, t))
     energies = [lowest]
     for _ in range(draw(st.integers(0, 2))):
-        energies.append(energies[-1] + 2 * l + max(2 * l - k, 0) + draw(st.integers(0, 4)))
+        energies.append(energies[-1] + 2 * l + max(2 * l - k, 0) + draw(st.integers(0, 8 * l)))
     # Superpose the lighter part and the free particles (energy d: column
     # d // l holds l - d % l, the next column the rest) on a plain list.
     base = min(offset, lowest // l)
@@ -169,3 +200,60 @@ def reference_sweeps(b: Configuration, k: int, l: int, times: int, m: int) -> Co
 def test_left_sweeps_match_full_scans(case):
     k, l, m, t, b = case
     assert left_sweeps(b, k, l, t, expected=m) == reference_sweeps(b, k, l, t, m)
+
+
+@st.composite
+def falling(draw):
+    """(l, columns, energies, left): isolated weight-l particles above an optional static column."""
+    l = draw(st.integers(1, 6))
+    floor = draw(st.one_of(st.none(), st.integers(0, 8)))
+    e = l * draw(st.integers(12, 20)) + draw(st.integers(0, l - 1))
+    energies = [e]
+    for _ in range(draw(st.integers(0, 3))):
+        energies.append(energies[-1] + draw(st.integers(4 * l, 8 * l)))
+    cols = [0] * (energies[-1] // l + 6)
+    if floor is not None:
+        cols[floor] = draw(st.integers(1, 3))
+    for e in energies:
+        j, rem = divmod(e, l)
+        cols[j] += l - rem
+        cols[j + 1] += rem
+    # As the sweep kernel tests it: the sighting's two columns hold the
+    # particle and the three columns on each side are empty.
+    for e in energies:
+        p = (e - 1) // l
+        assume(cols[p] + cols[p + 1] == l and not any(cols[p - 3 : p] + cols[p + 2 : p + 5]))
+    return l, cols, energies, draw(st.integers(2, energies[0]))
+
+
+@given(falling())
+@settings(max_examples=150, deadline=None)
+def test_fall_keeps_three_zero_columns(case):
+    # The fall length is the largest d (at most ``left``) such that after
+    # every s <= d sweeps each particle sits three zero columns above the
+    # nearest occupied column below it.
+    l, cols, energies, left = case
+    static = cols[:]
+    for e in energies:
+        j, rem = divmod(e, l)
+        static[j] -= l - rem
+        static[j + 1] -= rem
+
+    def clear(s):
+        now = static[:]
+        for e in energies:
+            j, rem = divmod(e - s, l)
+            now[j] += l - rem
+            now[j + 1] += rem
+        for e in energies:
+            lo = (e - s) // l
+            below = [i for i in range(lo) if now[i]]
+            if below and lo - below[-1] < 4:
+                return False
+        return True
+
+    d = 0
+    while d < left and clear(d + 1):
+        d += 1
+    found = [(e - 1) // l for e in energies]
+    assert moves._fall(cols, l, found, energies, left) == d

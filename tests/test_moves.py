@@ -147,15 +147,50 @@ class TestPositions:
 class TestLocalRescan:
     def test_dropped_window_detected(self, rigged_debug, monkeypatch):
         # Drop the window just below each sighting from the next sweep's
-        # rescan.  A free weight-2 particle at column 5 is sighted at 4 twice;
-        # on the third sweep it sits at 4 alone, so the full scan sights it
+        # rescan.  A weight-2 particle at column 7 falls freely for six sweeps,
+        # until it sits at column 4, three zero columns above a weight-1
+        # particle at column 0; the last of those sweeps sighted it at 4.  The
+        # seventh sweep is an ordinary one: the full scan sights the particle
         # at 3, which the faulty rescan no longer reads.
         near = moves._near
         monkeypatch.setattr(moves, "_near", lambda found: [j for j in near(found) if j + 1 not in found])
-        b = build_free_configuration(2, [10], 3)
-        assert left_sweeps(b, 3, 2, 2, expected=1) == cfg(2, offset=4)
+        b = cfg(1, 0, 0, 0, 0, 0, 0, 2)
+        assert left_sweeps(b, 3, 2, 6, expected=1) == cfg(1, 0, 0, 0, 2)
         with pytest.raises(InternalCheckError, match="full scan"):
-            left_sweeps(b, 3, 2, 3, expected=1)
+            left_sweeps(b, 3, 2, 7, expected=1)
+
+
+class TestFreeFlight:
+    # A weight-2 particle at column 7 above a weight-1 particle at column 0
+    # falls freely for six sweeps at k=3; a weight-2 particle at column 0
+    # below a weight-1 particle at column 8 rises freely by eight moves.
+    FALLING = cfg(1, 0, 0, 0, 0, 0, 0, 2)
+    RISING = cfg(2, 0, 0, 0, 0, 0, 0, 0, 1)
+
+    def test_jumps_match_single_moves(self, rigged_debug):
+        for times in range(12):
+            assert left_sweeps(self.FALLING, 3, 2, times, expected=1) == move_all(self.FALLING, 3, 2, "left", times)
+        sep = separate_highest(self.RISING, 3, 2)
+        cur = self.RISING
+        for _ in range(sep.steps):
+            cur = right_move(cur, 3, 2)
+        assert free_particle(cur, 3, 2) == sep.free
+        # Passing the weight-2 particle moved the weight-1 particle down by A(2, 1) = 2.
+        assert sep.remainder == cfg(1, offset=6)
+
+    def test_overlong_fall_detected(self, rigged_debug, monkeypatch):
+        # Each particle of a fall lands one sweep lower than counted.
+        columns = moves._free_columns
+        monkeypatch.setattr(moves, "_free_columns", lambda e, l: columns(e - 1, l))
+        with pytest.raises(InternalCheckError, match="free fall of 6 sweeps"):
+            left_sweeps(self.FALLING, 3, 2, 6, expected=1)
+
+    def test_overlong_rise_detected(self, rigged_debug, monkeypatch):
+        # The rising particle lands one right move higher than counted.
+        columns = moves._free_columns
+        monkeypatch.setattr(moves, "_free_columns", lambda e, l: columns(e + 1, l))
+        with pytest.raises(InternalCheckError, match="free rise of 8 right moves"):
+            separate_highest(self.RISING, 3, 2)
 
 
 class TestMoveCth:
