@@ -15,12 +15,11 @@ the sum of weights.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .configuration import Configuration, check_level
-from .moves import InternalCheckError, _peel, _Scratch, _settle
-from .phases import phase
+from .moves import InternalCheckError, _debug_enabled, _peel, _Scratch, _settle
+from .phases import _load, _quadratic_form
 
 
 class RiggingError(ValueError):
@@ -124,25 +123,12 @@ def multiplicities(weights: tuple[int, ...], k: int) -> tuple[int, ...]:
 
 def e0(weights: tuple[int, ...], k: int) -> int:
     """Pairwise interaction energy of the particle content."""
-    check_level(k)
-    total, seen = 0, {}
-    for w in weights:
-        total += sum(phase(k, w, v) * m for v, m in seen.items())
-        seen[w] = seen.get(w, 0) + 1
-    return total
+    return _quadratic_form(k, (0, *multiplicities(weights, k)))
 
 
 def e1(riggings: tuple[int, ...]) -> int:
     """Free part of the energy: the sum of riggings."""
     return sum(riggings)
-
-
-def _owed(k: int, w: int, later: dict[int, int]) -> int:
-    """Phase shift a weight-w particle owes the particles after it: the sum of A(w, v) * m_v.
-
-    ``later`` maps each weight v to its multiplicity m_v among those particles.
-    """
-    return sum(phase(k, w, v) * m for v, m in later.items())
 
 
 def iota(a: Configuration, k: int) -> RiggedPartition:
@@ -155,10 +141,10 @@ def iota(a: Configuration, k: int) -> RiggedPartition:
     """
     check_level(k)
     parts = []
-    later: dict[int, int] = {}
+    later = [0] * (k + 1)
     for w, s in reversed(_peel(a, k)):
-        parts.append((w, s - _owed(k, w, later)))
-        later[w] = later.get(w, 0) + 1
+        parts.append((w, s - _load(k, w, later)))
+        later[w] += 1
     return RiggedPartition(tuple(reversed(parts)))
 
 
@@ -171,18 +157,18 @@ def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
     """
     sc = _Scratch(Configuration())
     vals = sc.vals
-    lighter: dict[int, int] = {}
+    later = [0] * (k + 1)
     end = len(rp.parts)
     while end:
         l = rp.parts[end - 1][0]
         m = rp.multiplicity(l)
         start = end - m
-        # Each weight-l part owes A(l, l) to every later weight-l part and
-        # A(l, w) to every lighter part.
-        shift = _owed(k, l, lighter)
-        self_phase = phase(k, l, l)
-        surpluses = [r + shift + (m - 1 - i) * self_phase for i, (_, r) in enumerate(rp.parts[start:end])]
-        s_min = surpluses[-1]
+        # A part's surplus is its rigging plus the load it owes every later part.
+        surpluses = []
+        for _, r in reversed(rp.parts[start:end]):
+            surpluses.append(r + _load(k, l, later))
+            later[l] += 1
+        s_min = surpluses[0]
         top = next((j for j in range(len(vals) - 1, -1, -1) if vals[j]), None)
         # Free particles must start strictly above everything already built,
         # with a clear three-column gap below the lowest of them.
@@ -190,7 +176,6 @@ def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
         for s in surpluses:
             sc.place(s + t, l)
         _settle(sc, k, l, t, m)
-        lighter[l] = m
         end = start
     return sc.to_configuration()
 
@@ -217,7 +202,7 @@ def kappa(rp: RiggedPartition, k: int) -> Configuration:
     d = -min((r // w for w, r in rp.parts), default=0)
     rp = RiggedPartition(tuple((w, r + w * d) for w, r in rp.parts))
     result = _kappa(rp, k, 0)
-    if os.environ.get("RIGGED_DEBUG", "") == "1":
+    if _debug_enabled():
         alt = _kappa(rp, k, rp.weights[0] if rp.parts else 1)
         if alt != result:
             raise InternalCheckError(f"inverse map depends on the settling count: {result} vs {alt}")

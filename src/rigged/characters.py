@@ -15,9 +15,9 @@ The configuration side of every character identity is a column transfer
 matrix (Stanley, Enumerative Combinatorics 1, 4.7): a dynamic programme over
 columns whose state is the last few columns and which carries one dense
 energy polynomial per state, so a sum costs polynomial time in columns times
-degree.  The closed side recurses over the weights and prunes a branch as
-soon as a vacancy goes negative.  Enumerating configurations is the oracle
-both are tested against, and under RIGGED_DEBUG=1 every configuration sum is
+degree.  The closed side and the rigged enumeration share one pruned walk over
+multiplicity vectors.  Enumerating configurations is the oracle both sides
+are tested against, and under RIGGED_DEBUG=1 every configuration sum is
 recounted by enumeration as well.
 """
 
@@ -26,14 +26,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 from typing import Iterable, Iterator
 
-from .bijection import RiggedPartition, e0, e1
+from .bijection import RiggedPartition, e0, e1, multiplicities
 from .configuration import Configuration, check_level, enumerate_configurations
 from .configuration import weight as config_weight
 from .moves import InternalCheckError, _debug_enabled
-from .phases import phase
+from .phases import _load, _table, _vacancies
 from .qseries import QPolynomial, q_binomial
 
 
@@ -116,8 +116,7 @@ def _within_floor(rp: RiggedPartition, values: tuple[int, ...]) -> bool:
 
 def satisfies_boundary(rp: RiggedPartition, k: int, N: int) -> bool:
     """True iff every rigging fits under its weight's ceiling w*N - sum_v A(w, v) m_v + A(w, w)."""
-    mult = Counter(rp.weights)
-    ceiling = {w: w * N - sum(phase(k, w, v) * m for v, m in mult.items()) + phase(k, w, w) for w in mult}
+    ceiling = _vacancies(k, N, (0, *multiplicities(rp.weights, k)), (0,) * (k + 1))
     return all(r <= ceiling[w] for w, r in rp.parts)
 
 
@@ -155,6 +154,38 @@ def member_floor_difference(rp: RiggedPartition, a: int, b: int, k: int, N: int 
     return in_floor_set(a, b) and not in_floor_set(a - 1, b + 2) and not in_floor_set(a, b - 1)
 
 
+def _feasible(k: int, l: int, N: int, floor: tuple[int, ...]) -> Iterator[tuple[list[int], list[int], int]]:
+    """Yield (m, p, Q(m) + floor.m) for every fitting multiplicity vector with weights <= l.
+
+    ``m`` and ``floor`` are indexed by weight (``floor[0] == 0``), ``p`` holds
+    the vacancies of ``rigged.phases``, and a vector fits when p_w >= 0 at
+    every occupied weight.  Particles are added from the heaviest weight down,
+    so vectors come in the lexicographic order of (m_l, ..., m_1).  A weight-j
+    particle lowers every vacancy by A(i, j) >= 2, so once an occupied vacancy
+    is negative it stays so and the weight's loop stops.  ``m`` is live: read
+    it before resuming the walk.
+    """
+    m = [0] * (l + 1)
+    table = _table(k)
+
+    def walk(j: int, p: list[int], energy: int) -> Iterator[tuple[list[int], list[int], int]]:
+        if j == 0:
+            yield m, p, energy
+            return
+        yield from walk(j - 1, p, energy)
+        row = table[j]
+        while True:
+            energy += _load(k, j, m) + floor[j]
+            m[j] += 1
+            p = list(map(sub, p, row))
+            if any(p_w < 0 for p_w, m_w in zip(p, m) if m_w):
+                break
+            yield from walk(j - 1, p, energy)
+        m[j] = 0
+
+    return walk(l, _vacancies(k, N, m, floor), 0)
+
+
 def enumerate_rigged(
     k: int,
     l: int,
@@ -172,42 +203,18 @@ def enumerate_rigged(
     values = floor.values if floor is not None else (0,) * k
     if floor is not None and len(values) != k:
         raise ValueError(f"floor must cover weights 1..{k}")
-    weights = list(range(l, 0, -1))
-    bounds = []
-    for w in weights:
-        a_ww = phase(k, w, w)
-        cap = (w * boundary + a_ww - values[w - 1]) // a_ww
-        bounds.append(max(0, cap))
-    for mult in itertools.product(*(range(b + 1) for b in bounds)):
-        ceilings = {}
-        feasible = True
-        for w, m_w in zip(weights, mult):
-            if m_w == 0:
-                continue
-            shift = sum(phase(k, w, wp) * m_p for wp, m_p in zip(weights, mult)) - phase(k, w, w)
-            ceilings[w] = w * boundary - shift
-            if ceilings[w] < values[w - 1]:
-                feasible = False
-                break
-        if not feasible:
-            continue
-        blocks = []
-        for w, m_w in zip(weights, mult):
-            if m_w == 0:
-                blocks.append(((),))
-                continue
-            lo, hi = values[w - 1], ceilings[w]
-            blocks.append(
-                tuple(
-                    tuple(reversed(combo))
-                    for combo in itertools.combinations_with_replacement(range(lo, hi + 1), m_w)
-                )
-            )
+    low = (0, *values)
+    for m, p, _ in _feasible(k, l, boundary, low):
+        blocks = [
+            [
+                tuple((w, r) for r in reversed(combo))
+                for combo in itertools.combinations_with_replacement(range(low[w], low[w] + p[w] + 1), m[w])
+            ]
+            for w in range(l, 0, -1)
+            if m[w]
+        ]
         for chosen in itertools.product(*blocks):
-            parts = []
-            for w, riggings in zip(weights, chosen):
-                parts.extend((w, r) for r in riggings)
-            yield RiggedPartition(tuple(parts))
+            yield RiggedPartition(tuple(itertools.chain.from_iterable(chosen)))
 
 
 def rigged_sum(k: int, rset: RestrictedSet) -> QPolynomial:
@@ -229,41 +236,18 @@ def _add_at(acc: list[int], coeffs: list[int] | tuple[int, ...], shift: int) -> 
 def _fermionic_sum(k: int, floor_values: tuple[int, ...], N: int, weight_cap: int) -> QPolynomial:
     """Sum of q^(Q(m) + r.m) times Gaussian binomial factors over multiplicities.
 
-    The vacancy of weight j is p_j = j*N + A(j, j) - r_j - sum_i A(j, i) m_i,
-    and its factor is [p_j + m_j choose m_j], zero once p_j < 0 with m_j > 0.
-    Particles are added weight by weight, 1..min(k, weight_cap); each one adds
-    its old load sum_i A(j, i) m_i plus r_j to the exponent and lowers every
-    vacancy by A(i, j) >= 2.  So once an occupied weight's vacancy goes
-    negative, every further particle leaves it negative and that weight's loop
-    stops: exactly the vectors whose binomial product is zero are skipped.
+    The factor of weight j is [p_j + m_j choose m_j], with p_j the vacancy of
+    ``rigged.phases``; it is zero once p_j < 0 with m_j > 0, so the sum runs
+    over the vectors ``_feasible`` yields and skips exactly those whose
+    binomial product is zero.
     """
-    n = min(k, weight_cap)
-    table = [[phase(k, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
-    base = [j * N + table[j - 1][j - 1] - floor_values[j - 1] for j in range(1, n + 1)]
-    m = [0] * n
     acc: list[int] = []
-
-    def rec(j: int, vacancy: list[int], exponent: int) -> None:
-        if j == n:
-            product = QPolynomial.one()
-            for i, m_i in enumerate(m):
-                if m_i:
-                    product = product * q_binomial(vacancy[i] + m_i, m_i)
-            _add_at(acc, product.coeffs, exponent)
-            return
-        rec(j + 1, vacancy, exponent)
-        row = table[j]
-        while True:
-            # The old load sum_i A(j, i) m_i is base_j - vacancy_j.
-            exponent += base[j] - vacancy[j] + floor_values[j]
-            vacancy = [p - a for p, a in zip(vacancy, row)]
-            m[j] += 1
-            if any(vacancy[i] < 0 for i in range(j + 1) if m[i]):
-                break
-            rec(j + 1, vacancy, exponent)
-        m[j] = 0
-
-    rec(0, base, 0)
+    for m, p, exponent in _feasible(k, min(k, weight_cap), N, (0, *floor_values)):
+        product = QPolynomial.one()
+        for p_j, m_j in zip(p, m):
+            if m_j:
+                product = product * q_binomial(p_j + m_j, m_j)
+        _add_at(acc, product.coeffs, exponent)
     return QPolynomial(tuple(acc))
 
 

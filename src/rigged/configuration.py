@@ -148,7 +148,7 @@ class Configuration:
         """Translate every column by ``delta``."""
         if self.is_zero:
             return self
-        return Configuration(self.offset + delta, self.counts)
+        return Configuration._trusted(int(self.offset + delta), self.counts)
 
     def superposed(self, other: "Configuration") -> "Configuration":
         """Column-wise sum of two sequences."""

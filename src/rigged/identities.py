@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .bijection import EMPTY, RiggedPartition, _owed, e0, e1, kappa
+from .bijection import EMPTY, RiggedPartition, e0, e1, kappa, multiplicities
 from .characters import (
     RestrictedSet,
     chi_closed,
@@ -28,8 +28,8 @@ from .characters import (
 )
 from .configuration import Configuration, check_level, enumerate_configurations, weight
 from .moves import pass_particle, passing_history, right_move, separate_highest
-from .phases import phase
-from .qseries import QPolynomial, gordon_quadratic_form, inv_pochhammer, quadratic_form_Q
+from .phases import _load, _quadratic_form, phase
+from .qseries import QPolynomial, gordon_quadratic_form, inv_pochhammer
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,9 @@ def _iota(a: Configuration, k: int) -> RiggedPartition:
         return EMPTY
     sep = separate_highest(a, k, weight(a, k))
     tail = _iota(sep.remainder, k)
-    later: dict[int, int] = {}
-    for v in tail.weights:
-        later[v] = later.get(v, 0) + 1
     w = sep.free.weight
-    return RiggedPartition(((w, sep.surplus - _owed(k, w, later)),) + tail.parts)
+    owed = _load(k, w, (0, *multiplicities(tail.weights, k)))
+    return RiggedPartition(((w, sep.surplus - owed),) + tail.parts)
 
 
 def _poly_mismatch(lhs: QPolynomial, rhs: QPolynomial) -> str | None:
@@ -148,22 +146,19 @@ def _gordon_rhs(k: int, max_degree: int, window: int) -> QPolynomial:
     total = QPolynomial.zero(order=max_degree)
 
     def ground(m: tuple[int, ...]) -> int:
-        return quadratic_form_Q(m, k) if window == 3 else gordon_quadratic_form(m)
+        return _quadratic_form(k, (0, *m)) if window == 3 else gordon_quadratic_form(m)
 
-    def rec(prefix: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    def rec(prefix: tuple[int, ...], g: int) -> Iterable[tuple[tuple[int, ...], int]]:
+        """Yield (m, ground(m)) for every vector extending ``prefix`` (of ground energy g) that fits."""
         if len(prefix) == k:
-            yield prefix
+            yield prefix, g
             return
         value = 0
-        while True:
-            m = prefix + (value,) + (0,) * (k - len(prefix) - 1)
-            if ground(m) > max_degree:
-                break
-            yield from rec(prefix + (value,))
+        while (g := ground(prefix + (value,) + (0,) * (k - len(prefix) - 1))) <= max_degree:
+            yield from rec(prefix + (value,), g)
             value += 1
 
-    for m in rec(()):
-        g = ground(m)
+    for m, g in rec((), 0):
         term = QPolynomial.q_power(g, order=max_degree)
         for ml in m:
             term = term * inv_pochhammer(ml, max_degree)

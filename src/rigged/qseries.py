@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from .configuration import check_level
-from .phases import gordon_phase, phase
+from .phases import _quadratic_form, gordon_phase
 
 
 def _min_order(a: int | None, b: int | None) -> int | None:
@@ -211,13 +211,7 @@ def quadratic_form_Q(m: tuple[int, ...], k: int) -> int:
         raise ValueError(f"multiplicity vector must have length k={k}, got {len(m)}")
     if any(v < 0 for v in m):
         raise ValueError(f"multiplicities must be non-negative, got {m}")
-    total = 0
-    for l in range(1, k + 1):
-        ml = m[l - 1]
-        total += phase(k, l, l) * (ml * (ml - 1) // 2)
-        for lp in range(l + 1, k + 1):
-            total += phase(k, l, lp) * ml * m[lp - 1]
-    return total
+    return _quadratic_form(k, (0, *m))
 
 
 def gordon_quadratic_form(m: tuple[int, ...]) -> int:

@@ -38,10 +38,11 @@ class TestPhase:
                 assert phase(k, k, j) == 3 * j
 
     def test_symmetry_and_formula(self):
-        for l in range(1, 5):
-            for lp in range(1, 5):
-                expected = 2 * min(l, lp) + max(l + lp - 4, 0)
-                assert phase(4, l, lp) == expected == phase(4, lp, l)
+        for k in range(1, 9):
+            for l in range(1, k + 1):
+                for lp in range(1, k + 1):
+                    expected = 2 * min(l, lp) + max(l + lp - k, 0)
+                    assert phase(k, l, lp) == expected == phase(k, lp, l), (k, l, lp)
         assert phase(4, 3, 2) == 5
 
     def test_gordon_companion(self):

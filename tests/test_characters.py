@@ -289,7 +289,43 @@ class TestRiggedSum:
                             assert brute == chi_closed(k, l, a, b, N), (k, l, a, b, N)
 
 
+def enumerate_rigged_reference(k, l, boundary, floor=None):
+    """Box-plus-filter enumerator: itertools.product over per-weight caps, then the ceilings."""
+    values = floor.values if floor is not None else (0,) * k
+    weights = list(range(l, 0, -1))
+    bounds = [max(0, (w * boundary + phase(k, w, w) - values[w - 1]) // phase(k, w, w)) for w in weights]
+    for mult in itertools.product(*(range(b + 1) for b in bounds)):
+        ceilings = {
+            w: w * boundary - sum(phase(k, w, wp) * m_p for wp, m_p in zip(weights, mult)) + phase(k, w, w)
+            for w, m_w in zip(weights, mult)
+            if m_w
+        }
+        if any(ceilings[w] < values[w - 1] for w in ceilings):
+            continue
+        blocks = [
+            [
+                tuple(reversed(c))
+                for c in itertools.combinations_with_replacement(range(values[w - 1], ceilings[w] + 1), m_w)
+            ]
+            if m_w
+            else [()]
+            for w, m_w in zip(weights, mult)
+        ]
+        for chosen in itertools.product(*blocks):
+            yield RiggedPartition(tuple((w, r) for w, riggings in zip(weights, chosen) for r in riggings))
+
+
 class TestEnumerateRigged:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_order_matches_product_box(self, k):
+        floors = [None, RiggingFloor((4 * k + 1,) * k)]
+        floors += [floor_for(a, b, k, k) for a in range(k + 1) for b in range(k + 1 - a)]
+        for floor in floors:
+            for l in range(k + 1):
+                for N in range(5):
+                    expected = list(enumerate_rigged_reference(k, l, N, floor))
+                    assert list(enumerate_rigged(k, l, N, floor)) == expected, (floor, l, N)
+
     def test_small_family(self):
         family = set(enumerate_rigged(1, 1, 3))
         expected = {RiggedPartition()}
