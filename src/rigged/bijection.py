@@ -197,13 +197,13 @@ def kappa(rp: RiggedPartition, k: int) -> Configuration:
     input then costs nothing.
     """
     check_level(k)
-    if not rp.is_empty and rp.weights[0] > k:
-        raise RiggingError(f"largest weight {rp.weights[0]} exceeds the level k={k}")
+    if rp.parts and rp.parts[0][0] > k:
+        raise RiggingError(f"largest weight {rp.parts[0][0]} exceeds the level k={k}")
     d = -min((r // w for w, r in rp.parts), default=0)
     rp = RiggedPartition(tuple((w, r + w * d) for w, r in rp.parts))
     result = _kappa(rp, k, 0)
     if _debug_enabled():
-        alt = _kappa(rp, k, rp.weights[0] if rp.parts else 1)
+        alt = _kappa(rp, k, rp.parts[0][0] if rp.parts else 1)
         if alt != result:
             raise InternalCheckError(f"inverse map depends on the settling count: {result} vs {alt}")
     return result.shifted(-d)

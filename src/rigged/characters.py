@@ -123,7 +123,7 @@ def satisfies_boundary(rp: RiggedPartition, k: int, N: int) -> bool:
 def member(rp: RiggedPartition, rset: RestrictedSet, k: int) -> bool:
     """Membership in a restricted family: cap, floor, bumps, boundary."""
     check_level(k, rset.l)
-    if rp.parts and rp.weights[0] > rset.l:
+    if rp.parts and rp.parts[0][0] > rset.l:
         return False
     if not _within_floor(rp, rset.floor.values):
         return False

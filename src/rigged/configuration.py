@@ -131,19 +131,6 @@ class Configuration:
 
     # -- derived values ---------------------------------------------------
 
-    def with_delta(self, *changes: tuple[int, int]) -> "Configuration":
-        """Return a copy with ``delta`` added at each given column."""
-        if not changes:
-            return self
-        lo = min(self.offset, *(col for col, _ in changes))
-        hi = max(self.offset + len(self.counts) - 1, *(col for col, _ in changes))
-        vals = [0] * (hi - lo + 1)
-        for j, c in enumerate(self.counts):
-            vals[self.offset + j - lo] = c
-        for col, delta in changes:
-            vals[col - lo] += delta
-        return Configuration(lo, tuple(vals))
-
     def shifted(self, delta: int) -> "Configuration":
         """Translate every column by ``delta``."""
         if self.is_zero:

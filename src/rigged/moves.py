@@ -8,10 +8,15 @@ off just below (or above) a located particle and repeating locates all of
 them, which is what makes "move the c-th particle" well defined.
 
 All moves run on one substrate, the padded mutable column buffer
-``_Scratch``.  The single-move functions copy a configuration into a buffer
-and locate particles with one scanner (``_Scratch.sightings``) that walks
-either way and can cut off each particle it sights.  The long-running
-procedures keep one buffer for their whole run and work on it in place:
+``_Scratch``, and locate particles with two list scans.  ``_sight`` walks
+the windows up or down from a given index to the nearest sighting.
+``_cut_scan`` scans given windows in order and cuts each sighted particle
+off in place by zeroing its two columns, so each sighting locates the next
+particle: every window it reads afterwards lies on the near side of the
+cut.  It restores the cut columns before it returns.  A single
+move copies a configuration into a buffer, sights the end particle and
+bumps two columns.  The long-running procedures keep one buffer for their
+whole run:
 
 - Floating the highest particle free by right moves (``separate_highest``).
   A move changes two adjacent columns, so only the windows reading them are
@@ -20,17 +25,16 @@ procedures keep one buffer for their whole run and work on it in place:
   buffer this way: once a particle is free, zeroing its two columns leaves
   the remainder in place.
 - Settling particles with full bottom-up left sweeps (``_settle``).  Only
-  the first sweep scans every window; each later sweep rescans, in ascending
-  order, the windows within two columns of the previous sweep's sightings,
-  cutting in place and restoring the cut columns before it moves.  That is
-  exact: weight at most l means S <= l and L <= k + l everywhere, and a cut
-  only lowers window sums, so only a window whose uncut S or L attains its
-  bound can be sighted.  A window more than two columns from every sighting
-  of the last sweep reads no column that sweep cut or moved; it was not
-  sighted uncut then, so it is below both bounds, then and now.  So the
-  rescan finds exactly the sightings of a full scan, and the particle-count
-  check still counts all of them.  RIGGED_DEBUG=1 compares each sweep with
-  a full scan.
+  the first sweep scans every window; each later sweep cut-scans, in
+  ascending order, the windows within two columns of where the previous
+  sweep sighted particles.  That is exact: weight at most l means S <= l
+  and L <= k + l everywhere, and a cut only lowers window sums, so only a
+  window whose uncut S or L attains its bound can be sighted.  A window more
+  than two columns from every sighting of the last sweep reads no column
+  that sweep cut or moved; it was not sighted uncut then, so it is below
+  both bounds, then and now.  So the rescan sights exactly what a full scan
+  sights, and the particle-count check still counts every particle.
+  RIGGED_DEBUG=1 compares each sweep with a cut-scan of every window.
 - Passing a heavy probe down through a lighter configuration from far above.
 
 Free flight.  A weight-l particle is *isolated* when all l of its units lie
@@ -52,8 +56,8 @@ pair clear for every residue (energy gap at least 5l - 1) never constrains
 the fall, and any other pair can fall until the upper energy is a multiple
 of l.  ``_settle`` jumps when every sighting of a sweep is isolated, and
 ``_float_free`` jumps when the particle it is floating is isolated below
-lighter content.  RIGGED_DEBUG=1 replays every jump one move at a time from
-full scans and compares.
+lighter content.  RIGGED_DEBUG=1 compares every jump with the same moves made
+one at a time by ``move_all`` and ``right_move``, which scan every window.
 
 Input is validated once at entry.  Termination caps are generous
 over-estimates that only trip on internal bugs.
@@ -63,7 +67,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable
 
 from .configuration import (
     ZERO,
@@ -183,39 +187,66 @@ class _Scratch:
         b = len(self.vals) if hi is None else max(a, hi - self.lo + 1)
         return Configuration._trusted(self.lo + a, tuple(self.vals[a:b]))
 
-    def sightings(
-        self, k: int, l: int, step: int, start: int | None = None, cut: bool = False
-    ) -> Iterator[tuple[int, str]]:
-        """Yield (column, kind) at each column where S = l or L = k + l.
+    def transfer(self, col: int, step: int) -> None:
+        """Move one unit from column ``col`` right (``step=-1``) or from ``col + 1`` left (``step=+1``)."""
+        self.bump(col, step)
+        self.bump(col + 1, -step)
 
-        Walks down (``step=-1``) or up (``step=+1``) from ``start``; by
-        default from the highest occupied column, or from two below the
-        lowest, which is as far out as a sighting can lie.  S is tested first,
-        so kind is "S" when both bounds are attained.  With ``cut`` every
-        sighting cuts off its particle and everything behind the walk, so
-        successive sightings locate successive particles.  Zeroing the
-        sighting's two columns in a private copy is that cut-off: every window
-        the walk reads afterwards lies on the near side of them.
-        """
-        if l == 0:
-            return
-        vals = self.vals[:] if cut else self.vals
-        n, lo, kl = len(vals), self.lo, k + l
-        if start is None:
-            outward_in = range(n - 1, -1, -1) if step < 0 else range(n)
-            j = next((j for j in outward_in if vals[j]), None)
-            if j is None:
-                return
-            if step > 0:
-                j -= 2
-        else:
-            j = start - lo
-        for j in range(min(max(j, 1), n - 3), 0 if step < 0 else n - 2, step):
+
+def _sight(vals: list[int], l: int, kl: int, j: int, step: int) -> tuple[int, bool] | None:
+    """Nearest window from index ``j`` on, walking by ``step``, where S = l or L = kl.
+
+    ``j`` must be a window index, 1 <= j <= len(vals) - 3.  Returns (index, S
+    attained), or None past the end of ``vals`` or for ``l = 0``.  S is tested
+    first, so S counts as attained when both are.
+    """
+    if l:
+        stop = 0 if step < 0 else len(vals) - 2
+        while j != stop:
             s = vals[j] + vals[j + 1]
-            if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
-                yield lo + j, "S" if s == l else "L"
-                if cut:
-                    vals[j] = vals[j + 1] = 0
+            if s == l:
+                return j, True
+            if 2 * s + vals[j - 1] + vals[j + 2] == kl:
+                return j, False
+            j += step
+    return None
+
+
+def _cut_scan(vals: list[int], windows: Iterable[int], l: int, kl: int) -> list[int]:
+    """Indices of ``windows``, scanned in order, that sight a particle once the earlier ones are cut off.
+
+    Each sighting cuts its particle off by zeroing its two columns in place;
+    the cuts are undone before returning.  ``l = 0`` sights nothing.
+    """
+    if not l:
+        return []
+    found, cuts = [], []
+    for j in windows:
+        s = vals[j] + vals[j + 1]
+        if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
+            found.append(j)
+            cuts.append((j, vals[j], vals[j + 1]))
+            vals[j] = vals[j + 1] = 0
+    for j, x, y in reversed(cuts):
+        vals[j], vals[j + 1] = x, y
+    return found
+
+
+def _every_window(vals: list[int], step: int) -> range:
+    """Every window index of ``vals``, descending (``step=-1``) or ascending (``step=+1``)."""
+    return range(len(vals) - 3, 0, -1) if step < 0 else range(1, len(vals) - 2)
+
+
+def _side_step(side: str) -> int:
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    return -1 if side == "right" else +1
+
+
+def _leaves_class(vals: list[int], k: int, l: int) -> bool:
+    """True unless the buffer ``vals`` is (k, 3)-admissible of weight at most ``l`` (one window pass)."""
+    s_max, t_max, l_max = _window_maxima(vals)
+    return t_max > k or s_max > l or l_max > k + l
 
 
 def _require_weight_at_most(a: Configuration, k: int, l: int) -> int:
@@ -228,44 +259,47 @@ def _require_weight_at_most(a: Configuration, k: int, l: int) -> int:
 
 def _require_weight_exact(a: Configuration, k: int, l: int) -> None:
     w = _require_weight_at_most(a, k, l)
+    if l < 1:
+        raise MoveError("no weight-0 particle to move")
     if w < l:
         raise MoveError(f"{a} has weight {w} < l={l}; no weight-{l} particle to move")
 
 
-def _sight(a: Configuration, k: int, l: int, step: int) -> ParticleSighting | None:
-    """Highest (``step=-1``) or lowest (``step=+1``) sighting, or None if the weight is below l."""
-    found = next(_Scratch(a).sightings(k, l, step), None)
-    return None if found is None else ParticleSighting(found[0], found[1], l)
+def _end_particle(a: Configuration, k: int, l: int, step: int) -> ParticleSighting | None:
+    """The highest (``step=-1``) or lowest (``step=+1``) weight-l particle."""
+    _require_weight_at_most(a, k, l)
+    sc = _Scratch(a)
+    found = _sight(sc.vals, l, k + l, len(sc.vals) - 3 if step < 0 else 1, step)
+    return None if found is None else ParticleSighting(sc.lo + found[0], "S" if found[1] else "L", l)
 
 
 def highest_particle(a: Configuration, k: int, l: int) -> ParticleSighting | None:
     """Largest column carrying a weight-l particle, or None if the weight is < l."""
-    _require_weight_at_most(a, k, l)
-    return _sight(a, k, l, -1)
+    return _end_particle(a, k, l, -1)
 
 
 def lowest_particle(a: Configuration, k: int, l: int) -> ParticleSighting | None:
     """Smallest column carrying a weight-l particle, or None if the weight is < l."""
-    _require_weight_at_most(a, k, l)
-    return _sight(a, k, l, +1)
+    return _end_particle(a, k, l, +1)
+
+
+def _end_move(a: Configuration, k: int, l: int, step: int) -> Configuration:
+    """The unit transfer at the highest (``step=-1``) or lowest (``step=+1``) weight-l particle."""
+    _require_weight_exact(a, k, l)
+    sc = _Scratch(a)
+    i, _ = _sight(sc.vals, l, k + l, len(sc.vals) - 3 if step < 0 else 1, step)
+    sc.transfer(sc.lo + i, step)
+    return sc.to_configuration()
 
 
 def right_move(a: Configuration, k: int, l: int) -> Configuration:
     """Move the highest weight-l particle one step right; energy +1, length fixed."""
-    _require_weight_exact(a, k, l)
-    sight = _sight(a, k, l, -1)
-    assert sight is not None
-    i = sight.position
-    return a.with_delta((i, -1), (i + 1, +1))
+    return _end_move(a, k, l, -1)
 
 
 def left_move(a: Configuration, k: int, l: int) -> Configuration:
     """Move the lowest weight-l particle one step left; energy -1, length fixed."""
-    _require_weight_exact(a, k, l)
-    sight = _sight(a, k, l, +1)
-    assert sight is not None
-    j = sight.position
-    return a.with_delta((j, +1), (j + 1, -1))
+    return _end_move(a, k, l, +1)
 
 
 def particle_positions(a: Configuration, k: int, l: int, side: str = "right") -> list[int]:
@@ -277,18 +311,9 @@ def particle_positions(a: Configuration, k: int, l: int, side: str = "right") ->
     particles.
     """
     _require_weight_at_most(a, k, l)
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    step = -1 if side == "right" else +1
-    return [p for p, _ in _Scratch(a).sightings(k, l, step, cut=True)]
-
-
-def _outside_class(a: Configuration, k: int, l: int) -> bool:
-    """True unless ``a`` is (k, 3)-admissible of weight at most ``l`` (one window pass)."""
-    try:
-        return weight(a, k) > l
-    except AdmissibilityError:
-        return True
+    step = _side_step(side)
+    sc = _Scratch(a)
+    return [sc.lo + j for j in _cut_scan(sc.vals, _every_window(sc.vals, step), l, k + l)]
 
 
 def move_cth(a: Configuration, k: int, l: int, c: int, side: str = "right") -> Configuration:
@@ -302,20 +327,14 @@ def move_cth(a: Configuration, k: int, l: int, c: int, side: str = "right") -> C
     positions = particle_positions(a, k, l, side)
     if len(positions) < c:
         raise MoveError(f"{a} holds {len(positions)} weight-{l} particles, no particle #{c}")
-    p = positions[c - 1]
-    try:
-        if side == "right":
-            moved = a.with_delta((p, -1), (p + 1, +1))
-        else:
-            moved = a.with_delta((p, +1), (p + 1, -1))
-    except ValueError as exc:
-        raise MoveError(f"particle #{c} of {a} cannot move {side}: {exc}") from None
-    if _outside_class(moved, k, l):
+    sc = _Scratch(a)
+    sc.transfer(positions[c - 1], _side_step(side))
+    if _leaves_class(sc.vals, k, l):
         raise MoveError(
             f"moving particle #{c} of {a} {side} leaves the admissible class; "
             "composite move order violated"
         )
-    return moved
+    return sc.to_configuration()
 
 
 def move_all(a: Configuration, k: int, l: int, side: str = "right", times: int = 1) -> Configuration:
@@ -325,31 +344,19 @@ def move_all(a: Configuration, k: int, l: int, side: str = "right", times: int =
     positions of the not-yet-moved particles are unaffected by the earlier
     transfers in the same sweep, so they are computed once per sweep.
     """
-    cur = a
+    _require_weight_at_most(a, k, l)
+    step = _side_step(side)
+    sc = _Scratch(a)
+    vals = sc.vals
     for _ in range(times):
-        positions = particle_positions(cur, k, l, side)
+        positions = [sc.lo + j for j in _cut_scan(vals, _every_window(vals, step), l, k + l)]
         if not positions:
-            return cur
-        if side == "right":
-            changes = [d for p in positions for d in ((p, -1), (p + 1, +1))]
-        else:
-            changes = [d for p in positions for d in ((p, +1), (p + 1, -1))]
-        cur = cur.with_delta(*changes)
-        if _outside_class(cur, k, l):
-            raise InternalCheckError(f"sweep left the admissible class at {cur}")
-    return cur
-
-
-def _sight_down(vals: list[int], l: int, kl: int, j: int) -> tuple[int, bool] | None:
-    """Highest window at or below index ``j`` where S = l or L = kl, as (index, S attained)."""
-    while j > 0:
-        s = vals[j] + vals[j + 1]
-        if s == l:
-            return j, True
-        if 2 * s + vals[j - 1] + vals[j + 2] == kl:
-            return j, False
-        j -= 1
-    return None
+            break
+        for p in positions:
+            sc.transfer(p, step)
+        if _leaves_class(vals, k, l):
+            raise InternalCheckError(f"sweep left the admissible class at {sc.to_configuration()}")
+    return sc.to_configuration()
 
 
 def free_particle(a: Configuration, k: int, l: int) -> FreeParticle | None:
@@ -362,7 +369,7 @@ def free_particle(a: Configuration, k: int, l: int) -> FreeParticle | None:
         return None
     sc = _Scratch(a)
     top = len(sc.vals) - sc.MARGIN - 1
-    found = _sight_down(sc.vals, l, k + l, top)
+    found = _sight(sc.vals, l, k + l, top, -1)
     if found is None:
         return None
     i, by_s = found
@@ -388,7 +395,7 @@ def _float_free(sc: _Scratch, k: int, l: int, top: int, origin: Configuration) -
     kl = k + l
     j, t = top, 0
     while t <= cap:
-        found = _sight_down(vals, l, kl, j)
+        found = _sight(vals, l, kl, j, -1)
         if found is None:
             raise InternalCheckError(f"weight fell below l={l} after {t} right moves from {origin}")
         i, by_s = found
@@ -406,11 +413,14 @@ def _float_free(sc: _Scratch, k: int, l: int, top: int, origin: Configuration) -
                 before = sc.to_configuration() if _debug_enabled() else None
                 vals[i] = vals[i + 1] = 0
                 sc.place(e + rise + l * sc.lo, l)
-                if before is not None and _replay(before, k, l, -1, rise) != sc.to_configuration():
-                    raise InternalCheckError(
-                        f"free rise of {rise} right moves from column {sc.lo + i} disagrees with "
-                        f"single moves, from {origin}"
-                    )
+                if before is not None:
+                    for _ in range(rise):
+                        before = right_move(before, k, l)
+                    if before != sc.to_configuration():
+                        raise InternalCheckError(
+                            f"free rise of {rise} right moves from column {sc.lo + i} disagrees with "
+                            f"single moves, from {origin}"
+                        )
                 t += rise
                 j = n - 2
                 continue
@@ -539,50 +549,25 @@ def _fall(vals: list[int], l: int, found: list[int], energies: list[int], left: 
     return d
 
 
-def _replay(a: Configuration, k: int, l: int, step: int, count: int) -> Configuration:
-    """``a`` after ``count`` moves made one at a time from full scans, for checking a free flight.
-
-    ``step=+1`` makes full left sweeps, ``step=-1`` right moves of the highest
-    weight-l particle.
-    """
-    sc = _Scratch(a)
-    for _ in range(count):
-        sighted = list(sc.sightings(k, l, +1, cut=True)) if step > 0 else [next(sc.sightings(k, l, -1))]
-        for p, _ in sighted:
-            sc.bump(p, step)
-            sc.bump(p + 1, -step)
-    return sc.to_configuration()
-
-
 def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None) -> None:
     """Apply ``times`` full bottom-up left sweeps to the weight-l particles in ``sc``, in place.
 
-    The first sweep scans every window; each later one rescans only the
-    windows within two columns of the previous sweep's sightings, which finds
-    the same particles.  When every sighting of a sweep is an isolated
-    particle, they all fall by as many sweeps as keeps them isolated in one
-    step (see the module docstring).  With RIGGED_DEBUG=1 every sweep is
-    rechecked against the full scan and every fall is replayed sweep by sweep.
+    Each sweep cut-scans its windows (``_cut_scan``): the first sweep every
+    window, each later one only the windows within two columns of where the
+    previous sweep sighted particles, which sights the same particles.  When
+    every sighting of a sweep is an isolated particle, they all fall by as
+    many sweeps as keeps them isolated in one step (see the module
+    docstring).  With RIGGED_DEBUG=1 every sweep is compared with a cut-scan
+    of every window, and every fall with as many sweeps of ``move_all``.
     """
     vals, m, kl = sc.vals, sc.MARGIN, k + l
     debug = _debug_enabled()
-    windows = range(m - 2, len(vals) - 2) if l else ()
+    windows: Iterable[int] = _every_window(vals, +1)
     left = times
     while left > 0:
-        # Each sighting cuts off its particle by zeroing its two columns in
-        # place, as ``_Scratch.sightings`` does in a copy; the cuts are undone
-        # before anything moves.
-        found, cuts = [], []
-        for j in windows:
-            s = vals[j] + vals[j + 1]
-            if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
-                found.append(j)
-                cuts.append((j, vals[j], vals[j + 1]))
-                vals[j] = vals[j + 1] = 0
-        for j, x, y in reversed(cuts):
-            vals[j], vals[j + 1] = x, y
+        found = _cut_scan(vals, windows, l, kl)
         if debug:
-            full = [p - sc.lo for p, _ in sc.sightings(k, l, +1, cut=True)]
+            full = _cut_scan(vals, _every_window(vals, +1), l, kl)
             if full != found:
                 raise InternalCheckError(
                     f"local rescan sighted weight-{l} particles at {[sc.lo + p for p in found]}, "
@@ -611,7 +596,7 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None) -> N
                     vals[p] = vals[p + 1] = 0
                 for e in energies:
                     sc.place(e - d + l * lo, l)
-                if before is not None and _replay(before, k, l, +1, d) != sc.to_configuration():
+                if before is not None and move_all(before, k, l, "left", d) != sc.to_configuration():
                     raise InternalCheckError(
                         f"free fall of {d} sweeps of weight-{l} particles at {[lo + p for p in found]} "
                         "disagrees with single sweeps"
@@ -655,29 +640,29 @@ def _descend(a: Configuration, k: int, l: int, probe_column: int) -> tuple[list[
     top = a.support_max
     sc = _Scratch(a)
     sc.bump(probe_column, l)
+    vals, kl = sc.vals, k + l
     nodes: list[tuple[str, int, Configuration]] = []
     last_pos: int | None = None
     min0 = min(0, a.support_min if not a.is_zero else 0)
     cap = l * (probe_column - min0 + 3 * (a.length() + 2) + 10) + 10
     for _ in range(cap + 1):
-        found = next(sc.sightings(k, l, +1, None if last_pos is None else last_pos - 2), None)
+        found = _sight(vals, l, kl, 1 if last_pos is None else last_pos - 2 - sc.lo, +1)
         if found is None:
             raise InternalCheckError("probe vanished during descent")
-        pos, kind = found
+        pos, kind = sc.lo + found[0], "S" if found[1] else "L"
         if pos != last_pos:
             last_pos = pos
             # Stop once the probe is isolated: nothing below it, a two-column
             # gap above it, and everything above too light to interact.  The
             # isolated state is not part of the recorded history.
-            below_clear = not any(sc.vals[: pos - sc.lo])
+            below_clear = not any(vals[: pos - sc.lo])
             if below_clear and sc.get(pos + 2) == 0 and sc.get(pos + 3) == 0:
                 rest = sc.to_configuration(lo=pos + 2)
                 if weight(rest, k) < l:
                     return nodes, rest
             if pos <= top + 1:
                 nodes.append((kind, pos, sc.to_configuration()))
-        sc.bump(pos, +1)
-        sc.bump(pos + 1, -1)
+        sc.transfer(pos, +1)
     raise InternalCheckError(f"probe failed to pass {a} within {cap} moves")
 
 

@@ -119,10 +119,10 @@ class TestForwardMap:
     def test_local_recheck_catches_wrong_column(self, monkeypatch):
         # The fault of the same test in test_moves.py, reached through iota:
         # moving the lowest unit of (1,0,0,1) right at k=1 breaks a 3-window.
-        def lowest_column(vals, l, kl, j):
+        def lowest_column(vals, l, kl, j, step):
             return min(j for j, c in enumerate(vals) if c), False
 
-        monkeypatch.setattr(moves, "_sight_down", lowest_column)
+        monkeypatch.setattr(moves, "_sight", lowest_column)
         with pytest.raises(InternalCheckError, match="admissible class"):
             iota(cfg(1, 0, 0, 1), 1)
 

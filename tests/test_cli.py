@@ -79,10 +79,15 @@ class TestTrace:
             capsys, "trace", "--k", "3", "--l", "3", "--right", "6", "--config", "0:3,0,0,1"
         )
         assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 7
-        assert lines[0].startswith("0:3,0,0,1")
-        assert lines[-1].startswith("0:1,0,0,3")
+        assert out.strip().splitlines() == [
+            "0:3,0,0,1  [S@0]",
+            "0:2,1,0,1  [S@0]",
+            "0:1,2,0,1  [L@1]",
+            "0:1,1,1,1  [L@1]",
+            "0:1,0,2,1  [S@2]",
+            "0:1,0,1,2  [S@2]",
+            "0:1,0,0,3  [S@3]",
+        ]
 
     def test_zero_steps_echoes(self, capsys):
         code, out, _ = run(
@@ -111,6 +116,21 @@ class TestTrace:
         )
         assert code == 0
         assert out.strip().splitlines()[-1].startswith("0:3,0,0,1")
+        code, out, _ = run(
+            capsys, "trace", "--k", "4", "--l", "3", "--left", "3", "--config", "0:1,1,1,1,2"
+        )
+        assert code == 0
+        assert out.strip().splitlines() == [
+            "0:1,1,1,1,2  [L@2]",
+            "0:1,1,2,0,2  [S@1]",
+            "0:1,2,1,0,2  [S@0]",
+            "0:2,1,1,0,2  [S@0]",
+        ]
+
+    @pytest.mark.parametrize("direction", ["--right", "--left"])
+    def test_weight_zero_move_rejected(self, capsys, direction):
+        code, out, err = run(capsys, "trace", "--k", "2", "--l", "0", direction, "1", "--config", "0:")
+        assert code == 2 and out == "" and err.startswith("error:") and "no weight-0 particle" in err
 
     def test_needs_direction(self, capsys):
         code, _, err = run(capsys, "trace", "--k", "3", "--l", "3", "--config", "0:3,0,0,1")

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from rigged import identities, moves
 from rigged.bijection import iota, kappa
 from rigged.configuration import ZERO, Configuration, enumerate_configurations
-from rigged.moves import left_sweeps, separate_highest
+from rigged.moves import (
+    highest_particle,
+    left_move,
+    left_sweeps,
+    lowest_particle,
+    particle_positions,
+    right_move,
+    separate_highest,
+)
 
 MAX_LEVEL, MAX_WIDTH, MAX_OFFSET = 8, 40, 10
 
@@ -56,6 +64,64 @@ def _window_values(cols: list[int]):
 
 def reference_weight(cols: list[int], k: int) -> int:
     return max(max(s, big - k, 0) for _, s, big in _window_values(cols))
+
+
+def reference_particles(a: Configuration, k: int, l: int, side: str) -> list[tuple[int, str]]:
+    """(column, kind) of every weight-l particle, nearest the side's end first, by the definition.
+
+    Each step recomputes S and L over the whole list and takes the highest
+    (``side="right"``) or lowest sighting, then cuts off every column at or
+    above it, or at or below the column after it.
+    """
+    pad = 3
+    cols = [0] * pad + list(a.counts) + [0] * pad
+    found = []
+    while True:
+        hits = [(i, "S" if s == l else "L") for i, s, big in _window_values(cols) if s == l or big == k + l]
+        if not hits:
+            return found
+        i, kind = hits[-1] if side == "right" else hits[0]
+        found.append((a.offset - pad + i, kind))
+        if side == "right":
+            cols[i:] = [0] * (len(cols) - i)
+        else:
+            cols[: i + 2] = [0] * (i + 2)
+
+
+def reference_transfer(a: Configuration, column: int, side: str) -> Configuration:
+    """``a`` with one unit moved from ``column`` to the next column (right) or back (left)."""
+    pad = 3
+    cols = [0] * pad + list(a.counts) + [0] * pad
+    i = column - a.offset + pad
+    unit = 1 if side == "right" else -1
+    cols[i] -= unit
+    cols[i + 1] += unit
+    return Configuration(a.offset - pad, tuple(cols))
+
+
+@st.composite
+def capped(draw):
+    """(k, w, l, configuration): a case of ``admissible`` or ``gapped``, its weight w and a cap l in w..k."""
+    k, a = draw(st.one_of(admissible(), gapped()))
+    w = reference_weight([0] * 3 + list(a.counts) + [0] * 3, k)
+    return k, w, draw(st.one_of(st.just(w), st.integers(w, k))), a
+
+
+@given(capped())
+@settings(max_examples=150, deadline=None)
+def test_single_moves_match_reference(case):
+    k, w, l, a = case
+    right = reference_particles(a, k, l, "right")
+    left = reference_particles(a, k, l, "left")
+    assert particle_positions(a, k, l, "right") == [p for p, _ in right]
+    assert particle_positions(a, k, l, "left") == [p for p, _ in left]
+    for found, expected in ((highest_particle(a, k, l), right), (lowest_particle(a, k, l), left)):
+        assert (None if found is None else (found.position, found.kind, found.weight)) == (
+            (*expected[0], l) if expected else None
+        )
+    if l == w:
+        assert right_move(a, k, l) == reference_transfer(a, right[0][0], "right")
+        assert left_move(a, k, l) == reference_transfer(a, left[0][0], "left")
 
 
 def reference_separation(a: Configuration, k: int, l: int):

@@ -37,6 +37,7 @@ class TestSightings:
         assert highest_particle(cfg(3, 0, 0, 1), 3, 3).position == 0
         assert highest_particle(cfg(1, 2, 1, 1), 5, 3).position == 1
         assert highest_particle(ZERO, 3, 2) is None
+        assert highest_particle(ZERO, 3, 0) is None and lowest_particle(ZERO, 3, 0) is None
 
     def test_kind_prefers_s(self):
         # At (3,0,0,1) with k=l=3 both functionals saturate at column 0.
@@ -82,6 +83,9 @@ class TestElementaryMoves:
             right_move(ZERO, 3, 2)
         with pytest.raises(MoveError):
             right_move(cfg(1), 3, 2)
+        for move in (right_move, left_move):
+            with pytest.raises(MoveError, match="no weight-0 particle to move"):
+                move(ZERO, 2, 0)
 
     def test_energy_and_length_bookkeeping(self):
         for k, l in ((2, 1), (2, 2), (3, 2), (3, 3)):
@@ -106,6 +110,7 @@ class TestPositions:
         assert particle_positions(cfg(3, 0, 0, 1), 3, 3) == [0]
         assert particle_positions(cfg(1, 0, 0, 1), 1, 1) == [3, 0]
         assert particle_positions(ZERO, 2, 1, "left") == []
+        assert particle_positions(ZERO, 2, 0) == []
 
     def test_sides_same_count(self):
         for k, l in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3)):
@@ -137,9 +142,10 @@ class TestPositions:
                 assert left_sweeps(a, k, l, 2, expected=m) == move_all(a, k, l, "left", 2)
 
     def test_sweep_leaving_the_class_detected(self, monkeypatch):
-        # Moving only the lower unit of (1,0,0,1) at k=1 puts two units in one
-        # 3-window; the sweep's check reports it as an internal fault.
-        monkeypatch.setattr(moves, "particle_positions", lambda a, k, l, side: [0])
+        # A scan that sights only the lowest unit of (1,0,0,1): moving it
+        # right at k=1 puts two units in one 3-window; the sweep's check
+        # reports it as an internal fault.
+        monkeypatch.setattr(moves, "_cut_scan", lambda vals, windows, l, kl: [vals.index(1)])
         with pytest.raises(InternalCheckError, match="sweep left the admissible class"):
             move_all(cfg(1, 0, 0, 1), 1, 1, "right")
 
@@ -271,10 +277,10 @@ class TestSeparation:
         # A scanner that reports the lowest occupied column instead of the
         # highest particle: moving that unit right of (1,0,0,1) at k=1 puts
         # two units in one 3-window, which the per-move re-check must catch.
-        def lowest_column(vals, l, kl, j):
+        def lowest_column(vals, l, kl, j, step):
             return min(j for j, c in enumerate(vals) if c), False
 
-        monkeypatch.setattr(moves, "_sight_down", lowest_column)
+        monkeypatch.setattr(moves, "_sight", lowest_column)
         with pytest.raises(InternalCheckError, match="admissible class"):
             separate_highest(cfg(1, 0, 0, 1), 1, 1)
 
