@@ -49,6 +49,13 @@ class RiggedPartition:
             raise RiggingError(f"weights must be positive, got {parts}")
 
     @classmethod
+    def _trusted(cls, parts: tuple[tuple[int, int], ...]) -> "RiggedPartition":
+        """Internal constructor for parts already canonical: int pairs, ordered as stored."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "parts", parts)
+        return self
+
+    @classmethod
     def of(cls, weights: tuple[int, ...], riggings: tuple[int, ...]) -> "RiggedPartition":
         if len(weights) != len(riggings):
             raise RiggingError("weights and riggings must have equal length")
@@ -119,6 +126,14 @@ def multiplicities(weights: tuple[int, ...], k: int) -> tuple[int, ...]:
             raise RiggingError(f"weight {w} outside 1..{k}")
         m[w - 1] += 1
     return tuple(m)
+
+
+def _counts(rp: RiggedPartition, k: int) -> list[int]:
+    """Weight-indexed multiplicities [0, m_1, ..., m_k] of a partition with weights <= k."""
+    m = [0] * (k + 1)
+    for w, _ in rp.parts:
+        m[w] += 1
+    return m
 
 
 def e0(weights: tuple[int, ...], k: int) -> int:

@@ -29,12 +29,12 @@ from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterable, Iterator
 
-from .bijection import RiggedPartition, e0, e1, multiplicities
+from .bijection import RiggedPartition, RiggingError, _counts, e0, e1
 from .configuration import Configuration, check_level, enumerate_configurations
 from .configuration import weight as config_weight
 from .moves import InternalCheckError, _debug_enabled
 from .phases import _load, _table, _vacancies
-from .qseries import QPolynomial, q_binomial
+from .qseries import QPolynomial, _times_binomial, q_binomial
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,10 @@ def _within_floor(rp: RiggedPartition, values: tuple[int, ...]) -> bool:
 
 def satisfies_boundary(rp: RiggedPartition, k: int, N: int) -> bool:
     """True iff every rigging fits under its weight's ceiling w*N - sum_v A(w, v) m_v + A(w, w)."""
-    ceiling = _vacancies(k, N, (0, *multiplicities(rp.weights, k)), (0,) * (k + 1))
+    check_level(k)
+    if rp.parts and rp.parts[0][0] > k:
+        raise RiggingError(f"weight {rp.parts[0][0]} outside 1..{k}")
+    ceiling = _vacancies(k, N, _counts(rp, k), (0,) * (k + 1))
     return all(r <= ceiling[w] for w, r in rp.parts)
 
 
@@ -214,7 +217,7 @@ def enumerate_rigged(
             if m[w]
         ]
         for chosen in itertools.product(*blocks):
-            yield RiggedPartition(tuple(itertools.chain.from_iterable(chosen)))
+            yield RiggedPartition._trusted(tuple(itertools.chain.from_iterable(chosen)))
 
 
 def rigged_sum(k: int, rset: RestrictedSet) -> QPolynomial:
@@ -239,15 +242,17 @@ def _fermionic_sum(k: int, floor_values: tuple[int, ...], N: int, weight_cap: in
     The factor of weight j is [p_j + m_j choose m_j], with p_j the vacancy of
     ``rigged.phases``; it is zero once p_j < 0 with m_j > 0, so the sum runs
     over the vectors ``_feasible`` yields and skips exactly those whose
-    binomial product is zero.
+    binomial product is zero.  Factors with p_j = 0 are 1; the product starts
+    as a copy of the first other factor's cached ``q_binomial`` and takes each
+    further one in place (``qseries._times_binomial``).
     """
     acc: list[int] = []
     for m, p, exponent in _feasible(k, min(k, weight_cap), N, (0, *floor_values)):
-        product = QPolynomial.one()
-        for p_j, m_j in zip(p, m):
-            if m_j:
-                product = product * q_binomial(p_j + m_j, m_j)
-        _add_at(acc, product.coeffs, exponent)
+        (p_first, m_first), *rest = [(p_j, m_j) for p_j, m_j in zip(p, m) if m_j and p_j] or [(0, 0)]
+        product = list(q_binomial(p_first + m_first, m_first).coeffs)
+        for p_j, m_j in rest:
+            _times_binomial(product, p_j, m_j)
+        _add_at(acc, product, exponent)
     return QPolynomial(tuple(acc))
 
 

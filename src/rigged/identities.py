@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .bijection import EMPTY, RiggedPartition, e0, e1, kappa, multiplicities
+from .bijection import EMPTY, RiggedPartition, _counts, e0, e1, kappa
 from .characters import (
     RestrictedSet,
+    _add_at,
     chi_closed,
     config_sum,
     enumerate_rigged,
@@ -27,9 +28,9 @@ from .characters import (
     weighted_config_sum,
 )
 from .configuration import Configuration, check_level, enumerate_configurations, weight
-from .moves import pass_particle, passing_history, right_move, separate_highest
+from .moves import _separate, pass_particle, passing_history, right_move
 from .phases import _load, _quadratic_form, phase
-from .qseries import QPolynomial, gordon_quadratic_form, inv_pochhammer
+from .qseries import QPolynomial, _over_one_minus, gordon_quadratic_form
 
 
 @dataclass(frozen=True)
@@ -72,10 +73,10 @@ def _iota(a: Configuration, k: int) -> RiggedPartition:
     """
     if a.is_zero:
         return EMPTY
-    sep = separate_highest(a, k, weight(a, k))
+    sep = _separate(a, k, weight(a, k))
     tail = _iota(sep.remainder, k)
     w = sep.free.weight
-    owed = _load(k, w, (0, *multiplicities(tail.weights, k)))
+    owed = _load(k, w, _counts(tail, k))
     return RiggedPartition(((w, sep.surplus - owed),) + tail.parts)
 
 
@@ -142,28 +143,30 @@ def verify_roundtrip(k: int, N: int) -> VerifyReport:
 
 
 def _gordon_rhs(k: int, max_degree: int, window: int) -> QPolynomial:
-    """Series side: sum over multiplicity vectors of q^ground / Pochhammer factors."""
-    total = QPolynomial.zero(order=max_degree)
+    """Series side: the sum over m of q^ground(m) / prod_l (q)_{m_l}, cut at ``max_degree``.
+
+    The walk fixes m_1, m_2, ... in turn, carrying 1 / prod (q)_{m_l} over the fixed weights as one list cut
+    to the degrees still reachable; raising the current m_l to v divides that list in place by (1 - q^v).
+    """
+    total: list[int] = []
 
     def ground(m: tuple[int, ...]) -> int:
         return _quadratic_form(k, (0, *m)) if window == 3 else gordon_quadratic_form(m)
 
-    def rec(prefix: tuple[int, ...], g: int) -> Iterable[tuple[tuple[int, ...], int]]:
-        """Yield (m, ground(m)) for every vector extending ``prefix`` (of ground energy g) that fits."""
+    def rec(prefix: tuple[int, ...], g: int, term: list[int]) -> None:
+        """Add the term of every fitting vector extending ``prefix``; ``term`` is 1 / prod (q)_{m_l} over ``prefix``."""
+        term = term[: max_degree + 1 - g]
         if len(prefix) == k:
-            yield prefix, g
+            _add_at(total, term, g)
             return
         value = 0
         while (g := ground(prefix + (value,) + (0,) * (k - len(prefix) - 1))) <= max_degree:
-            yield from rec(prefix + (value,), g)
+            rec(prefix + (value,), g, term)
             value += 1
+            _over_one_minus(term, value, exact=False)
 
-    for m, g in rec((), 0):
-        term = QPolynomial.q_power(g, order=max_degree)
-        for ml in m:
-            term = term * inv_pochhammer(ml, max_degree)
-        total = total + term
-    return total
+    rec((), 0, [1] + [0] * max_degree)
+    return QPolynomial(tuple(total), max_degree)
 
 
 def verify_gordon(k: int, max_degree: int) -> VerifyReport:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from operator import sub
 
 from .configuration import check_level
 from .phases import _quadratic_form, gordon_phase
@@ -157,34 +158,54 @@ class QPolynomial:
         return self.to_text()
 
 
+def _times_one_minus(c: list[int], a: int) -> None:
+    """c *= (1 - q^a) in place, exactly: the list grows by a."""
+    c.extend([0] * a)
+    c[a:] = map(sub, c[a:], c[:-a])
+
+
+def _over_one_minus(c: list[int], i: int, exact: bool) -> None:
+    """c /= (1 - q^i) in place, as a series below degree len(c): a running sum per residue class mod i.
+
+    With ``exact`` the last i coefficients are a polynomial remainder, which must be zero and is dropped.
+    """
+    for r in range(min(i, len(c))):
+        c[r::i] = accumulate(c[r::i])
+    if exact:
+        if any(c[-i:]):
+            raise ArithmeticError(f"division by 1 - q^{i} left a remainder")
+        del c[-i:]
+
+
+def _times_binomial(c: list[int], p: int, m: int) -> None:
+    """c *= [p + m choose m] in place: times (1 - q^(p+i)), then exact division by (1 - q^i), for i = 1..m.
+
+    Each round multiplies by [p + i choose i] / [p + i - 1 choose i - 1], so the list's degree never overshoots.
+    """
+    for i in range(1, m + 1):
+        _times_one_minus(c, p + i)
+        _over_one_minus(c, i, exact=True)
+
+
 def _divide_exact(p: QPolynomial, i: int) -> QPolynomial:
     """Exact synthetic division of an exact polynomial by (1 - q**i)."""
-    c = p.coeffs
-    n = max(len(c) - i, 0)
-    out = list(c[:n])
-    for d in range(i, n):
-        out[d] += out[d - i]
-    for d in range(n, len(c)):
-        if c[d] + (out[d - i] if d >= i else 0):
-            raise ArithmeticError(f"division by 1 - q^{i} left a remainder")
-    return QPolynomial(tuple(out))
+    c = list(p.coeffs)
+    _over_one_minus(c, i, exact=True)
+    return QPolynomial(tuple(c))
 
 
 @lru_cache(maxsize=None)
 def q_binomial(m: int, n: int) -> QPolynomial:
     """Gaussian binomial [m choose n]; zero outside 0 <= n <= m.
 
-    Computed as a product of (1 - q^{m-n+i}) / (1 - q^i) factors with exact
-    synthetic division at every step.  The sparse factor goes on the left,
-    where the convolution skips zero coefficients.
+    Built on one running list by n slice passes of each kind, with every
+    division checked to be exact (``_times_binomial``).
     """
     if n < 0 or n > m:
         return QPolynomial.zero()
-    result = QPolynomial.one()
-    for i in range(1, n + 1):
-        result = QPolynomial((1,) + (0,) * (m - n + i - 1) + (-1,)) * result
-        result = _divide_exact(result, i)
-    return result
+    c = [1]
+    _times_binomial(c, m - n, n)
+    return QPolynomial(tuple(c))
 
 
 def inv_pochhammer(m: int, order: int) -> QPolynomial:
@@ -193,11 +214,10 @@ def inv_pochhammer(m: int, order: int) -> QPolynomial:
         raise ValueError("need a non-negative number of factors")
     if order < 0:
         raise ValueError("need a non-negative truncation order")
-    result = QPolynomial.one(order=order)
+    c = [1] + [0] * order
     for i in range(1, m + 1):
-        geometric = QPolynomial(tuple(int(j % i == 0) for j in range(order + 1)), order)
-        result = geometric * result
-    return result
+        _over_one_minus(c, i, exact=False)
+    return QPolynomial(tuple(c), order)
 
 
 def quadratic_form_Q(m: tuple[int, ...], k: int) -> int:

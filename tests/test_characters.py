@@ -24,7 +24,7 @@ from rigged.characters import (
 )
 from rigged.moves import InternalCheckError
 from rigged.phases import phase
-from rigged.qseries import QPolynomial, q_binomial, quadratic_form_Q
+from rigged.qseries import QPolynomial, quadratic_form_Q
 
 
 def rp(weights, riggings):
@@ -203,8 +203,28 @@ class TestColumnTransfer:
                         assert weighted_config_sum(k, l, a0, a1, N) == histogram(rows), (N, l, a0, a1)
 
 
+@lru_cache(maxsize=None)
+def box_binomial(rows, max_part):
+    """[rows + max_part choose rows] by counting partitions with at most ``rows`` parts, each <= ``max_part``.
+
+    The largest part goes first and the rest fit in a narrower box; no Gaussian
+    binomial code is involved.  With rows > 0, a negative ``max_part`` gives zero.
+    """
+    if rows == 0:
+        return QPolynomial.one()
+    total = QPolynomial.zero()
+    for first in range(max_part + 1):
+        total = total + QPolynomial.q_power(first) * box_binomial(rows - 1, first)
+    return total
+
+
 def fermionic_reference(k, floor_values, N, weight_cap):
-    """The fermionic sum over the whole itertools.product box of multiplicity vectors."""
+    """The fermionic sum over the whole itertools.product box of multiplicity vectors.
+
+    Each Gaussian binomial is a box-partition count and the factors are
+    multiplied by ``QPolynomial.__mul__``, so this shares no code with the
+    library's running products.
+    """
     bounds = [
         0 if j > weight_cap else max(0, (j * N + phase(k, j, j) - floor_values[j - 1]) // phase(k, j, j))
         for j in range(1, k + 1)
@@ -220,7 +240,7 @@ def fermionic_reference(k, floor_values, N, weight_cap):
                     + phase(k, j, j)
                     - floor_values[j - 1]
                 )
-                product = product * q_binomial(vacancy + m[j - 1], m[j - 1])
+                product = product * box_binomial(m[j - 1], vacancy)
         exponent = quadratic_form_Q(m, k) + sum(map(operator.mul, floor_values, m))
         for d, c in enumerate(product.coeffs):
             total[d + exponent] += c

@@ -76,6 +76,31 @@ class TestGordon:
         assert verify_gordon_r2(3, 15).passed
 
 
+class TestBeyondTheGrid:
+    """Sizes past the default grid that the running-product series make cheap.
+
+    The RIGGED_DEBUG=1 recount enumerates every configuration, millions at these
+    sizes, so these run without it; the debug tests cover the recount at small sizes.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_debug(self, monkeypatch):
+        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+
+    def test_gordon_level_six_to_q100(self):
+        assert verify_gordon(6, 100).passed
+
+    def test_window_two_level_five_to_q100(self):
+        assert verify_gordon_r2(5, 100).passed
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    def test_every_polynomial_identity_at_level_five(self, l):
+        for a in range(l + 1):
+            for b in range(l + 1 - a):
+                report = verify_polynomial_identity(5, l, a, b, 10)
+                assert report.passed, report
+
+
 class TestPolynomialIdentity:
     def test_worked_instance(self):
         report = verify_polynomial_identity(1, 1, 1, 0, 3)

@@ -9,6 +9,9 @@ from rigged.bijection import e0, multiplicities
 from rigged.qseries import (
     QPolynomial,
     _divide_exact,
+    _over_one_minus,
+    _times_binomial,
+    _times_one_minus,
     gordon_quadratic_form,
     inv_pochhammer,
     q_binomial,
@@ -169,6 +172,39 @@ def test_exact_division_by_one_minus_q_power(x, i):
             _divide_exact(p, i)
     else:
         assert _divide_exact(p, i) * (1 - QPolynomial.q_power(i)) == p
+
+
+coefficient_lists = st.lists(st.integers(-4, 4), max_size=12)
+
+
+@given(coefficient_lists, st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_slice_loops_match_convolution(coeffs, a):
+    """The in-place loops against ``QPolynomial.__mul__`` by (1 - q^a) and by a truncated geometric series."""
+    c = list(coeffs)
+    _times_one_minus(c, a)
+    assert len(c) == len(coeffs) + a
+    assert QPolynomial(tuple(c)) == QPolynomial(tuple(coeffs)) * (1 - QPolynomial.q_power(a))
+    _over_one_minus(c, a, exact=True)
+    assert c == coeffs
+    order = len(coeffs) - 1
+    geometric = QPolynomial(tuple(int(d % a == 0) for d in range(order + 1)), order)
+    _over_one_minus(c, a, exact=False)
+    assert QPolynomial(tuple(c), order) == QPolynomial(tuple(coeffs), order) * geometric
+    # A nonzero coefficient sum over some residue class mod a means 1 - q^a does not divide.
+    if any(sum(coeffs[r::a]) for r in range(a)):
+        with pytest.raises(ArithmeticError):
+            _over_one_minus(list(coeffs), a, exact=True)
+
+
+@given(coefficient_lists, st.integers(0, 6), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_times_binomial_matches_box_partition_product(coeffs, p, m):
+    c = list(coeffs)
+    _times_binomial(c, p, m)
+    assert len(c) == len(coeffs) + p * m
+    box = QPolynomial.from_dict(dict(box_partition_counts(m, p)))
+    assert QPolynomial(tuple(c)) == QPolynomial(tuple(coeffs)) * box
 
 
 class TestQBinomial:
