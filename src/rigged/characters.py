@@ -138,6 +138,17 @@ def member(rp: RiggedPartition, rset: RestrictedSet, k: int) -> bool:
     return True
 
 
+def _floor_difference_sets(a: int, b: int, k: int, N: int | None) -> tuple[RestrictedSet | None, tuple[RestrictedSet, ...]]:
+    """The sets of ``member_floor_difference``: floor(a, b) (None when empty) and the nonempty ones it loses."""
+
+    def floor_set(x: int, y: int) -> RestrictedSet:
+        return RestrictedSet(floor_for(x, k - x if x + y == k + 1 else y, k, k), (), k, N)
+
+    if a < 0 or b < 0:
+        return None, ()
+    return floor_set(a, b), tuple(floor_set(x, y) for x, y in ((a - 1, b + 2), (a, b - 1)) if x >= 0 and y >= 0)
+
+
 def member_floor_difference(rp: RiggedPartition, a: int, b: int, k: int, N: int | None) -> bool:
     """Initial-column membership in pure difference-of-floors form (cap l = k).
 
@@ -145,16 +156,8 @@ def member_floor_difference(rp: RiggedPartition, a: int, b: int, k: int, N: int 
     floor(a - 1, b + 2) and floor(a, b - 1); a negative index means the empty
     family, and b + 2 wraps to k - a + 1 on the a + b = k boundary.
     """
-
-    def in_floor_set(x: int, y: int) -> bool:
-        if x < 0 or y < 0:
-            return False
-        if x + y == k + 1:
-            y = k - x
-        rset = RestrictedSet(floor_for(x, y, k, k), (), k, N)
-        return member(rp, rset, k)
-
-    return in_floor_set(a, b) and not in_floor_set(a - 1, b + 2) and not in_floor_set(a, b - 1)
+    inside, outside = _floor_difference_sets(a, b, k, N)
+    return inside is not None and member(rp, inside, k) and not any(member(rp, s, k) for s in outside)
 
 
 def _feasible(k: int, l: int, N: int, floor: tuple[int, ...]) -> Iterator[tuple[list[int], list[int], int]]:
@@ -359,6 +362,7 @@ def weighted_config_sum(k: int, l: int, a0: int, a1: int, N: int) -> QPolynomial
         raise ValueError("boundary must be non-negative")
     result = _column_transfer(k, 3, {0: a0, 1: a1}, N, None, l)
     if _debug_enabled():
+        # Filtered by weight(), not the enumerator's own cap, so the two caps never vouch for each other.
         family = enumerate_configurations(k, 3, N, a0=a0, a1=a1)
         _check_against_enumeration(result, (cfg for cfg in family if config_weight(cfg, k) <= l))
     return result

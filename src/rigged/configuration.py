@@ -16,14 +16,17 @@ with k; the weight is max(S_max, L_max - k, 0).
 
 Enumeration fills one mutable row of columns 0..limit left to right, where
 the limit is the smaller of the boundary N and the energy cap.  Each column
-takes every value its r-window and the energy left allow (or its pinned
-a_0/a_1 value), and descent stops once one unit in the next column costs
-more than the energy left, since every later column is then zero.  Each
-leaf copies the whole row into one configuration, in lexicographic order of
-(a_0, a_1, ...).  The character identities no longer sum this stream: their
-configuration side is a column transfer matrix over the same window rules
-(``characters.config_sum``).  This enumeration is the brute-force oracle the
-transfer is tested against, and under RIGGED_DEBUG=1 it recounts every sum.
+takes every value its r-window, the energy left and an optional weight cap l
+allow (or its pinned a_0/a_1 value).  The cap checks S <= l and L <= k + l on
+each window the new column enters, counting later columns as zero; window
+sums only grow, so the cap is exact and never builds a dead subtree, and at
+l = k it never binds, as each L is the sum of two 3-windows.  Descent stops
+once one unit in the next column costs more than the energy left, since
+every later column is then zero.  Each leaf copies the row into one
+configuration, in lexicographic order of (a_0, a_1, ...).  The character
+identities count configurations with a column transfer matrix over the same
+window rules (``characters.config_sum``); this enumeration is its
+brute-force oracle, and under RIGGED_DEBUG=1 it recounts every sum.
 
 Everything is exact integer arithmetic on immutable values.
 """
@@ -246,18 +249,22 @@ def enumerate_configurations(
     a0: int | None = None,
     a1: int | None = None,
     max_energy: int | None = None,
+    max_weight: int | None = None,
 ) -> Iterator[Configuration]:
     """Yield every positively supported (k, r)-admissible configuration once.
 
     The support is confined to columns 0..N; when ``max_energy`` is given the
     energy is additionally capped (and may replace N as the finiteness bound,
     since a unit at column i > max_energy already costs more than the cap).
+    ``max_weight`` (r = 3 only) keeps the configurations of weight at most it.
     Unsatisfiable a0/a1 constraints or a negative bound simply produce an
     empty stream.  The order is lexicographic in (a_0, a_1, ...).
     """
-    check_level(k)
+    check_level(k, max_weight)
     if r not in (2, 3):
         raise ValueError(f"window size r must be 2 or 3, got {r}")
+    if max_weight is not None and r == 2:
+        raise ValueError("a weight cap needs window size r = 3")
     if N is None and max_energy is None:
         raise ValueError("need a boundary N or an energy cap to enumerate finitely")
     limit = min(bound for bound in (N, max_energy) if bound is not None)
@@ -266,23 +273,29 @@ def enumerate_configurations(
     # either vacuous or unsatisfiable.
     if limit < 0 or any(v for col, v in pins.items() if col > limit):
         return
-    row = [0] * (limit + 1)
+    # Column i lives at row[i + 3], behind three zero columns.
+    row = [0] * (limit + 4)
+    l = max_weight if max_weight is not None and max_weight < k else None
 
     def fill(i: int, budget: int) -> Iterator[Configuration]:
         # Past the limit, or at a column dearer than the budget left, every
         # remaining column is zero.  That column is never a pinned one: column
         # 0 is free, so column 1 sees the whole cap, and a zero cap means limit 0.
         if i > limit or budget < i:
-            yield Configuration._trusted(0, tuple(row))
+            yield Configuration._trusted(-3, tuple(row))
             return
-        cap = k - sum(row[max(0, i - r + 1) : i])
+        x, y, z = row[i : i + 3]
+        cap = k - z - (y if r == 3 else 0)
         if i:
             cap = min(cap, budget // i)
+        if l is not None:
+            # S = z + v and the L window ending at v; later L windows are sums of a 3-window and an S.
+            cap = min(cap, l - z, k + l - x - 2 * y - 2 * z)
         pin = pins.get(i)
         for v in range(cap + 1) if pin is None else (pin,) if 0 <= pin <= cap else ():
-            row[i] = v
+            row[i + 3] = v
             yield from fill(i + 1, budget - i * v)
-        row[i] = 0
+        row[i + 3] = 0
 
     # Without an energy cap, the largest energy a row can carry never binds.
     yield from fill(0, max_energy if max_energy is not None else k * limit * (limit + 1) // 2)

@@ -16,21 +16,21 @@ from .bijection import EMPTY, RiggedPartition, _counts, e0, e1, kappa
 from .characters import (
     RestrictedSet,
     _add_at,
+    _floor_difference_sets,
     chi_closed,
     config_sum,
     enumerate_rigged,
     floor_for,
     initial_columns_set,
     member,
-    member_floor_difference,
     rigged_sum,
     satisfies_boundary,
     weighted_config_sum,
 )
 from .configuration import Configuration, check_level, enumerate_configurations, weight
 from .moves import _separate, pass_particle, passing_history, right_move
-from .phases import _load, _quadratic_form, phase
-from .qseries import QPolynomial, _over_one_minus, gordon_quadratic_form
+from .phases import _load, phase
+from .qseries import QPolynomial, _over_one_minus
 
 
 @dataclass(frozen=True)
@@ -149,23 +149,23 @@ def _gordon_rhs(k: int, max_degree: int, window: int) -> QPolynomial:
     to the degrees still reachable; raising the current m_l to v divides that list in place by (1 - q^v).
     """
     total: list[int] = []
+    m = [0] * (k + 1)
 
-    def ground(m: tuple[int, ...]) -> int:
-        return _quadratic_form(k, (0, *m)) if window == 3 else gordon_quadratic_form(m)
-
-    def rec(prefix: tuple[int, ...], g: int, term: list[int]) -> None:
-        """Add the term of every fitting vector extending ``prefix``; ``term`` is 1 / prod (q)_{m_l} over ``prefix``."""
+    def rec(j: int, g: int, term: list[int]) -> None:
+        """Add the term of every fitting vector extending m_1..m_{j-1}, whose Q is ``g`` and 1 / prod (q)_{m_l} ``term``."""
         term = term[: max_degree + 1 - g]
-        if len(prefix) == k:
+        if j > k:
             _add_at(total, term, g)
             return
-        value = 0
-        while (g := ground(prefix + (value,) + (0,) * (k - len(prefix) - 1))) <= max_degree:
-            rec(prefix + (value,), g, term)
-            value += 1
-            _over_one_minus(term, value, exact=False)
+        while g <= max_degree:
+            rec(j + 1, g, term)
+            # One more weight-j particle raises Q by its load on the particles already counted.
+            g += _load(k, j, m) if window == 3 else sum(2 * min(j, v) * m_v for v, m_v in enumerate(m)) + j
+            m[j] += 1
+            _over_one_minus(term, m[j], exact=False)
+        m[j] = 0
 
-    rec((), 0, [1] + [0] * max_degree)
+    rec(1, 0, [1] + [0] * max_degree)
     return QPolynomial(tuple(total), max_degree)
 
 
@@ -222,7 +222,7 @@ def verify_polynomial_identity(k: int, l: int, a: int, b: int, N: int) -> Verify
 
 def _init_image(k: int, l: int, a: int, b: int, N: int) -> set[RiggedPartition]:
     """Forward-map image of the boundary-N configurations of weight <= l with (a_0, a_1) = (a, b)."""
-    return {_iota(cfg, k) for cfg in enumerate_configurations(k, 3, N, a0=a, a1=b) if weight(cfg, k) <= l}
+    return {_iota(cfg, k) for cfg in enumerate_configurations(k, 3, N, a0=a, a1=b, max_weight=l)}
 
 
 def verify_init(k: int, l: int, a: int, b: int, N: int) -> VerifyReport:
@@ -230,12 +230,13 @@ def verify_init(k: int, l: int, a: int, b: int, N: int) -> VerifyReport:
     check_level(k, l)
     image = _init_image(k, l, a, b, N)
     rset = initial_columns_set(a, b, l, k, boundary=N)
-    predicate = {rp for rp in enumerate_rigged(k, l, N) if member(rp, rset, k)}
+    predicate = {rp for rp in enumerate_rigged(k, l, N, rset.floor) if member(rp, rset, k)}
     witness = _set_mismatch(image, predicate)
     params = {"k": k, "l": l, "a": a, "b": b, "N": N, "size": len(image)}
     if witness is None and l == k:
+        inside, outside = _floor_difference_sets(a, b, k, N)
         for rp in enumerate_rigged(k, l, N):
-            if member_floor_difference(rp, a, b, k, N) != (rp in image):
+            if (member(rp, inside, k) and not any(member(rp, s, k) for s in outside)) != (rp in image):
                 witness = f"{rp}: difference form disagrees with the image"
                 break
     return VerifyReport("init-image", params, witness is None, None, None, witness)
@@ -268,9 +269,7 @@ def verify_boundary(k: int, l: int, N: int) -> VerifyReport:
         raise ValueError("boundary must be non-negative")
     witness = None
     checked = 0
-    for cfg in enumerate_configurations(k, 3, N + 3):
-        if weight(cfg, k) > l:
-            continue
+    for cfg in enumerate_configurations(k, 3, N + 3, max_weight=l):
         checked += 1
         inside = cfg.support_max is None or cfg.support_max <= N
         fits = satisfies_boundary(_iota(cfg, k), k, N)
@@ -391,11 +390,10 @@ def shift_sample_space(k: int, l: int, width: int) -> list[Configuration]:
     """All positively supported admissible configurations of weight < l within the width."""
     if width < 0:
         raise ValueError("width must be non-negative")
-    return [
-        cfg
-        for cfg in enumerate_configurations(k, 3, width - 1)
-        if weight(cfg, k) < l
-    ]
+    check_level(k)
+    if l < 1:  # no configuration has a negative weight
+        return []
+    return list(enumerate_configurations(k, 3, width - 1, max_weight=min(l - 1, k)))
 
 
 #: The seven-step right-move chain of the weight-3 showcase configuration.

@@ -421,6 +421,31 @@ class TestSetAlgebra:
         for part in self.grid(k, l, N):
             assert member(part, nested, k) == member(part, single, k)
 
+    def test_difference_form_matches_hoisted_sets(self):
+        # The floor sets built once per report give the public predicate, which
+        # must agree with sets built afresh per partition, wrap and empty indices included.
+        def in_floor_set(part, x, y, k, N):
+            if x < 0 or y < 0:
+                return False
+            y = k - x if x + y == k + 1 else y
+            return member(part, RestrictedSet(floor_for(x, y, k, k), (), k, N), k)
+
+        for k in (1, 2, 3):
+            for N in range(7):
+                family = self.grid(k, k, N)
+                for a in range(-1, k + 1):
+                    for b in range(-1, k + 1 - max(a, 0)):
+                        inside, outside = characters._floor_difference_sets(a, b, k, N)
+                        for part in family:
+                            direct = (
+                                in_floor_set(part, a, b, k, N)
+                                and not in_floor_set(part, a - 1, b + 2, k, N)
+                                and not in_floor_set(part, a, b - 1, k, N)
+                            )
+                            hoisted = inside is not None and member(part, inside, k)
+                            hoisted = hoisted and not any(member(part, s, k) for s in outside)
+                            assert member_floor_difference(part, a, b, k, N) == hoisted == direct, (k, N, a, b, part)
+
     def test_difference_form_matches_bump_form(self):
         for k in (1, 2):
             for N in range(4):

@@ -232,20 +232,27 @@ class TestEnumeration:
         """Full yielded list, order included, against a filtered itertools.product."""
 
         @lru_cache(maxsize=None)
-        def rows(limit: int, max_energy: int | None) -> list[Configuration]:
+        def rows(limit: int, max_energy: int | None) -> list[tuple[Configuration, int, int]]:
+            """Each admissible row with its largest S and largest L, read off the zero-padded columns."""
             # Under the cap, column i > 0 holds at most max_energy // i units;
             # the filter below still checks every bound.
             ranges = [
                 range(k + 1 if max_energy is None or i == 0 else min(k, max_energy // i) + 1)
                 for i in range(limit + 1)
             ]
-            return [
-                Configuration(0, row)
-                for row in itertools.product(*ranges)
-                if (max_energy is None or sum(map(operator.mul, range(limit + 1), row)) <= max_energy)
-                and all(sum(row[j : j + r]) <= k for j in range(limit + 1))
-            ]
+            found = []
+            for row in itertools.product(*ranges):
+                if max_energy is not None and sum(map(operator.mul, range(limit + 1), row)) > max_energy:
+                    continue
+                if any(sum(row[j : j + r]) > k for j in range(limit + 1)):
+                    continue
+                p = (0, 0, 0) + row + (0, 0, 0)
+                s_max = max(p[j] + p[j + 1] for j in range(len(p) - 1))
+                l_max = max(p[j - 1] + 2 * p[j] + 2 * p[j + 1] + p[j + 2] for j in range(1, len(p) - 2))
+                found.append((Configuration(0, row), s_max, l_max))
+            return found
 
+        caps = (None, *range(k + 1)) if r == 3 else (None,)
         for N in (None, *range(6)):
             for max_energy in (None, -1, *range(13)):
                 if N is None and max_energy is None:
@@ -254,9 +261,22 @@ class TestEnumeration:
                 family = rows(limit, max_energy) if limit >= 0 else []
                 for a0 in (None, -1, *range(k + 2)):
                     for a1 in (None, -1, *range(k + 2)):
-                        expected = [
-                            a for a in family
+                        pinned = [
+                            (a, s_max, l_max) for a, s_max, l_max in family
                             if (a0 is None or a.get(0) == a0) and (a1 is None or a.get(1) == a1)
                         ]
-                        got = list(enumerate_configurations(k, r, N, a0=a0, a1=a1, max_energy=max_energy))
-                        assert got == expected, (N, a0, a1, max_energy)
+                        for l in caps:
+                            expected = [
+                                a for a, s_max, l_max in pinned if l is None or (s_max <= l and l_max <= k + l)
+                            ]
+                            got = list(
+                                enumerate_configurations(k, r, N, a0=a0, a1=a1, max_energy=max_energy, max_weight=l)
+                            )
+                            assert got == expected, (N, a0, a1, max_energy, l)
+
+    def test_weight_cap_errors(self):
+        with pytest.raises(ValueError, match="r = 3"):
+            list(enumerate_configurations(2, 2, 4, max_weight=1))
+        for l in (-1, 3):
+            with pytest.raises(ValueError, match="weight cap must satisfy"):
+                list(enumerate_configurations(2, 3, 4, max_weight=l))

@@ -1,6 +1,7 @@
 import pytest
 
-from rigged.configuration import ZERO, Configuration
+from rigged import identities
+from rigged.configuration import ZERO, Configuration, enumerate_configurations, weight
 from rigged.identities import (
     GOLDEN_CHAIN,
     VerifyReport,
@@ -163,6 +164,23 @@ class TestInit:
         assert verify_init_cover(1, 1, 3).passed
         assert verify_init_cover(3, 2, 3).passed
 
+    @pytest.mark.parametrize("k,l", [(2, 2), (3, 2)])
+    def test_short_floor_family_fails(self, monkeypatch, k, l):
+        # The predicate side reads the floor-restricted family; losing its first
+        # item (the empty partition, image of the zero configuration) must show.
+        honest = identities.enumerate_rigged
+
+        def one_short(k, l, boundary, floor=None):
+            family = honest(k, l, boundary, floor)
+            if floor is not None:
+                next(family)
+            return family
+
+        monkeypatch.setattr(identities, "enumerate_rigged", one_short)
+        report = verify_init(k, l, 0, 0, 3)
+        assert report.passed is False
+        assert report.first_mismatch.endswith("in enumeration only")
+
 
 class TestBoundary:
     def test_small(self):
@@ -200,6 +218,10 @@ class TestShift:
         samples = shift_sample_space(2, 2, 4)
         assert ZERO in samples
         assert all(c.support_max is None or c.support_max <= 3 for c in samples)
+        # The weight cap keeps the enumeration order; l = 0 (nothing) and l = k + 1 (everything) are the edges.
+        family = list(enumerate_configurations(3, 3, 4))
+        for l in range(5):
+            assert shift_sample_space(3, l, 5) == [c for c in family if weight(c, 3) < l]
 
 
 class TestGolden:
