@@ -171,16 +171,17 @@ def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
     there, and settled in place by left sweeps.
     """
     sc = _Scratch(Configuration())
-    vals = sc.vals
+    vals, parts = sc.vals, rp.parts
     later = [0] * (k + 1)
-    end = len(rp.parts)
+    end = len(parts)
     while end:
-        l = rp.parts[end - 1][0]
-        m = rp.multiplicity(l)
-        start = end - m
+        l = parts[end - 1][0]
+        start = end - 1
+        while start and parts[start - 1][0] == l:
+            start -= 1
         # A part's surplus is its rigging plus the load it owes every later part.
         surpluses = []
-        for _, r in reversed(rp.parts[start:end]):
+        for _, r in reversed(parts[start:end]):
             surpluses.append(r + _load(k, l, later))
             later[l] += 1
         s_min = surpluses[0]
@@ -190,7 +191,7 @@ def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
         t = max(0, -s_min if top is None else l * (sc.lo + top + 3) - s_min) + extra
         for s in surpluses:
             sc.place(s + t, l)
-        _settle(sc, k, l, t, m)
+        _settle(sc, k, l, t, end - start)
         end = start
     return sc.to_configuration()
 
@@ -207,15 +208,15 @@ def kappa(rp: RiggedPartition, k: int) -> Configuration:
     agreement.
 
     Shifting a configuration by d adds w * d to every weight-w rigging, so the
-    riggings are first translated until the smallest rigging-per-weight lies
-    in 0..w-1 and the result is shifted back; a common translation of the
-    input then costs nothing.
+    riggings are first translated, which keeps their order, until the smallest
+    rigging-per-weight lies in 0..w-1, and the result is shifted back; a common
+    translation of the input then costs nothing.
     """
     check_level(k)
     if rp.parts and rp.parts[0][0] > k:
         raise RiggingError(f"largest weight {rp.parts[0][0]} exceeds the level k={k}")
     d = -min((r // w for w, r in rp.parts), default=0)
-    rp = RiggedPartition(tuple((w, r + w * d) for w, r in rp.parts))
+    rp = RiggedPartition._trusted(tuple((w, r + w * d) for w, r in rp.parts))
     result = _kappa(rp, k, 0)
     if _debug_enabled():
         alt = _kappa(rp, k, rp.parts[0][0] if rp.parts else 1)

@@ -8,33 +8,34 @@ off just below (or above) a located particle and repeating locates all of
 them, which is what makes "move the c-th particle" well defined.
 
 All moves run on one substrate, the padded mutable column buffer
-``_Scratch``, and locate particles with two list scans.  ``_sight`` walks
-the windows up or down from a given index to the nearest sighting.
+``_Scratch``, and locate particles with list scans.  ``_sight`` walks the
+windows up or down from a given index to the nearest sighting.
 ``_cut_scan`` scans given windows in order and cuts each sighted particle
 off in place by zeroing its two columns, so each sighting locates the next
 particle: every window it reads afterwards lies on the near side of the
-cut.  It restores the cut columns before it returns.  A single
-move copies a configuration into a buffer, sights the end particle and
-bumps two columns.  The long-running procedures keep one buffer for their
-whole run:
+cut.  It restores the cut columns before it returns.  A single move copies
+a configuration into a buffer, sights the end particle and bumps two
+columns.  The long-running procedures keep one buffer for their whole run:
 
 - Floating the highest particle free by right moves (``separate_highest``).
-  A move changes two adjacent columns, so only the windows reading them are
-  re-checked, which is as strong as re-checking everything, and the next
-  scan starts just above them.  The forward map peels every particle off one
+  A unit moved from column i to i + 1 raises only the windows that weigh
+  column i + 1 above column i: the 3-window and S at i + 1 and L at i + 1
+  and i + 2.  Every other window loses value or keeps it, so re-checking
+  these four is as strong as re-checking everything, and the next scan
+  starts just above them.  The forward map peels every particle off one
   buffer this way: once a particle is free, zeroing its two columns leaves
   the remainder in place.
-- Settling particles with full bottom-up left sweeps (``_settle``).  Only
-  the first sweep scans every window; each later sweep cut-scans, in
-  ascending order, the windows within two columns of where the previous
+- Settling particles with full bottom-up left sweeps (``_settle``): one
+  full cut-scan, then per sweep a ``_rescan`` (the cut-scan fused with its
+  window walk) of the windows within two columns of where the previous
   sweep sighted particles.  That is exact: weight at most l means S <= l
   and L <= k + l everywhere, and a cut only lowers window sums, so only a
-  window whose uncut S or L attains its bound can be sighted.  A window more
-  than two columns from every sighting of the last sweep reads no column
-  that sweep cut or moved; it was not sighted uncut then, so it is below
-  both bounds, then and now.  So the rescan sights exactly what a full scan
-  sights, and the particle-count check still counts every particle.
-  RIGGED_DEBUG=1 compares each sweep with a cut-scan of every window.
+  window whose uncut S or L attains its bound can be sighted.  A window
+  more than two columns from every sighting of the last sweep reads no
+  column that sweep cut or moved; it was not sighted uncut then, so it is
+  below both bounds, then and now.  So the rescan sights exactly what a
+  full scan sights, and the particle-count check still counts every
+  particle.  RIGGED_DEBUG=1 compares each sweep with a full cut-scan.
 - Passing a heavy probe down through a lighter configuration from far above.
 
 Free flight.  A weight-l particle is *isolated* when all l of its units lie
@@ -232,6 +233,21 @@ def _cut_scan(vals: list[int], windows: Iterable[int], l: int, kl: int) -> list[
     return found
 
 
+def _rescan(vals: list[int], last: list[int], l: int, kl: int) -> list[int]:
+    """``_cut_scan`` of the windows within two columns of each index of ascending ``last``, merged ascending."""
+    found, cuts, j = [], [], -1
+    for p in last:
+        for j in range(max(j + 1, p - 2), p + 3):
+            s = vals[j] + vals[j + 1]
+            if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
+                found.append(j)
+                cuts.append((j, vals[j], vals[j + 1]))
+                vals[j] = vals[j + 1] = 0
+    for j, x, y in reversed(cuts):
+        vals[j], vals[j + 1] = x, y
+    return found
+
+
 def _every_window(vals: list[int], step: int) -> range:
     """Every window index of ``vals``, descending (``step=-1``) or ascending (``step=+1``)."""
     return range(len(vals) - 3, 0, -1) if step < 0 else range(1, len(vals) - 2)
@@ -377,21 +393,21 @@ def free_particle(a: Configuration, k: int, l: int) -> FreeParticle | None:
     return FreeParticle(sc.lo + i, c, l) if by_s and c and top <= i + 1 else None
 
 
-def _float_free(sc: _Scratch, k: int, l: int, top: int, origin: Configuration) -> tuple[int, int]:
+def _float_free(sc: _Scratch, k: int, l: int, top: int, length: int, energy: int, origin: Configuration) -> tuple[int, int]:
     """Right-move the highest weight-l particle in place until it floats free.
 
-    ``top`` is the buffer index of the highest occupied column and the buffer
-    has weight exactly l.  Returns the move count and the index of the free
-    particle's lower column.  An isolated particle below lighter content
-    rises to four columns below it in one step (module docstring); the moves
-    count one each.  ``origin`` only names the input in errors.
+    ``top`` is the buffer index of the highest occupied column, the buffer
+    has weight exactly l, and ``length`` and ``energy`` are the buffer's.
+    Returns the move count and the index of the free particle's lower column.
+    Each move re-checks the four windows it raises.  An isolated particle
+    below lighter content rises to four columns below it in one step (module
+    docstring); the moves count one each.  ``origin`` names the input in errors.
     """
     vals = sc.vals
-    # Energy rises by one per move but stays below length * (top + 2) while the
-    # support cannot outgrow the free position, so this cap is unreachable
-    # except through a bug.  Both terms are translation invariant, so buffer
-    # indices serve as columns.
-    cap = sum(vals) * (top + 2) - sum(j * c for j, c in enumerate(vals) if c) + 2
+    # Energy rises by one per move but stays below length * (c + 2), c the
+    # column of ``top``, while the support cannot outgrow the free position,
+    # so this cap is unreachable except through a bug.
+    cap = length * (sc.lo + top + 2) - energy + 2
     kl = k + l
     j, t = top, 0
     while t <= cap:
@@ -432,17 +448,11 @@ def _float_free(sc: _Scratch, k: int, l: int, top: int, origin: Configuration) -
             top = i + 1
             if top + sc.MARGIN >= len(vals):
                 vals.extend([0] * len(vals))
-        # The move changed columns i and i + 1 only, so the windows reading
-        # them are all that can break: the 3-windows starting at i-2..i+1,
-        # S at i-1..i+1 and L at i-2..i+2.  Windows from i + 3 up read neither
-        # and held no sighting before, so the next scan starts at i + 2.
-        w0, w1, w2, w3, w4, w5, w6, w7 = vals[i - 3 : i + 5]  # columns i-3..i+4
-        if (
-            max(w1 + w2 + w3, w2 + w3 + w4, w3 + w4 + w5, w4 + w5 + w6) > k
-            or max(w2 + w3, w3 + w4, w4 + w5) > l
-            or max(w0 + w3 + 2 * (w1 + w2), w1 + w4 + 2 * (w2 + w3), w2 + w5 + 2 * (w3 + w4),
-                   w3 + w6 + 2 * (w4 + w5), w4 + w7 + 2 * (w5 + w6)) > kl
-        ):
+        # Re-check the four windows the move raised (module docstring).  Windows
+        # from i + 3 up read neither column and held no sighting before, so the
+        # next scan starts at i + 2.
+        b, c, d = vals[i + 1], vals[i + 2], vals[i + 3]
+        if b + c + d > k or b + c > l or vals[i] + d + 2 * (b + c) > kl or b + vals[i + 4] + 2 * (c + d) > kl:
             raise InternalCheckError(
                 f"right move at column {sc.lo + i} left the weight-{l} admissible class, from {origin}"
             )
@@ -467,7 +477,7 @@ def separate_highest(a: Configuration, k: int, l: int) -> Separation:
 def _separate(a: Configuration, k: int, l: int) -> Separation:
     """``separate_highest`` for a nonzero ``a`` already known to have weight exactly l."""
     sc = _Scratch(a)
-    t, i = _float_free(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a)
+    t, i = _float_free(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a)
     fp = FreeParticle(sc.lo + i, sc.vals[i], l)
     return Separation(t, fp, fp.energy - t, sc.to_configuration(hi=fp.position - 1))
 
@@ -479,6 +489,7 @@ def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
     below its free position, so zeroing its two columns in place leaves the
     remainder in the buffer.  Right moves never lower the lowest occupied
     column, so the next weight is one window pass from there to the top.
+    Length and energy are updated, not re-summed; RIGGED_DEBUG=1 re-sums them.
     """
     if a.is_zero:
         return []
@@ -486,10 +497,16 @@ def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
     sc = _Scratch(a)
     vals, bottom = sc.vals, sc.MARGIN
     top = len(vals) - bottom - 1
+    length, energy = a.length(), a.energy()
+    debug = _debug_enabled()
     peeled = []
     while True:
-        t, i = _float_free(sc, k, l, top, a)
-        peeled.append((l, FreeParticle(sc.lo + i, vals[i], l).energy - t))
+        if debug and (sum(vals), sum((sc.lo + j) * c for j, c in enumerate(vals))) != (length, energy):
+            raise InternalCheckError(f"running length {length} and energy {energy} disagree with the buffer, from {a}")
+        t, i = _float_free(sc, k, l, top, length, energy, a)
+        e = FreeParticle(sc.lo + i, vals[i], l).energy
+        peeled.append((l, e - t))
+        length, energy = length - l, energy + t - e
         vals[i] = vals[i + 1] = 0
         top = i - 1
         while top >= bottom and not vals[top]:
@@ -523,14 +540,6 @@ def build_free_configuration(l: int, energies: list[int], k: int) -> Configurati
     return result
 
 
-def _near(found: list[int]) -> list[int]:
-    """The windows within two columns of each sighting, ascending and without repeats."""
-    windows: list[int] = []
-    for p in found:
-        windows.extend(range(max(p - 2, windows[-1] + 1 if windows else p - 2), p + 3))
-    return windows
-
-
 def _fall(vals: list[int], l: int, found: list[int], energies: list[int], left: int) -> int:
     """Sweeps, at most ``left``, that the isolated particles sighted at ``found`` fall freely.
 
@@ -557,9 +566,9 @@ def _fall(vals: list[int], l: int, found: list[int], energies: list[int], left: 
 def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None) -> None:
     """Apply ``times`` full bottom-up left sweeps to the weight-l particles in ``sc``, in place.
 
-    Each sweep cut-scans its windows (``_cut_scan``): the first sweep every
-    window, each later one only the windows within two columns of where the
-    previous sweep sighted particles, which sights the same particles.  When
+    The first sweep cut-scans every window (``_cut_scan``), each later one
+    only the windows within two columns of the previous sweep's sightings
+    (``_rescan``), which sights the same particles.  When
     every sighting of a sweep is an isolated particle, they all fall by as
     many sweeps as keeps them isolated in one step (see the module
     docstring).  With RIGGED_DEBUG=1 every sweep is compared with a cut-scan
@@ -567,10 +576,9 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None) -> N
     """
     vals, m, kl = sc.vals, sc.MARGIN, k + l
     debug = _debug_enabled()
-    windows: Iterable[int] = _every_window(vals, +1)
-    left = times
+    found, left = None, times
     while left > 0:
-        found = _cut_scan(vals, windows, l, kl)
+        found = _cut_scan(vals, _every_window(vals, +1), l, kl) if found is None else _rescan(vals, found, l, kl)
         if debug:
             full = _cut_scan(vals, _every_window(vals, +1), l, kl)
             if full != found:
@@ -608,7 +616,6 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None) -> N
                     )
                 # The last of the d sweeps sighted each particle at (e - d) // l.
                 found = [(e - d) // l + lo - sc.lo for e in energies]
-                windows = _near(found)
                 left -= d
                 continue
         for p in found:
@@ -616,7 +623,6 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None) -> N
             vals[p + 1] -= 1
             if vals[p + 1] < 0:
                 raise InternalCheckError(f"column {sc.lo + p + 1} driven negative")
-        windows = _near(found)
         left -= 1
 
 

@@ -446,6 +446,13 @@ class TestSetAlgebra:
                             hoisted = hoisted and not any(member(part, s, k) for s in outside)
                             assert member_floor_difference(part, a, b, k, N) == hoisted == direct, (k, N, a, b, part)
 
+    def test_difference_form_rejects_a_plus_b_above_k(self):
+        # At a + b = k + 1 the first subtracted set would need floor(a - 1, b + 2),
+        # whose column sum k + 2 no wrap brings back into range.
+        for part in self.grid(2, 2, 3):
+            with pytest.raises(ValueError, match=r"member_floor_difference needs a \+ b <= k, got a=1, b=2, k=2"):
+                member_floor_difference(part, 1, 2, 2, 3)
+
     def test_difference_form_matches_bump_form(self):
         for k in (1, 2):
             for N in range(4):

@@ -158,8 +158,11 @@ class TestLocalRescan:
         # particle at column 0; the last of those sweeps sighted it at 4.  The
         # seventh sweep is an ordinary one: the full scan sights the particle
         # at 3, which the faulty rescan no longer reads.
-        near = moves._near
-        monkeypatch.setattr(moves, "_near", lambda found: [j for j in near(found) if j + 1 not in found])
+        def rescan_without_below(vals, last, l, kl):
+            windows = {j for p in last for j in range(p - 2, p + 3)} - {p - 1 for p in last}
+            return moves._cut_scan(vals, sorted(windows), l, kl)
+
+        monkeypatch.setattr(moves, "_rescan", rescan_without_below)
         b = cfg(1, 0, 0, 0, 0, 0, 0, 2)
         assert left_sweeps(b, 3, 2, 6, expected=1) == cfg(1, 0, 0, 0, 2)
         with pytest.raises(InternalCheckError, match="full scan"):
@@ -283,6 +286,30 @@ class TestSeparation:
         monkeypatch.setattr(moves, "_sight", lowest_column)
         with pytest.raises(InternalCheckError, match="admissible class"):
             separate_highest(cfg(1, 0, 0, 1), 1, 1)
+
+    def test_recheck_raises_exactly_when_the_move_leaves_the_class(self, monkeypatch):
+        # The per-move re-check reads only the four windows a unit right move
+        # raises.  A scanner that points at one occupied column once and then
+        # stops the float makes it re-check one move of that unit; it must
+        # raise on exactly the moves that a full window pass rejects.
+        leaving = 0
+        for k in range(1, 5):
+            for l in range(1, k + 1):
+                for a in enumerate_configurations(k, 3, 6, max_weight=l):
+                    for i, c in enumerate(moves._Scratch(a).vals):
+                        if not c:
+                            continue
+                        sc = moves._Scratch(a)
+                        sights = iter([(i, False)])
+                        monkeypatch.setattr(moves, "_sight", lambda *args: next(sights))
+                        try:
+                            moves._float_free(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a)
+                        except InternalCheckError as err:
+                            assert "left the weight" in str(err) and moves._leaves_class(sc.vals, k, l), (k, l, a, i)
+                            leaving += 1
+                        except StopIteration:
+                            assert not moves._leaves_class(sc.vals, k, l), (k, l, a, i)
+        assert leaving > 0
 
 
 class TestScratch:
