@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configuration import Configuration, check_level
+from .configuration import ZERO, Configuration, check_level
 from .moves import InternalCheckError, _debug_enabled, _peel, _Scratch, _settle
 from .phases import _load, _quadratic_form
 
@@ -170,9 +170,11 @@ def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
     particles are written into the buffer free, above everything already
     there, and settled in place by left sweeps.
     """
-    sc = _Scratch(Configuration())
+    debug = _debug_enabled()
+    sc = _Scratch(ZERO)
     vals, parts = sc.vals, rp.parts
     later = [0] * (k + 1)
+    top = -3  # highest occupied column; on the empty buffer -3 starts the first group at columns >= 0
     end = len(parts)
     while end:
         l = parts[end - 1][0]
@@ -184,14 +186,16 @@ def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
         for _, r in reversed(parts[start:end]):
             surpluses.append(r + _load(k, l, later))
             later[l] += 1
-        s_min = surpluses[0]
-        top = next((j for j in range(len(vals) - 1, -1, -1) if vals[j]), None)
         # Free particles must start strictly above everything already built,
         # with a clear three-column gap below the lowest of them.
-        t = max(0, -s_min if top is None else l * (sc.lo + top + 3) - s_min) + extra
+        t = max(0, l * (top + 3) - surpluses[0]) + extra
         for s in surpluses:
             sc.place(s + t, l)
-        _settle(sc, k, l, t, end - start)
+        # Windows up to the old top read only lighter content, which sights no weight-l particle.
+        _settle(sc, k, l, t, end - start, debug, top - sc.lo + 1)
+        top = (surpluses[-1] + t) // l + 1  # sweeps only lower the top
+        while not vals[top - sc.lo]:
+            top -= 1
         end = start
     return sc.to_configuration()
 
@@ -222,4 +226,4 @@ def kappa(rp: RiggedPartition, k: int) -> Configuration:
         alt = _kappa(rp, k, rp.parts[0][0] if rp.parts else 1)
         if alt != result:
             raise InternalCheckError(f"inverse map depends on the settling count: {result} vs {alt}")
-    return result.shifted(-d)
+    return result.shifted(-d) if d else result

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import add, sub
 from typing import Iterable, Iterator
 
@@ -62,6 +62,7 @@ class RestrictedSet:
     bumps: tuple[frozenset[int], ...]
     l: int
     boundary: int | None = None
+    raised: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for J in self.bumps:
@@ -69,6 +70,7 @@ class RestrictedSet:
                 raise ValueError("bump sets must be nonempty")
             if any(w < 1 or w > self.l for w in J):
                 raise ValueError(f"bump set {set(J)} escapes weights 1..{self.l}")
+        object.__setattr__(self, "raised", tuple(self.floor.bumped(J) for J in self.bumps))
 
 
 def floor_for(a: int, b: int, l: int, k: int) -> RiggingFloor:
@@ -110,8 +112,15 @@ def initial_columns_set(a: int, b: int, l: int, k: int, boundary: int | None = N
     return RestrictedSet(floor, bumps, l, boundary)
 
 
-def _within_floor(rp: RiggedPartition, values: tuple[int, ...]) -> bool:
-    return all(r >= values[w - 1] for w, r in rp.parts)
+def _fits_ceilings(rp: RiggedPartition, k: int, N: int) -> bool:
+    """``satisfies_boundary`` for weights already known to lie in 1..k: one ceiling per distinct weight."""
+    m, table, last = _counts(rp, k), _table(k), 0
+    for w, r in rp.parts:
+        if w != last:
+            last, ceiling = w, w * N + table[w][w] - _load(k, w, m)
+        if r > ceiling:
+            return False
+    return True
 
 
 def satisfies_boundary(rp: RiggedPartition, k: int, N: int) -> bool:
@@ -119,8 +128,7 @@ def satisfies_boundary(rp: RiggedPartition, k: int, N: int) -> bool:
     check_level(k)
     if rp.parts and rp.parts[0][0] > k:
         raise RiggingError(f"weight {rp.parts[0][0]} outside 1..{k}")
-    ceiling = _vacancies(k, N, _counts(rp, k), (0,) * (k + 1))
-    return all(r <= ceiling[w] for w, r in rp.parts)
+    return _fits_ceilings(rp, k, N)
 
 
 def member(rp: RiggedPartition, rset: RestrictedSet, k: int) -> bool:
@@ -128,14 +136,17 @@ def member(rp: RiggedPartition, rset: RestrictedSet, k: int) -> bool:
     check_level(k, rset.l)
     if rp.parts and rp.parts[0][0] > rset.l:
         return False
-    if not _within_floor(rp, rset.floor.values):
-        return False
-    for J in rset.bumps:
-        if _within_floor(rp, rset.floor.bumped(J)):
+    values = rset.floor.values
+    for w, r in rp.parts:
+        if r < values[w - 1]:
             return False
-    if rset.boundary is not None and not satisfies_boundary(rp, k, rset.boundary):
-        return False
-    return True
+    for values in rset.raised:
+        for w, r in rp.parts:
+            if r < values[w - 1]:
+                break
+        else:
+            return False
+    return rset.boundary is None or _fits_ceilings(rp, k, rset.boundary)
 
 
 def _floor_difference_sets(a: int, b: int, k: int, N: int | None) -> tuple[RestrictedSet | None, tuple[RestrictedSet, ...]]:

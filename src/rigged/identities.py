@@ -234,8 +234,9 @@ def verify_init(k: int, l: int, a: int, b: int, N: int) -> VerifyReport:
     witness = _set_mismatch(image, predicate)
     params = {"k": k, "l": l, "a": a, "b": b, "N": N, "size": len(image)}
     if witness is None and l == k:
+        # Outside floor(a, b) both sides are empty: the image equals the predicate set, which lies inside it.
         inside, outside = _floor_difference_sets(a, b, k, N)
-        for rp in enumerate_rigged(k, l, N):
+        for rp in enumerate_rigged(k, l, N, inside.floor):
             if (member(rp, inside, k) and not any(member(rp, s, k) for s in outside)) != (rp in image):
                 witness = f"{rp}: difference form disagrees with the image"
                 break

@@ -26,16 +26,17 @@ columns.  The long-running procedures keep one buffer for their whole run:
   buffer this way: once a particle is free, zeroing its two columns leaves
   the remainder in place.
 - Settling particles with full bottom-up left sweeps (``_settle``): one
-  full cut-scan, then per sweep a ``_rescan`` (the cut-scan fused with its
-  window walk) of the windows within two columns of where the previous
-  sweep sighted particles.  That is exact: weight at most l means S <= l
-  and L <= k + l everywhere, and a cut only lowers window sums, so only a
-  window whose uncut S or L attains its bound can be sighted.  A window
-  more than two columns from every sighting of the last sweep reads no
-  column that sweep cut or moved; it was not sighted uncut then, so it is
-  below both bounds, then and now.  So the rescan sights exactly what a
-  full scan sights, and the particle-count check still counts every
-  particle.  RIGGED_DEBUG=1 compares each sweep with a full cut-scan.
+  cut-scan from the lowest window that may sight a particle, then per sweep
+  a ``_rescan`` (the cut-scan fused with its window walk) of the windows
+  within two columns of where the previous sweep sighted particles.  That
+  is exact: weight at most l means S <= l and L <= k + l everywhere, and a
+  cut only lowers window sums, so only a window whose uncut S or L attains
+  its bound can be sighted.  A window more than two columns from every
+  sighting of the last sweep reads no column that sweep cut or moved; it
+  was not sighted uncut then, so it is below both bounds, then and now.  So
+  the rescan sights exactly what a full scan sights, and the particle-count
+  check still counts every particle.  RIGGED_DEBUG=1 compares each sweep
+  with a full cut-scan.
 - Passing a heavy probe down through a lighter configuration from far above.
 
 Free flight.  A weight-l particle is *isolated* when all l of its units lie
@@ -563,22 +564,21 @@ def _fall(vals: list[int], l: int, found: list[int], energies: list[int], left: 
     return d
 
 
-def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None) -> None:
+def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debug: bool, start: int = 1) -> None:
     """Apply ``times`` full bottom-up left sweeps to the weight-l particles in ``sc``, in place.
 
-    The first sweep cut-scans every window (``_cut_scan``), each later one
-    only the windows within two columns of the previous sweep's sightings
-    (``_rescan``), which sights the same particles.  When
-    every sighting of a sweep is an isolated particle, they all fall by as
-    many sweeps as keeps them isolated in one step (see the module
-    docstring).  With RIGGED_DEBUG=1 every sweep is compared with a cut-scan
-    of every window, and every fall with as many sweeps of ``move_all``.
+    The first sweep cut-scans the windows from index ``start`` up, none below
+    which may sight a particle (``_cut_scan``); each later one only those within
+    two columns of the previous sweep's sightings, which sight the same
+    particles (``_rescan``).  When every sighting of a sweep is an isolated
+    particle, they all fall by as many sweeps as keeps them isolated in one
+    step (module docstring).  With ``debug`` every sweep is compared with a
+    cut-scan of every window, and every fall with as many sweeps of ``move_all``.
     """
     vals, m, kl = sc.vals, sc.MARGIN, k + l
-    debug = _debug_enabled()
     found, left = None, times
     while left > 0:
-        found = _cut_scan(vals, _every_window(vals, +1), l, kl) if found is None else _rescan(vals, found, l, kl)
+        found = _cut_scan(vals, range(start, len(vals) - 2), l, kl) if found is None else _rescan(vals, found, l, kl)
         if debug:
             full = _cut_scan(vals, _every_window(vals, +1), l, kl)
             if full != found:
@@ -632,21 +632,21 @@ def left_sweeps(b: Configuration, k: int, l: int, times: int, expected: int | No
     ``expected``, when given, is the number of particles every sweep must sight.
     """
     sc = _Scratch(b)
-    _settle(sc, k, l, times, expected)
+    _settle(sc, k, l, times, expected, _debug_enabled())
     return sc.to_configuration()
 
 
 # -- passing a heavy probe ---------------------------------------------------
 
 
-def _descend(a: Configuration, k: int, l: int, probe_column: int) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
+def _descend(a: Configuration, k: int, l: int, probe_column: int, record: bool) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
     """Drop a weight-l probe from ``probe_column`` through nonzero ``a`` by left moves.
 
     Records a node the first time the probe's position reaches each column
-    from top + 1 (``top`` is the highest column of ``a``) down; nodes above
-    that depend on ``probe_column``.  Stops as soon as the probe sits fully
-    below the rest with a two-column gap; what lies above it then is the
-    passed configuration.
+    from top + 1 (``top`` is the highest column of ``a``) down, unless
+    ``record`` is off; nodes above that depend on ``probe_column``.  Stops as
+    soon as the probe sits fully below the rest with a two-column gap; what
+    lies above it then is the passed configuration.
     """
     top = a.support_max
     sc = _Scratch(a)
@@ -671,10 +671,31 @@ def _descend(a: Configuration, k: int, l: int, probe_column: int) -> tuple[list[
                 rest = sc.to_configuration(lo=pos + 2)
                 if weight(rest, k) < l:
                     return nodes, rest
-            if pos <= top + 1:
+            if record and pos <= top + 1:
                 nodes.append((kind, pos, sc.to_configuration()))
         sc.transfer(pos, +1)
     raise InternalCheckError(f"probe failed to pass {a} within {cap} moves")
+
+
+def _pass(a: Configuration, k: int, l: int, record: bool) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
+    """``passing_history``, with the nodes left empty unless ``record`` is on."""
+    check_level(k, l)
+    if l < 1:
+        raise ValueError("the probe needs positive weight")
+    w = weight(a, k)
+    if w >= l:
+        raise AdmissibilityError(f"passing needs weight below l={l}, but {a} has weight {w}")
+    if a.is_zero:
+        return [], ZERO
+    probe_column = max(3, a.support_max + 4)
+    nodes, result = _descend(a, k, l, probe_column, record)
+    if _debug_enabled():
+        nodes2, result2 = _descend(a, k, l, probe_column + 1, record)
+        if result2 != result:
+            raise InternalCheckError(f"passing result depends on the placement column: {result} vs {result2}")
+        if nodes2 != nodes:
+            raise InternalCheckError("passing history depends on the placement column")
+    return nodes, result
 
 
 def passing_history(a: Configuration, k: int, l: int) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
@@ -686,28 +707,9 @@ def passing_history(a: Configuration, k: int, l: int) -> tuple[list[tuple[str, i
     of where the probe was dropped from; with RIGGED_DEBUG=1 that
     independence is rechecked from one column higher.
     """
-    check_level(k, l)
-    if l < 1:
-        raise ValueError("the probe needs positive weight")
-    w = weight(a, k)
-    if w >= l:
-        raise AdmissibilityError(f"passing needs weight below l={l}, but {a} has weight {w}")
-    if a.is_zero:
-        return [], ZERO
-    probe_column = max(3, a.support_max + 4)
-    nodes, result = _descend(a, k, l, probe_column)
-    if _debug_enabled():
-        nodes2, result2 = _descend(a, k, l, probe_column + 1)
-        if result2 != result:
-            raise InternalCheckError(
-                f"passing result depends on the placement column: {result} vs {result2}"
-            )
-        if nodes2 != nodes:
-            raise InternalCheckError("passing history depends on the placement column")
-    return nodes, result
+    return _pass(a, k, l, True)
 
 
 def pass_particle(a: Configuration, k: int, l: int) -> Configuration:
-    """What a configuration of weight below l becomes after a weight-l probe passes it."""
-    _, result = passing_history(a, k, l)
-    return result
+    """What a configuration of weight below l becomes after a weight-l probe passes it (no history recorded)."""
+    return _pass(a, k, l, False)[1]

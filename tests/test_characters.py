@@ -79,6 +79,41 @@ class TestMembership:
         assert satisfies_boundary(rp((1, 1), (0, 0)), 1, 3)
         assert not satisfies_boundary(rp((1, 1), (1, 0)), 1, 3)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_reference(self, k):
+        # Every column and floor family at caps l <= k, against partitions of
+        # every weight up to k with riggings moved below the floors and above the ceilings.
+        def reference(part, rset):
+            def fits(values):
+                return all(r >= values[w - 1] for w, r in part.parts)
+
+            if any(w > rset.l for w in part.weights) or not fits(rset.floor.values):
+                return False
+            if any(fits(rset.floor.bumped(J)) for J in rset.bumps):
+                return False
+            return rset.boundary is None or boundary_reference(part, k, rset.boundary)
+
+        outcomes = Counter()
+        for N in range(5):
+            parts = [rp(p.weights, [r + d for r in p.riggings]) for p in enumerate_rigged(k, k, N) for d in (-1, 0, 1)]
+            sets = [
+                rset
+                for l in range(k + 1)
+                for a in range(l + 1)
+                for b in range(l + 1 - a)
+                for boundary in (None, N)
+                for rset in (
+                    initial_columns_set(a, b, l, k, boundary),
+                    RestrictedSet(floor_for(a, b, l, k), (), l, boundary),
+                )
+            ]
+            for rset in sets:
+                for part in parts:
+                    got = member(part, rset, k)
+                    assert got == reference(part, rset), (part, rset)
+                    outcomes[got] += 1
+        assert outcomes[True] and outcomes[False]
+
 
 class TestChiClosed:
     def test_level_one_values(self):

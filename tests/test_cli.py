@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "all", "--k", "1", "--N", "2", "--max-degree", "6")
         assert code == 0
         assert "FAIL" not in out
+
+    def test_all_default_grid(self, capsys):
+        # The report list of the default grid is a contract; perfbench keeps its copy.
+        code, out, _ = run(capsys, "verify", "all", "--json")
+        reports = json.loads(out)
+        assert code == 0 and all(r["passed"] for r in reports)
+        expected = json.loads((Path(__file__).parents[1] / "perfbench" / "grid_reports.json").read_text())
+        assert [[r["name"], r["parameters"]] for r in reports] == expected
 
     def test_missing_k(self, capsys):
         with pytest.raises(SystemExit) as exc:

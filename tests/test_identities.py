@@ -181,6 +181,16 @@ class TestInit:
         assert report.passed is False
         assert report.first_mismatch.endswith("in enumeration only")
 
+    @pytest.mark.parametrize("k,a,b", [(2, 1, 1), (3, 0, 2), (3, 1, 1)])
+    def test_difference_form_disagreement_fails(self, monkeypatch, k, a, b):
+        # Without its subtracted sets the difference form claims partitions
+        # inside floor(a, b) that the image lacks; the floor-restricted walk must still reach them.
+        honest = identities._floor_difference_sets
+        monkeypatch.setattr(identities, "_floor_difference_sets", lambda *args: (honest(*args)[0], ()))
+        report = verify_init(k, k, a, b, 4)
+        assert report.passed is False
+        assert report.first_mismatch.endswith("difference form disagrees with the image")
+
 
 class TestBoundary:
     def test_small(self):

@@ -371,6 +371,13 @@ class TestPassing:
                     nodes, _ = passing_history(a, k, l)
                     assert nodes and all(pos <= a.support_max + 1 for _, pos, _ in nodes)
 
+    def test_result_matches_history(self):
+        # pass_particle records no nodes; its result must still be the history's.
+        for k in range(1, 5):
+            for l in range(1, k + 1):
+                for a in enumerate_configurations(k, 3, 5, max_weight=l - 1):
+                    assert pass_particle(a, k, l) == passing_history(a, k, l)[1], (k, l, a)
+
     def test_worked_example_level_five(self):
         result = pass_particle(cfg(1, 2, 1, 1), 5, 4)
         assert result == Configuration(3, (2, 1, 2))
@@ -431,8 +438,8 @@ class TestPassingDebug(TestPassing):
     def test_redrop_disagreement_detected(self, monkeypatch):
         honest = moves._descend
 
-        def column_dependent(a, k, l, probe_column):
-            nodes, result = honest(a, k, l, probe_column)
+        def column_dependent(a, k, l, probe_column, record):
+            nodes, result = honest(a, k, l, probe_column, record)
             return nodes, result.shifted(probe_column % 2)
 
         monkeypatch.setattr(moves, "_descend", column_dependent)
