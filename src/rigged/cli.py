@@ -31,24 +31,17 @@ def _parse_partition(text: str) -> RiggedPartition:
         raise ValueError(f"cannot parse rigged partition {text!r}: {exc}") from None
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
-    cfg = _parse_config(args.config)
-    rp = iota(cfg, args.k)
-    print(json.dumps(rp.to_json_dict()))
-    return 0
+def _cmd_map(args: argparse.Namespace) -> tuple[object, str, int]:
+    value = iota(_parse_config(args.config), args.k).to_json_dict()
+    return value, json.dumps(value), 0
 
 
-def _cmd_unmap(args: argparse.Namespace) -> int:
-    rp = _parse_partition(args.partition)
-    cfg = kappa(rp, args.k)
-    if args.json:
-        print(json.dumps(cfg.to_json_dict()))
-    else:
-        print(cfg.to_text())
-    return 0
+def _cmd_unmap(args: argparse.Namespace) -> tuple[object, str, int]:
+    cfg = kappa(_parse_partition(args.partition), args.k)
+    return cfg.to_json_dict(), cfg.to_text(), 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> tuple[object, str, int]:
     given = {"right": args.right is not None, "left": args.left is not None, "pass": args.do_pass}
     chosen = [name for name, on in given.items() if on]
     if len(chosen) != 1:
@@ -58,124 +51,94 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     k, l = args.k, args.l
     if direction == "pass":
         nodes, result = passing_history(cfg, k, l)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "nodes": [
-                            {"kind": kind, "position": pos, "config": c.to_json_dict()}
-                            for kind, pos, c in nodes
-                        ],
-                        "result": result.to_json_dict(),
-                    }
-                )
-            )
-        else:
-            for kind, pos, c in nodes:
-                print(f"{kind}@{pos}  {c.to_text()}")
-            print(f"result  {result.to_text()}")
-        return 0
+        value = {
+            "nodes": [{"kind": kind, "position": pos, "config": c.to_json_dict()} for kind, pos, c in nodes],
+            "result": result.to_json_dict(),
+        }
+        lines = [f"{kind}@{pos}  {c.to_text()}" for kind, pos, c in nodes] + [f"result  {result.to_text()}"]
+        return value, "\n".join(lines), 0
     steps = args.right if direction == "right" else args.left
     if steps < 0:
         raise ValueError(f"--{direction} must be non-negative")
+    move, sight = (right_move, highest_particle) if direction == "right" else (left_move, lowest_particle)
     chain = [cfg]
     for _ in range(steps):
-        chain.append(right_move(chain[-1], k, l) if direction == "right" else left_move(chain[-1], k, l))
-    lines = []
-    for c in chain:
-        sight = highest_particle(c, k, l) if direction == "right" else lowest_particle(c, k, l)
-        note = f"{sight.kind}@{sight.position}" if sight else "-"
-        lines.append((c, note))
-    if args.json:
-        print(
-            json.dumps(
-                [{"config": c.to_json_dict(), "particle": note} for c, note in lines]
-            )
-        )
-    else:
-        for c, note in lines:
-            print(f"{c.to_text()}  [{note}]")
-    return 0
+        chain.append(move(chain[-1], k, l))
+    sightings = [sight(c, k, l) for c in chain]
+    notes = [f"{s.kind}@{s.position}" if s else "-" for s in sightings]
+    value = [{"config": c.to_json_dict(), "particle": note} for c, note in zip(chain, notes)]
+    return value, "\n".join(f"{c.to_text()}  [{note}]" for c, note in zip(chain, notes)), 0
 
 
-def _cmd_chi(args: argparse.Namespace) -> int:
+def _cmd_chi(args: argparse.Namespace) -> tuple[object, str, int]:
     poly = chi_closed(args.k, args.l, args.a, args.b, args.N)
-    print(json.dumps(poly.to_json_dict()) if args.json else poly.to_text())
-    return 0
+    return poly.to_json_dict(), poly.to_text(), 0
 
 
-def _cmd_sum(args: argparse.Namespace) -> int:
+def _cmd_sum(args: argparse.Namespace) -> tuple[object, str, int]:
     poly = config_sum(args.k, args.r, a0=args.a0, a1=args.a1, N=args.N, max_degree=args.max_degree)
-    print(json.dumps(poly.to_json_dict()) if args.json else poly.to_text())
-    return 0
+    return poly.to_json_dict(), poly.to_text(), 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    which = args.what
-    if which == "roundtrip":
-        reports = [identities.verify_roundtrip(args.k, args.N if args.N is not None else 6)]
-    elif which == "gordon":
-        reports = [identities.verify_gordon(args.k, args.max_degree)]
-    elif which == "gordon-r2":
-        reports = [identities.verify_gordon_r2(args.k, args.max_degree)]
-    elif which == "polynomial":
-        reports = [
-            identities.verify_polynomial_identity(
-                args.k, _required(args.l, "--l"), _required(args.a, "--a"), _required(args.b, "--b"),
-                args.N if args.N is not None else 6,
-            )
-        ]
-    elif which == "init":
-        l = _required(args.l, "--l")
-        N = args.N if args.N is not None else 6
-        if args.a is not None or args.b is not None:
-            reports = [identities.verify_init(args.k, l, _required(args.a, "--a"), _required(args.b, "--b"), N)]
-        else:
-            reports = [
-                identities.verify_init(args.k, l, a, b, N)
-                for a in range(l + 1)
-                for b in range(l + 1 - a)
-            ]
-            reports.append(identities.verify_init_cover(args.k, l, N))
-    elif which == "boundary":
-        reports = [identities.verify_boundary(args.k, _required(args.l, "--l"), args.N if args.N is not None else 6)]
-    elif which == "recursion":
-        reports = [identities.verify_recursion(_required(args.l, "--l"), args.k, args.N if args.N is not None else 4)]
-    elif which == "shift":
-        l = _required(args.l, "--l")
-        samples = identities.shift_sample_space(args.k, l, args.width)
-        reports = [identities.verify_shift(args.k, l, samples)]
-    elif which == "golden":
-        reports = [identities.verify_golden()]
-    elif which == "all":
-        reports = identities.verify_all(
-            k_max=args.k if args.k is not None else 3,
-            n_max=args.N if args.N is not None else 6,
-            max_degree=args.max_degree,
-        )
-    else:
-        raise ValueError(f"unknown verification {which!r}")
-    if args.json:
-        print(json.dumps([r.to_json_dict() for r in reports]))
-    else:
-        for r in reports:
-            print(r)
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def _required(value, flag: str):
+def _required(args: argparse.Namespace, name: str) -> int:
+    value = getattr(args, name)
     if value is None:
-        raise ValueError(f"missing required flag {flag}")
+        raise ValueError(f"missing required flag --{name}")
     return value
+
+
+def _boundary(args: argparse.Namespace, default: int = 6) -> int:
+    return default if args.N is None else args.N
+
+
+def _verify_init(args: argparse.Namespace) -> list[identities.VerifyReport]:
+    """One (a, b) family when either column is given, else every family and their cover."""
+    k, l, N = args.k, _required(args, "l"), _boundary(args)
+    if args.a is not None or args.b is not None:
+        return [identities.verify_init(k, l, _required(args, "a"), _required(args, "b"), N)]
+    reports = [identities.verify_init(k, l, a, b, N) for a in range(l + 1) for b in range(l + 1 - a)]
+    return reports + [identities.verify_init_cover(k, l, N)]
+
+
+def _verify_shift(args: argparse.Namespace) -> list[identities.VerifyReport]:
+    l = _required(args, "l")
+    return [identities.verify_shift(args.k, l, identities.shift_sample_space(args.k, l, args.width))]
+
+
+# The ``verify`` checks, in the order ``--help`` lists them: each reads its flags and returns its reports.
+# Each looks its ``identities.verify_*`` function up when it runs, so rebinding one reaches the CLI.
+_CHECKS = {
+    "roundtrip": lambda args: [identities.verify_roundtrip(args.k, _boundary(args))],
+    "gordon": lambda args: [identities.verify_gordon(args.k, args.max_degree)],
+    "gordon-r2": lambda args: [identities.verify_gordon_r2(args.k, args.max_degree)],
+    "polynomial": lambda args: [
+        identities.verify_polynomial_identity(
+            args.k, _required(args, "l"), _required(args, "a"), _required(args, "b"), _boundary(args)
+        )
+    ],
+    "init": _verify_init,
+    "boundary": lambda args: [identities.verify_boundary(args.k, _required(args, "l"), _boundary(args))],
+    "recursion": lambda args: [identities.verify_recursion(_required(args, "l"), args.k, _boundary(args, 4))],
+    "shift": _verify_shift,
+    "golden": lambda args: [identities.verify_golden()],
+    "all": lambda args: identities.verify_all(
+        k_max=3 if args.k is None else args.k, n_max=_boundary(args), max_degree=args.max_degree
+    ),
+}
+
+
+def _cmd_verify(args: argparse.Namespace) -> tuple[object, str, int]:
+    reports = _CHECKS[args.what](args)
+    value = [r.to_json_dict() for r in reports]
+    return value, "\n".join(map(str, reports)), 0 if all(r.passed for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rigged", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, need_k: bool = True) -> None:
-        if need_k:
-            p.add_argument("--k", type=int, required=True, help="admissibility level")
+    def add_common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--k", type=int, required=True, help="admissibility level")
         p.add_argument("--json", action="store_true", help="emit JSON")
 
     p = sub.add_parser("map", help="configuration -> rigged partition")
@@ -215,21 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sum)
 
     p = sub.add_parser("verify", help="run identity and property checks")
-    p.add_argument(
-        "what",
-        choices=(
-            "roundtrip",
-            "gordon",
-            "gordon-r2",
-            "polynomial",
-            "init",
-            "boundary",
-            "recursion",
-            "shift",
-            "golden",
-            "all",
-        ),
-    )
+    p.add_argument("what", choices=tuple(_CHECKS))
     p.add_argument("--k", type=int, help="level (or level cap for 'all')")
     p.add_argument("--l", type=int)
     p.add_argument("--a", type=int)
@@ -249,10 +198,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "verify" and args.what not in ("all", "golden") and args.k is None:
         parser.error("verify needs --k")
     try:
-        return args.func(args)
+        value, text, code = args.func(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print(json.dumps(value) if args.json else text)
+    return code
 
 
 if __name__ == "__main__":

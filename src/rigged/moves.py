@@ -382,6 +382,7 @@ def free_particle(a: Configuration, k: int, l: int) -> FreeParticle | None:
     Free means: located by S with a nonzero upper column and nothing anywhere
     above its two columns.
     """
+    _require_weight_at_most(a, k, l)
     if a.is_zero:
         return None
     sc = _Scratch(a)
@@ -631,6 +632,7 @@ def left_sweeps(b: Configuration, k: int, l: int, times: int, expected: int | No
 
     ``expected``, when given, is the number of particles every sweep must sight.
     """
+    _require_weight_at_most(b, k, l)
     sc = _Scratch(b)
     _settle(sc, k, l, times, expected, _debug_enabled())
     return sc.to_configuration()

@@ -11,6 +11,7 @@ silently lose precision.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, zip_longest
@@ -151,11 +152,21 @@ class QPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QPolynomial":
-        coeffs = {int(d): int(c) for d, c in data.get("coeffs", {}).items()}
-        return cls.from_dict(coeffs, data.get("order"))
+        """Parse what ``to_json_dict`` writes: integer degrees and coefficients, as ints or decimal strings."""
+        coeffs = {_json_int(d, "degree"): _json_int(c, "coefficient") for d, c in data.get("coeffs", {}).items()}
+        order = data.get("order")
+        if order is not None and type(order) is not int:
+            raise ValueError(f"order must be an integer or null, got {order!r}")
+        return cls.from_dict(coeffs, order)
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _json_int(value: object, name: str) -> int:
+    if type(value) is int or (type(value) is str and re.fullmatch(r"-?[0-9]+", value)):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _times_one_minus(c: list[int], a: int) -> None:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigged
+from rigged import identities
 from rigged.bijection import RiggedPartition
 from rigged.cli import _parse_config, _parse_partition, main
 from rigged.configuration import Configuration
@@ -36,6 +41,11 @@ class TestMapUnmap:
         partition = json.dumps({"parts": [{"weight": 3, "rigging": 0}, {"weight": 1, "rigging": 0}]})
         code, out, _ = run(capsys, "unmap", "--k", "3", "--partition", partition)
         assert code == 0 and out.strip() == "0:3,0,0,1"
+
+    def test_unmap_json(self, capsys):
+        partition = json.dumps({"parts": [{"weight": 3, "rigging": 0}, {"weight": 1, "rigging": 0}]})
+        code, out, _ = run(capsys, "unmap", "--k", "3", "--partition", partition, "--json")
+        assert (code, out) == (0, '{"offset": 0, "counts": [3, 0, 0, 1]}\n')
 
     def test_unmap_empty(self, capsys):
         code, out, _ = run(capsys, "unmap", "--k", "2", "--partition", '{"parts": []}')
@@ -127,6 +137,36 @@ class TestTrace:
             "0:1,2,1,0,2  [S@0]",
             "0:2,1,1,0,2  [S@0]",
         ]
+
+    @pytest.mark.parametrize(
+        "flags, out",
+        [
+            (
+                ("--k", "3", "--l", "3", "--right", "2", "--config", "0:3,0,0,1"),
+                '[{"config": {"offset": 0, "counts": [3, 0, 0, 1]}, "particle": "S@0"}, '
+                '{"config": {"offset": 0, "counts": [2, 1, 0, 1]}, "particle": "S@0"}, '
+                '{"config": {"offset": 0, "counts": [1, 2, 0, 1]}, "particle": "L@1"}]\n',
+            ),
+            (
+                ("--k", "4", "--l", "3", "--left", "2", "--config", "0:1,1,1,1,2"),
+                '[{"config": {"offset": 0, "counts": [1, 1, 1, 1, 2]}, "particle": "L@2"}, '
+                '{"config": {"offset": 0, "counts": [1, 1, 2, 0, 2]}, "particle": "S@1"}, '
+                '{"config": {"offset": 0, "counts": [1, 2, 1, 0, 2]}, "particle": "S@0"}]\n',
+            ),
+            (
+                ("--k", "4", "--l", "3", "--pass", "--config", "0:1,1,1"),
+                '{"nodes": [{"kind": "S", "position": 3, "config": {"offset": 0, "counts": [1, 1, 1, 0, 3]}}, '
+                '{"kind": "L", "position": 2, "config": {"offset": 0, "counts": [1, 1, 1, 1, 2]}}, '
+                '{"kind": "S", "position": 1, "config": {"offset": 0, "counts": [1, 1, 2, 0, 2]}}, '
+                '{"kind": "S", "position": 0, "config": {"offset": 0, "counts": [1, 2, 1, 0, 2]}}, '
+                '{"kind": "S", "position": -1, "config": {"offset": 0, "counts": [3, 0, 1, 0, 2]}}], '
+                '"result": {"offset": 2, "counts": [1, 0, 2]}}\n',
+            ),
+        ],
+        ids=["right", "left", "pass"],
+    )
+    def test_json(self, capsys, flags, out):
+        assert run(capsys, "trace", *flags, "--json") == (0, out, "")
 
     @pytest.mark.parametrize("direction", ["--right", "--left"])
     def test_weight_zero_move_rejected(self, capsys, direction):
@@ -235,6 +275,91 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["map", "--k", "notanint", "--config", "0:1"])
         assert exc.value.code == 2
+
+
+class TestVerifyEachCheck:
+    """Every ``verify`` check, its ``--N`` default and its required flags, through ``main``."""
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (("roundtrip", "--k", "2", "--N", "5"), "roundtrip k=2 N=5 configurations=76: PASS\n"),
+            (("roundtrip", "--k", "1"), "roundtrip k=1 N=6 configurations=19: PASS\n"),
+            (("gordon-r2", "--k", "2", "--max-degree", "10"), "gordon-r2 k=2 max_degree=10: PASS\n"),
+            (("polynomial", "--k", "2", "--l", "2", "--a", "1", "--b", "0"), "polynomial k=2 l=2 a=1 b=0 N=6: PASS\n"),
+            (("init", "--k", "2", "--l", "2", "--a", "1", "--b", "0"), "init-image k=2 l=2 a=1 b=0 N=6 size=34: PASS\n"),
+            (
+                ("init", "--k", "2", "--l", "2"),
+                "init-image k=2 l=2 a=0 b=0 N=6 size=40: PASS\n"
+                "init-image k=2 l=2 a=0 b=1 N=6 size=26: PASS\n"
+                "init-image k=2 l=2 a=0 b=2 N=6 size=10: PASS\n"
+                "init-image k=2 l=2 a=1 b=0 N=6 size=34: PASS\n"
+                "init-image k=2 l=2 a=1 b=1 N=6 size=17: PASS\n"
+                "init-image k=2 l=2 a=2 b=0 N=6 size=20: PASS\n"
+                "init-cover k=2 l=2 N=6 pairs=6: PASS\n",
+            ),
+            (("boundary", "--k", "2", "--l", "2", "--N", "3"), "boundary k=2 l=2 N=3 configurations=147: PASS\n"),
+            (("boundary", "--k", "2", "--l", "2"), "boundary k=2 l=2 N=6 configurations=1077: PASS\n"),
+            (("recursion", "--k", "2", "--l", "2"), "recursion l=2 k=2 N=4 universe=40: PASS\n"),
+            (("shift", "--k", "3", "--l", "2"), "shift k=3 l=2 samples=21: PASS\n"),
+        ],
+    )
+    def test_text(self, capsys, argv, out):
+        assert run(capsys, "verify", *argv) == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (
+                ("init", "--k", "2", "--l", "2", "--a", "1", "--b", "0"),
+                '[{"name": "init-image", "parameters": {"k": 2, "l": 2, "a": 1, "b": 0, "N": 6, "size": 34}, '
+                '"passed": true, "lhs": null, "rhs": null, "first_mismatch": null}]\n',
+            ),
+            (
+                ("recursion", "--k", "2", "--l", "2", "--N", "3"),
+                '[{"name": "recursion", "parameters": {"l": 2, "k": 2, "N": 3, "universe": 20}, '
+                '"passed": true, "lhs": null, "rhs": null, "first_mismatch": null}]\n',
+            ),
+            (
+                ("shift", "--k", "3", "--l", "2", "--width", "4"),
+                '[{"name": "shift", "parameters": {"k": 3, "l": 2, "samples": 8}, '
+                '"passed": true, "lhs": null, "rhs": null, "first_mismatch": null}]\n',
+            ),
+        ],
+    )
+    def test_json(self, capsys, argv, out):
+        assert run(capsys, "verify", *argv, "--json") == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("polynomial", "--k", "2"), "--l"),
+            (("polynomial", "--k", "2", "--l", "2", "--b", "0"), "--a"),
+            (("polynomial", "--k", "2", "--l", "2", "--a", "0"), "--b"),
+            (("init", "--k", "2", "--a", "1"), "--l"),
+            (("init", "--k", "2", "--l", "2", "--a", "1"), "--b"),
+            (("init", "--k", "2", "--l", "2", "--b", "1"), "--a"),
+            (("boundary", "--k", "2"), "--l"),
+            (("recursion", "--k", "2"), "--l"),
+            (("shift", "--k", "3"), "--l"),
+        ],
+    )
+    def test_missing_required_flag(self, capsys, argv, flag):
+        assert run(capsys, "verify", *argv) == (2, "", f"error: missing required flag {flag}\n")
+
+    def test_fail_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(identities, "right_move", lambda a, k, l: a)
+        code, out, err = run(capsys, "verify", "golden")
+        assert (code, err) == (1, "")
+        assert out.startswith("golden : FAIL (move chain diverges: ")
+
+    def test_module_entry_point(self):
+        src = str(Path(rigged.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "rigged.cli", "verify", "golden"], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "golden : PASS\n", "")
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)

@@ -1,6 +1,7 @@
 import pytest
 
 from rigged import identities
+from rigged.bijection import EMPTY, RiggedPartition, iota
 from rigged.configuration import ZERO, Configuration, enumerate_configurations, weight
 from rigged.identities import (
     GOLDEN_CHAIN,
@@ -246,3 +247,153 @@ class TestGolden:
     def test_reports_render(self):
         text = str(verify_golden())
         assert "golden" in text and "PASS" in text
+
+
+_cached_iota = identities._iota
+
+
+@pytest.fixture
+def fresh_iota():
+    """An empty forward-map cache before and after a test that patches what fills it."""
+    _cached_iota.cache_clear()
+    yield
+    _cached_iota.cache_clear()
+
+
+def forge_iota(monkeypatch, forge):
+    """Make identities' forward map return ``forge(a, k)``, with ``kappa`` inverting the forgery."""
+    back = {}
+
+    def forged(a, k):
+        rp = forge(a, k)
+        back[rp] = a
+        return rp
+
+    monkeypatch.setattr(identities, "_iota", forged)
+    monkeypatch.setattr(identities, "kappa", lambda rp, k: back[rp])
+
+
+def shifted_riggings(delta):
+    return lambda a, k: RiggedPartition(tuple((w, r + delta) for w, r in iota(a, k).parts))
+
+
+def swapped(source, target):
+    """The honest forward map, except that ``source`` maps to the image of ``target``."""
+    return lambda a, k: iota(target if a == source else a, k)
+
+
+@pytest.mark.usefixtures("fresh_iota")
+class TestWitnesses:
+    """Every disagreement a check can find makes it report FAIL with its witness."""
+
+    def test_roundtrip_inverse(self, monkeypatch):
+        monkeypatch.setattr(identities, "kappa", lambda rp, k: cfg(1, offset=9))
+        report = verify_roundtrip(2, 3)
+        assert report.passed is False
+        assert report.first_mismatch == "0:: inverse map returns 9:1"
+
+    @pytest.mark.parametrize(
+        "forge, witness",
+        [
+            (shifted_riggings(-6), "5:1: negative rigging in ((1),(-1))"),
+            (shifted_riggings(+1), "5:1: energy 5 != E0+E1 of ((1),(6))"),
+            # 0:1 has the zero configuration's energy, 0, but length 1.
+            (swapped(ZERO, cfg(1)), "0:: length 0 != |((1),(0))|"),
+            # 4:2 and 3:1,0,1 share energy and length; 4:2 comes first.
+            (swapped(cfg(1, 0, 1, offset=3), cfg(2, offset=4)), "3:1,0,1: image ((2),(8)) duplicated"),
+        ],
+    )
+    def test_roundtrip_forged_image(self, monkeypatch, forge, witness):
+        forge_iota(monkeypatch, forge)
+        report = verify_roundtrip(2, 5)
+        assert report.passed is False and report.first_mismatch == witness
+
+    def test_init_cover_overlap(self, monkeypatch):
+        monkeypatch.setattr(identities, "member", lambda rp, rset, k: True)
+        report = verify_init_cover(2, 2, 3)
+        assert report.passed is False
+        assert report.first_mismatch == "() lies in 6 families: [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]"
+
+    def test_init_cover_missing_image(self, monkeypatch):
+        monkeypatch.setattr(identities, "_iota", lambda a, k: EMPTY)
+        report = verify_init_cover(2, 2, 3)
+        assert report.passed is False
+        assert report.first_mismatch.endswith("claimed by (1, 0) but not in that image")
+
+    def test_boundary(self, monkeypatch):
+        monkeypatch.setattr(identities, "satisfies_boundary", lambda rp, k, N: False)
+        report = verify_boundary(2, 2, 3)
+        assert report.passed is False
+        assert report.first_mismatch == "0:: support inside boundary True but ceilings False"
+
+    def test_recursion_disagrees(self, monkeypatch):
+        monkeypatch.setattr(identities, "member", lambda rp, rset, k: True)
+        report = verify_recursion(2, 2, 3)
+        assert report.passed is False
+        assert report.first_mismatch == "(): recursion disagrees at (a,b)=(0,2)"
+
+    def test_recursion_overlap(self, monkeypatch):
+        # One weight-2 part pinned at 2l - b = 3 for (a, b) = (0, 1), in every level-1 family:
+        # both the floating and the pinned term of (0, 1) claim it.
+        monkeypatch.setattr(identities, "enumerate_rigged", lambda k, l, N: iter([RiggedPartition.of((2,), (3,))]))
+        monkeypatch.setattr(identities, "member", lambda rp, rset, k: rset.l < 2)
+        report = verify_recursion(2, 2, 3)
+        assert report.passed is False
+        assert report.first_mismatch == "((2),(3)): recursion terms overlap at (a,b)=(0,1)"
+
+    def test_shift_riggings(self, monkeypatch):
+        monkeypatch.setattr(identities, "pass_particle", lambda a, k, l: a)
+        report = verify_shift(3, 2, shift_sample_space(3, 2, 4))
+        assert report.passed is False
+        assert report.first_mismatch == "3:1: riggings shift to (3,), expected (5,)"
+
+    def test_shift_dips_below_column_two(self, monkeypatch):
+        honest = identities.pass_particle
+        lowered = {}
+
+        def low_pass(a, k, l):
+            passed = honest(a, k, l)
+            lowered[passed.shifted(-2)] = passed
+            return passed.shifted(-2)
+
+        monkeypatch.setattr(identities, "pass_particle", low_pass)
+        monkeypatch.setattr(identities, "_iota", lambda a, k: iota(lowered.get(a, a), k))
+        report = verify_shift(3, 2, shift_sample_space(3, 2, 4))
+        assert report.passed is False
+        assert report.first_mismatch == "1:1: passed result 1:1 dips below column 2"
+
+    def test_shift_does_not_commute(self, monkeypatch):
+        samples = shift_sample_space(3, 2, 4)
+        honest = identities.right_move
+        # Moves the samples only, so the passed configurations stand still.
+        monkeypatch.setattr(identities, "right_move", lambda a, k, l: honest(a, k, l) if a in samples else a)
+        report = verify_shift(3, 2, samples)
+        assert report.passed is False
+        assert report.first_mismatch.endswith("passing does not commute with the right move")
+
+    def test_fermionic_floor(self, monkeypatch):
+        monkeypatch.setattr(identities, "rigged_sum", lambda k, rset: QPolynomial.zero())
+        report = identities.verify_fermionic_floor(2, 2, 3)
+        assert report.passed is False
+        assert report.first_mismatch == "(a,b)=(0,0): q^0: 1 vs 0"
+
+    def test_golden_chain(self, monkeypatch):
+        monkeypatch.setattr(identities, "right_move", lambda a, k, l: a)
+        assert verify_golden().first_mismatch.startswith("move chain diverges: ['0:3,0,0,1', '0:3,0,0,1'")
+
+    def test_golden_image(self, monkeypatch):
+        monkeypatch.setattr(identities, "_iota", lambda a, k: RiggedPartition.of((3, 1), (0, 1)))
+        assert verify_golden().first_mismatch == "image of 0:3,0,0,1 is ((3,1),(0,1))"
+
+    def test_golden_pass_nodes(self, monkeypatch):
+        honest = identities.passing_history
+        monkeypatch.setattr(identities, "passing_history", lambda a, k, l: (honest(a, k, l)[0][:-1], honest(a, k, l)[1]))
+        assert verify_golden().first_mismatch.startswith("passing nodes diverge: [('S', 3, '0:1,1,1,0,3')")
+
+    def test_golden_pass_result(self, monkeypatch):
+        honest = identities.passing_history
+        monkeypatch.setattr(identities, "passing_history", lambda a, k, l: (honest(a, k, l)[0], ZERO))
+        assert verify_golden().first_mismatch == "passing result is 0:"
+
+    def test_truncation_orders_differ(self):
+        assert identities._poly_mismatch(QPolynomial((1,), 3), QPolynomial((1,), 4)) == "truncation orders differ: 3 vs 4"

@@ -202,6 +202,18 @@ class TestFreeFlight:
             separate_highest(self.RISING, 3, 2)
 
 
+@pytest.mark.parametrize(
+    "a, k, l", [(cfg(5), 3, 2), (cfg(1, 1), 3, 5), (cfg(0, 2), 0, 2)], ids=["inadmissible", "l above k", "level 0"]
+)
+def test_sweeps_and_free_particle_validate_like_move_all(a, k, l):
+    with pytest.raises(ValueError) as expected:
+        move_all(a, k, l, "left")
+    for call in (lambda: left_sweeps(a, k, l, 1), lambda: free_particle(a, k, l)):
+        with pytest.raises(type(expected.value)) as raised:
+            call()
+        assert str(raised.value) == str(expected.value)
+
+
 class TestMoveCth:
     def test_examples(self):
         a = cfg(1, 0, 0, 1)

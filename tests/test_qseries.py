@@ -94,6 +94,28 @@ class TestArithmetic:
         p = poly({0: 1, 2: 10**30}, order=5)
         assert QPolynomial.from_json_dict(p.to_json_dict()) == p
 
+    def test_json_accepts_plain_ints(self):
+        assert QPolynomial.from_json_dict({"coeffs": {"0": 1, "2": "-3"}, "order": 4}) == poly({0: 1, 2: -3}, order=4)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"coeffs": {"0": 1.5}},
+            {"coeffs": {"0": True}},
+            {"coeffs": {"0": "1.5"}},
+            {"coeffs": {"0": " 1"}},
+            {"coeffs": {"0": "1_0"}},
+            {"coeffs": {"x": "1"}},
+            {"coeffs": {"1.0": "1"}},
+            {"coeffs": {}, "order": 1.5},
+            {"coeffs": {}, "order": True},
+            {"coeffs": {}, "order": "3"},
+        ],
+    )
+    def test_json_rejects_non_integers(self, data):
+        with pytest.raises(ValueError, match="must be an integer"):
+            QPolynomial.from_json_dict(data)
+
     def test_canonical_form(self):
         assert QPolynomial((1, 0, 2, 0, 0)).coeffs == (1, 0, 2)
         assert QPolynomial((1, 0, 2, 5), order=1).coeffs == (1,)
