@@ -56,6 +56,20 @@ class RiggedPartition:
         return self
 
     @classmethod
+    def _prepended(cls, part: tuple[int, int], tail: "RiggedPartition") -> "RiggedPartition":
+        """``RiggedPartition((part,) + tail.parts)`` for a positive-weight int pair and a valid ``tail``.
+
+        Only ``part`` against the tail's first part is checked: every later
+        pair passed the same check when the tail was built.  Parts compare as
+        (weight, rigging), so ``part`` comes first exactly when it is not smaller;
+        otherwise the validating constructor raises its ``RiggingError``.
+        """
+        parts = (part,) + tail.parts
+        if tail.parts and part < tail.parts[0]:
+            cls(parts)
+        return cls._trusted(parts)
+
+    @classmethod
     def of(cls, weights: tuple[int, ...], riggings: tuple[int, ...]) -> "RiggedPartition":
         if len(weights) != len(riggings):
             raise RiggingError("weights and riggings must have equal length")
@@ -128,10 +142,10 @@ def multiplicities(weights: tuple[int, ...], k: int) -> tuple[int, ...]:
     return tuple(m)
 
 
-def _counts(rp: RiggedPartition, k: int) -> list[int]:
-    """Weight-indexed multiplicities [0, m_1, ..., m_k] of a partition with weights <= k."""
+def _counts(parts: tuple[tuple[int, int], ...], k: int) -> list[int]:
+    """Weight-indexed multiplicities [0, m_1, ..., m_k] of partition parts with weights <= k."""
     m = [0] * (k + 1)
-    for w, _ in rp.parts:
+    for w, _ in parts:
         m[w] += 1
     return m
 
@@ -163,39 +177,53 @@ def iota(a: Configuration, k: int) -> RiggedPartition:
     return RiggedPartition(tuple(reversed(parts)))
 
 
+def _settle_group(
+    sc: _Scratch, k: int, group: tuple[tuple[int, int], ...], later: list[int], top: int, extra: int, debug: bool
+) -> int:
+    """Write the one-weight parts ``group`` free above ``sc``'s content and settle them in place.
+
+    ``later`` counts the buffer's parts by weight and gains the group's;
+    ``top`` is the buffer's highest occupied column, -3 on an empty buffer,
+    which starts the group at columns >= 0.  ``extra`` adds settling sweeps.
+    Returns the new top.
+    """
+    l = group[0][0]
+    # A part's surplus is its rigging plus the load it owes every later part.
+    surpluses = []
+    for _, r in reversed(group):
+        surpluses.append(r + _load(k, l, later))
+        later[l] += 1
+    # Free particles must start strictly above everything already built,
+    # with a clear three-column gap below the lowest of them.
+    t = max(0, l * (top + 3) - surpluses[0]) + extra
+    for s in surpluses:
+        sc.place(s + t, l)
+    # Windows up to the old top read only lighter content, which sights no weight-l particle.
+    _settle(sc, k, l, t, len(group), debug, top - sc.lo + 1)
+    top = (surpluses[-1] + t) // l + 1  # sweeps only lower the top
+    vals = sc.vals
+    while not vals[top - sc.lo]:
+        top -= 1
+    return top
+
+
 def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
     """Inverse map on one column buffer, with ``extra`` additional settling sweeps per weight.
 
-    Builds the weight groups from lightest to heaviest: each group's
-    particles are written into the buffer free, above everything already
-    there, and settled in place by left sweeps.
+    Settles the weight groups from lightest to heaviest (``_settle_group``).
     """
     debug = _debug_enabled()
     sc = _Scratch(ZERO)
-    vals, parts = sc.vals, rp.parts
+    parts = rp.parts
     later = [0] * (k + 1)
-    top = -3  # highest occupied column; on the empty buffer -3 starts the first group at columns >= 0
+    top = -3
     end = len(parts)
     while end:
         l = parts[end - 1][0]
         start = end - 1
         while start and parts[start - 1][0] == l:
             start -= 1
-        # A part's surplus is its rigging plus the load it owes every later part.
-        surpluses = []
-        for _, r in reversed(parts[start:end]):
-            surpluses.append(r + _load(k, l, later))
-            later[l] += 1
-        # Free particles must start strictly above everything already built,
-        # with a clear three-column gap below the lowest of them.
-        t = max(0, l * (top + 3) - surpluses[0]) + extra
-        for s in surpluses:
-            sc.place(s + t, l)
-        # Windows up to the old top read only lighter content, which sights no weight-l particle.
-        _settle(sc, k, l, t, end - start, debug, top - sc.lo + 1)
-        top = (surpluses[-1] + t) // l + 1  # sweeps only lower the top
-        while not vals[top - sc.lo]:
-            top -= 1
+        top = _settle_group(sc, k, parts[start:end], later, top, extra, debug)
         end = start
     return sc.to_configuration()
 

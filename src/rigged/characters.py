@@ -114,7 +114,7 @@ def initial_columns_set(a: int, b: int, l: int, k: int, boundary: int | None = N
 
 def _fits_ceilings(rp: RiggedPartition, k: int, N: int) -> bool:
     """``satisfies_boundary`` for weights already known to lie in 1..k: one ceiling per distinct weight."""
-    m, table, last = _counts(rp, k), _table(k), 0
+    m, table, last = _counts(rp.parts, k), _table(k), 0
     for w, r in rp.parts:
         if w != last:
             last, ceiling = w, w * N + table[w][w] - _load(k, w, m)

@@ -87,13 +87,9 @@ def _required(args: argparse.Namespace, name: str) -> int:
     return value
 
 
-def _boundary(args: argparse.Namespace, default: int = 6) -> int:
-    return default if args.N is None else args.N
-
-
 def _verify_init(args: argparse.Namespace) -> list[identities.VerifyReport]:
     """One (a, b) family when either column is given, else every family and their cover."""
-    k, l, N = args.k, _required(args, "l"), _boundary(args)
+    k, l, N = args.k, _required(args, "l"), args.N
     if args.a is not None or args.b is not None:
         return [identities.verify_init(k, l, _required(args, "a"), _required(args, "b"), N)]
     reports = [identities.verify_init(k, l, a, b, N) for a in range(l + 1) for b in range(l + 1 - a)]
@@ -105,30 +101,46 @@ def _verify_shift(args: argparse.Namespace) -> list[identities.VerifyReport]:
     return [identities.verify_shift(args.k, l, identities.shift_sample_space(args.k, l, args.width))]
 
 
-# The ``verify`` checks, in the order ``--help`` lists them: each reads its flags and returns its reports.
-# Each looks its ``identities.verify_*`` function up when it runs, so rebinding one reaches the CLI.
+# The ``verify`` checks, in the order ``--help`` lists them: each maps the flags it reads, by argparse
+# destination, to their defaults, and makes its reports.  Each looks its ``identities.verify_*``
+# function up when it runs, so rebinding one reaches the CLI.
 _CHECKS = {
-    "roundtrip": lambda args: [identities.verify_roundtrip(args.k, _boundary(args))],
-    "gordon": lambda args: [identities.verify_gordon(args.k, args.max_degree)],
-    "gordon-r2": lambda args: [identities.verify_gordon_r2(args.k, args.max_degree)],
-    "polynomial": lambda args: [
-        identities.verify_polynomial_identity(
-            args.k, _required(args, "l"), _required(args, "a"), _required(args, "b"), _boundary(args)
-        )
-    ],
-    "init": _verify_init,
-    "boundary": lambda args: [identities.verify_boundary(args.k, _required(args, "l"), _boundary(args))],
-    "recursion": lambda args: [identities.verify_recursion(_required(args, "l"), args.k, _boundary(args, 4))],
-    "shift": _verify_shift,
-    "golden": lambda args: [identities.verify_golden()],
-    "all": lambda args: identities.verify_all(
-        k_max=3 if args.k is None else args.k, n_max=_boundary(args), max_degree=args.max_degree
+    "roundtrip": ({"k": None, "N": 6}, lambda args: [identities.verify_roundtrip(args.k, args.N)]),
+    "gordon": ({"k": None, "max_degree": 20}, lambda args: [identities.verify_gordon(args.k, args.max_degree)]),
+    "gordon-r2": ({"k": None, "max_degree": 20}, lambda args: [identities.verify_gordon_r2(args.k, args.max_degree)]),
+    "polynomial": (
+        {"k": None, "l": None, "a": None, "b": None, "N": 6},
+        lambda args: [
+            identities.verify_polynomial_identity(
+                args.k, _required(args, "l"), _required(args, "a"), _required(args, "b"), args.N
+            )
+        ],
+    ),
+    "init": ({"k": None, "l": None, "a": None, "b": None, "N": 6}, _verify_init),
+    "boundary": (
+        {"k": None, "l": None, "N": 6}, lambda args: [identities.verify_boundary(args.k, _required(args, "l"), args.N)]
+    ),
+    "recursion": (
+        {"k": None, "l": None, "N": 4}, lambda args: [identities.verify_recursion(_required(args, "l"), args.k, args.N)]
+    ),
+    "shift": ({"k": None, "l": None, "width": 6}, _verify_shift),
+    "golden": ({}, lambda args: [identities.verify_golden()]),
+    "all": (
+        {"k": 3, "N": 6, "max_degree": 20},
+        lambda args: identities.verify_all(k_max=args.k, n_max=args.N, max_degree=args.max_degree),
     ),
 }
 
+#: Every optional ``verify`` flag, by its argparse destination; each defaults to None.
+_VERIFY_FLAGS = ("k", "l", "a", "b", "N", "max_degree", "width")
+
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[object, str, int]:
-    reports = _CHECKS[args.what](args)
+    reads, run = _CHECKS[args.what]
+    for name, default in reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    reports = run(args)
     value = [r.to_json_dict() for r in reports]
     return value, "\n".join(map(str, reports)), 0 if all(r.passed for r in reports) else 1
 
@@ -184,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--N", type=int)
-    p.add_argument("--max-degree", type=int, default=20)
-    p.add_argument("--width", type=int, default=6, help="support width for shift samples")
+    p.add_argument("--max-degree", type=int)
+    p.add_argument("--width", type=int, help="support width for shift samples")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -195,8 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.what not in ("all", "golden") and args.k is None:
-        parser.error("verify needs --k")
+    if args.command == "verify":
+        if args.what not in ("all", "golden") and args.k is None:
+            parser.error("verify needs --k")
+        reads = _CHECKS[args.what][0]
+        unread = [name for name in _VERIFY_FLAGS if getattr(args, name) is not None and name not in reads]
+        if unread:
+            flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+            parser.error(f"verify {args.what} does not read {flags}")
     try:
         value, text, code = args.func(args)
     except (ValueError, ArithmeticError) as exc:

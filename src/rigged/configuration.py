@@ -22,8 +22,9 @@ each window the new column enters, counting later columns as zero; window
 sums only grow, so the cap is exact and never builds a dead subtree, and at
 l = k it never binds, as each L is the sum of two 3-windows.  Descent stops
 once one unit in the next column costs more than the energy left, since
-every later column is then zero.  Each leaf copies the row into one
-configuration, in lexicographic order of (a_0, a_1, ...).  The character
+every later column is then zero.  The descent tracks the row's lowest and
+highest nonzero columns, so each leaf copies just that stretch into one
+canonical configuration, in lexicographic order of (a_0, a_1, ...).  The character
 identities count configurations with a column transfer matrix over the same
 window rules (``characters.config_sum``); this enumeration is its
 brute-force oracle, and under RIGGED_DEBUG=1 it recounts every sum.
@@ -77,6 +78,14 @@ class Configuration:
         """Internal constructor for counts already known to be non-negative ints: only trims."""
         self = object.__new__(cls)
         self._trim(offset, counts)
+        return self
+
+    @classmethod
+    def _canonical(cls, offset: int, counts: tuple[int, ...]) -> "Configuration":
+        """Internal constructor for counts already canonical: non-negative ints, nonzero at both ends."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "counts", counts)
         return self
 
     def _trim(self, offset: int, counts: tuple[int, ...]) -> None:
@@ -277,12 +286,14 @@ def enumerate_configurations(
     row = [0] * (limit + 4)
     l = max_weight if max_weight is not None and max_weight < k else None
 
-    def fill(i: int, budget: int) -> Iterator[Configuration]:
-        # Past the limit, or at a column dearer than the budget left, every
-        # remaining column is zero.  That column is never a pinned one: column
-        # 0 is free, so column 1 sees the whole cap, and a zero cap means limit 0.
+    def fill(i: int, budget: int, first: int, last: int) -> Iterator[Configuration]:
+        # ``first`` and ``last`` are the lowest and highest nonzero columns
+        # before i, -1 while there is none.  Past the limit, or at a column
+        # dearer than the budget left, every remaining column is zero.  That
+        # column is never a pinned one: column 0 is free, so column 1 sees the
+        # whole cap, and a zero cap means limit 0.
         if i > limit or budget < i:
-            yield Configuration._trusted(-3, tuple(row))
+            yield ZERO if last < 0 else Configuration._canonical(first, tuple(row[first + 3 : last + 4]))
             return
         x, y, z = row[i : i + 3]
         cap = k - z - (y if r == 3 else 0)
@@ -294,8 +305,11 @@ def enumerate_configurations(
         pin = pins.get(i)
         for v in range(cap + 1) if pin is None else (pin,) if 0 <= pin <= cap else ():
             row[i + 3] = v
-            yield from fill(i + 1, budget - i * v)
+            if v:
+                yield from fill(i + 1, budget - i * v, i if last < 0 else first, i)
+            else:
+                yield from fill(i + 1, budget, first, last)
         row[i + 3] = 0
 
     # Without an energy cap, the largest energy a row can carry never binds.
-    yield from fill(0, max_energy if max_energy is not None else k * limit * (limit + 1) // 2)
+    yield from fill(0, max_energy if max_energy is not None else k * limit * (limit + 1) // 2, -1, -1)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .bijection import EMPTY, RiggedPartition, _counts, e0, e1, kappa
+from .bijection import EMPTY, RiggedPartition, _counts, _settle_group, e0, e1, kappa
 from .characters import (
     RestrictedSet,
     _add_at,
@@ -27,8 +27,8 @@ from .characters import (
     satisfies_boundary,
     weighted_config_sum,
 )
-from .configuration import Configuration, check_level, enumerate_configurations, weight
-from .moves import _separate, pass_particle, passing_history, right_move
+from .configuration import ZERO, Configuration, _window_maxima, check_level, enumerate_configurations, weight
+from .moves import InternalCheckError, _debug_enabled, _float_free, _Scratch, pass_particle, passing_history, right_move
 from .phases import _load, phase
 from .qseries import QPolynomial, _over_one_minus
 
@@ -66,18 +66,60 @@ class VerifyReport:
 
 @lru_cache(maxsize=None)
 def _iota(a: Configuration, k: int) -> RiggedPartition:
-    """Cached ``iota(a, k)``.
+    """Cached ``iota(a, k)`` for an admissible ``a``.
 
-    A miss separates only the highest particle and looks up the remainder,
-    which the grid has usually mapped already.
+    A miss floats only the highest particle free and looks up what lies below
+    it, which the grid has usually mapped already.  Its new part is checked
+    against the first part of that image only: the check is inductive, since
+    every image in the cache passed it against its own first part when it was
+    built, so the whole partition is as ordered as ``RiggedPartition`` demands.
     """
     if a.is_zero:
         return EMPTY
-    sep = _separate(a, k, weight(a, k))
-    tail = _iota(sep.remainder, k)
-    w = sep.free.weight
-    owed = _load(k, w, _counts(tail, k))
-    return RiggedPartition(((w, sep.surplus - owed),) + tail.parts)
+    sc = _Scratch(a)
+    vals = sc.vals
+    s_max, _, l_max = _window_maxima(vals)
+    l = max(s_max, l_max - k)
+    t, i = _float_free(sc, k, l, len(vals) - sc.MARGIN - 1, a.length(), a.energy(), a)
+    # The free particle holds vals[i] units at column sc.lo + i and the rest of its l one column up.
+    surplus = l * (sc.lo + i) + vals[i + 1] - t
+    tail = _iota(sc.to_configuration(hi=sc.lo + i - 1), k)
+    return RiggedPartition._prepended((l, surplus - _load(k, l, _counts(tail.parts, k))), tail)
+
+
+def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Configuration]) -> Configuration:
+    """``kappa`` of the rigged partition with ``parts``, memoized in ``memo``, which must map () to ZERO.
+
+    A miss settles only the heaviest weight group, as ``kappa``'s loop does,
+    on the configuration of the lighter groups, which is looked up the same
+    way.  A lone group settles on the empty buffer: that is ``kappa``'s own
+    case, where its rigging translation keeps the cost independent of the
+    riggings, so it goes to ``kappa``.  A heavier group's sweep count reads
+    only its riggings relative to the columns below it, which that
+    translation leaves unchanged.  RIGGED_DEBUG=1 compares every miss with
+    ``kappa``.
+    """
+    c = memo.get(parts)
+    if c is not None:
+        return c
+    l, n = parts[0][0], 1
+    while n < len(parts) and parts[n][0] == l:
+        n += 1
+    if n == len(parts):
+        c = kappa(RiggedPartition._trusted(parts), k)
+    else:
+        lighter = parts[n:]
+        below = _inverse(lighter, k, memo)
+        sc = _Scratch(below)
+        debug = _debug_enabled()
+        _settle_group(sc, k, parts[:n], _counts(lighter, k), -3 if below.is_zero else below.support_max, 0, debug)
+        c = sc.to_configuration()
+        if debug:
+            expected = kappa(RiggedPartition._trusted(parts), k)
+            if c != expected:
+                raise InternalCheckError(f"inverse memo settles {parts} to {c}, kappa to {expected}")
+    memo[parts] = c
+    return c
 
 
 def _poly_mismatch(lhs: QPolynomial, rhs: QPolynomial) -> str | None:
@@ -114,12 +156,15 @@ def verify_roundtrip(k: int, N: int) -> VerifyReport:
     check_level(k)
     count = 0
     image: set[RiggedPartition] = set()
+    # Configurations of every image and lighter-group suffix met so far, for this report only.
+    memo = {(): ZERO}
     witness = None
     for a in enumerate_configurations(k, 3, N):
         count += 1
         rp = _iota(a, k)
-        if kappa(rp, k) != a:
-            witness = f"{a}: inverse map returns {kappa(rp, k)}"
+        back = _inverse(rp.parts, k, memo)
+        if back != a:
+            witness = f"{a}: inverse map returns {back}"
             break
         if any(r < 0 for r in rp.riggings):
             witness = f"{a}: negative rigging in {rp}"

@@ -473,11 +473,6 @@ def separate_highest(a: Configuration, k: int, l: int) -> Separation:
     if a.is_zero:
         raise MoveError("the zero configuration holds no particle to separate")
     _require_weight_exact(a, k, l)
-    return _separate(a, k, l)
-
-
-def _separate(a: Configuration, k: int, l: int) -> Separation:
-    """``separate_highest`` for a nonzero ``a`` already known to have weight exactly l."""
     sc = _Scratch(a)
     t, i = _float_free(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a)
     fp = FreeParticle(sc.lo + i, sc.vals[i], l)

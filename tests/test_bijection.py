@@ -65,6 +65,22 @@ class TestRiggedPartition:
         with pytest.raises(RiggingError):
             RiggedPartition(((0, 0),))
 
+    @pytest.mark.parametrize(
+        "part, tail",
+        [((2, 0), EMPTY), ((2, 0), rp((2, 1), (0, 5))), ((3, -4), rp((2,), (9,))), ((1, 0), rp((2,), (0,))),
+         ((2, 0), rp((2,), (1,))), ((2, 1), rp((2, 2), (1, 0)))],
+    )
+    def test_prepending_checks_like_the_constructor(self, part, tail):
+        # Forward-map cache misses build partitions this way, one part at a time.
+        try:
+            expected = RiggedPartition((part,) + tail.parts)
+        except RiggingError as exc:
+            with pytest.raises(RiggingError) as got:
+                RiggedPartition._prepended(part, tail)
+            assert str(got.value) == str(exc)
+        else:
+            assert RiggedPartition._prepended(part, tail) == expected
+
     def test_negative_riggings_allowed(self):
         part = rp((2, 1), (-3, 5))
         assert part.riggings == (-3, 5)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -266,6 +267,14 @@ class TestVerify:
         expected = json.loads((Path(__file__).parents[1] / "perfbench" / "grid_reports.json").read_text())
         assert [[r["name"], r["parameters"]] for r in reports] == expected
 
+    def test_all_json_digest(self, capsys):
+        # The whole output of the default grid, byte for byte: 60,680 bytes since the seed.
+        code, out, err = run(capsys, "verify", "all", "--json")
+        assert (code, err, len(out)) == (0, "", 60680)
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "662b3b047172c20f861566bc1bc4701ca8a4e773868b560e5125030b4201acb0"
+        )
+
     def test_missing_k(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "gordon"])
@@ -346,6 +355,28 @@ class TestVerifyEachCheck:
     )
     def test_missing_required_flag(self, capsys, argv, flag):
         assert run(capsys, "verify", *argv) == (2, "", f"error: missing required flag {flag}\n")
+
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (("roundtrip", "--k", "2", "--l", "1"), "--l"),
+            (("gordon", "--k", "2", "--l", "5", "--a", "9", "--width", "3", "--max-degree", "4"), "--l, --a, --width"),
+            (("gordon-r2", "--k", "2", "--N", "3"), "--N"),
+            (("polynomial", "--k", "2", "--l", "2", "--a", "1", "--b", "0", "--max-degree", "4"), "--max-degree"),
+            (("init", "--k", "2", "--l", "2", "--width", "3"), "--width"),
+            (("boundary", "--k", "2", "--l", "2", "--a", "0"), "--a"),
+            (("recursion", "--k", "2", "--l", "2", "--b", "1"), "--b"),
+            (("shift", "--k", "3", "--l", "2", "--N", "99", "--width", "3"), "--N"),
+            (("golden", "--k", "7", "--N", "2"), "--k, --N"),
+            (("all", "--l", "1"), "--l"),
+        ],
+    )
+    def test_unread_flag_rejected(self, capsys, argv, unread):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: verify {argv[0]} does not read {unread}\n")
 
     def test_fail_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(identities, "right_move", lambda a, k, l: a)

@@ -274,6 +274,20 @@ class TestEnumeration:
                             )
                             assert got == expected, (N, a0, a1, max_energy, l)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_leaves_are_canonical(self, k):
+        """Every yielded configuration, the zero one included, is already what the validating constructor makes."""
+        zero_seen = 0
+        for r in (2, 3):
+            for N in range(7):
+                for a0, a1 in ((None, None), (0, None), (None, 0), (1, 0), (0, 1), (k, None)):
+                    for max_energy in (None, 5):
+                        for l in (None, *range(k + 1)) if r == 3 else (None,):
+                            for c in enumerate_configurations(k, r, N, a0, a1, max_energy, l):
+                                assert c == Configuration(c.offset, c.counts), (c.offset, c.counts)
+                                zero_seen += c == ZERO and c.to_text() == "0:"
+        assert zero_seen
+
     def test_weight_cap_errors(self):
         with pytest.raises(ValueError, match="r = 3"):
             list(enumerate_configurations(2, 2, 4, max_weight=1))

@@ -18,6 +18,7 @@ from rigged.identities import (
     verify_roundtrip,
     verify_shift,
 )
+from rigged.moves import InternalCheckError
 from rigged.qseries import QPolynomial
 
 
@@ -50,6 +51,56 @@ class TestRoundtrip:
 
     def test_level_three(self):
         assert verify_roundtrip(3, 4).passed
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("N", range(6))
+    def test_inverse_memo_agrees_with_kappa(self, rigged_debug, k, N):
+        # Every memo miss is recomputed by the public inverse map.
+        assert verify_roundtrip(k, N).passed
+
+    def test_inverse_memo_lives_for_one_report(self, monkeypatch):
+        memos = []
+        honest = identities._inverse
+
+        def recording(parts, k, memo):
+            memos.append(memo)
+            return honest(parts, k, memo)
+
+        monkeypatch.setattr(identities, "_inverse", recording)
+        verify_roundtrip(2, 3)
+        first = memos[0]
+        verify_roundtrip(2, 3)
+        assert memos[-1] is not first and len(memos[-1]) == len(first) == 20
+
+
+def poison_memo(monkeypatch):
+    """Overwrite the memo entry of ((1, 0),), once it is checked, by the configuration of ((1, 1),).
+
+    0:1,0,0,2 maps to ((2, 3), (1, 0)), the first image at k = 2 that settles a
+    weight group on a memoized lighter one.
+    """
+    honest = identities._inverse
+
+    def poisoned(parts, k, memo):
+        if parts == ((2, 3), (1, 0)):
+            memo[((1, 0),)] = cfg(1, offset=1)
+        return honest(parts, k, memo)
+
+    monkeypatch.setattr(identities, "_inverse", poisoned)
+
+
+class TestInverseMemo:
+    def test_wrong_entry_fails(self, monkeypatch):
+        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+        poison_memo(monkeypatch)
+        report = verify_roundtrip(2, 3)
+        assert report.passed is False
+        assert report.first_mismatch == "0:1,0,0,2: inverse map returns 1:1,1,0,1"
+
+    def test_wrong_entry_raises_under_debug(self, monkeypatch, rigged_debug):
+        poison_memo(monkeypatch)
+        with pytest.raises(InternalCheckError, match=r"inverse memo settles \(\(2, 3\), \(1, 0\)\) to"):
+            verify_roundtrip(2, 3)
 
 
 class TestGordon:
@@ -261,16 +312,16 @@ def fresh_iota():
 
 
 def forge_iota(monkeypatch, forge):
-    """Make identities' forward map return ``forge(a, k)``, with ``kappa`` inverting the forgery."""
+    """Make identities' forward map return ``forge(a, k)``, with the inverse map inverting the forgery."""
     back = {}
 
     def forged(a, k):
         rp = forge(a, k)
-        back[rp] = a
+        back[rp.parts] = a
         return rp
 
     monkeypatch.setattr(identities, "_iota", forged)
-    monkeypatch.setattr(identities, "kappa", lambda rp, k: back[rp])
+    monkeypatch.setattr(identities, "_inverse", lambda parts, k, memo: back[parts])
 
 
 def shifted_riggings(delta):
@@ -287,7 +338,7 @@ class TestWitnesses:
     """Every disagreement a check can find makes it report FAIL with its witness."""
 
     def test_roundtrip_inverse(self, monkeypatch):
-        monkeypatch.setattr(identities, "kappa", lambda rp, k: cfg(1, offset=9))
+        monkeypatch.setattr(identities, "_inverse", lambda parts, k, memo: cfg(1, offset=9))
         report = verify_roundtrip(2, 3)
         assert report.passed is False
         assert report.first_mismatch == "0:: inverse map returns 9:1"
