@@ -225,7 +225,7 @@ def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
             start -= 1
         top = _settle_group(sc, k, parts[start:end], later, top, extra, debug)
         end = start
-    return sc.to_configuration()
+    return sc.to_configuration(hi=top)
 
 
 def kappa(rp: RiggedPartition, k: int) -> Configuration:

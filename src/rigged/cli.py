@@ -204,9 +204,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_configs(argv: list[str]) -> list[str]:
+    """Rewrite ``--config -5:1,1`` as ``--config=-5:1,1``.
+
+    argparse takes a token that starts with ``-`` and is not a plain number
+    for a flag, so a configuration with a negative offset would otherwise
+    leave ``--config`` without its value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--config" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"--config={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_configs(sys.argv[1:] if argv is None else argv))
     if args.command == "verify":
         if args.what not in ("all", "golden") and args.k is None:
             parser.error("verify needs --k")

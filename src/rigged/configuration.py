@@ -35,6 +35,7 @@ Everything is exact integer arithmetic on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Sequence
 
 #: Occupation numbers are bounded by k, and k itself is capped so that all
@@ -131,7 +132,7 @@ class Configuration:
 
     def energy(self) -> int:
         """Sum of column * occupation over the support."""
-        return sum(i * c for i, c in self.support())
+        return sum(map(mul, range(self.offset, self.offset + len(self.counts)), self.counts))
 
     def length(self) -> int:
         """Total number of units."""

@@ -27,8 +27,17 @@ from .characters import (
     satisfies_boundary,
     weighted_config_sum,
 )
-from .configuration import ZERO, Configuration, _window_maxima, check_level, enumerate_configurations, weight
-from .moves import InternalCheckError, _debug_enabled, _float_free, _Scratch, pass_particle, passing_history, right_move
+from .configuration import ZERO, Configuration, check_level, enumerate_configurations, weight
+from .moves import (
+    InternalCheckError,
+    _debug_enabled,
+    _float_free,
+    _Scratch,
+    _stepped_weight,
+    pass_particle,
+    passing_history,
+    right_move,
+)
 from .phases import _load, phase
 from .qseries import QPolynomial, _over_one_minus
 
@@ -78,12 +87,13 @@ def _iota(a: Configuration, k: int) -> RiggedPartition:
         return EMPTY
     sc = _Scratch(a)
     vals = sc.vals
-    s_max, _, l_max = _window_maxima(vals)
-    l = max(s_max, l_max - k)
-    t, i = _float_free(sc, k, l, len(vals) - sc.MARGIN - 1, a.length(), a.energy(), a)
+    top = len(vals) - sc.MARGIN - 1
+    # An admissible configuration has weight at most k: S and L - k are each at most a 3-window sum.
+    l = _stepped_weight(vals, k, k, top)
+    t, i = _float_free(sc, k, l, top, a.length(), a.energy(), a)
     # The free particle holds vals[i] units at column sc.lo + i and the rest of its l one column up.
     surplus = l * (sc.lo + i) + vals[i + 1] - t
-    tail = _iota(sc.to_configuration(hi=sc.lo + i - 1), k)
+    tail = _iota(sc.to_configuration(a.offset, sc.lo + i - 1), k)
     return RiggedPartition._prepended((l, surplus - _load(k, l, _counts(tail.parts, k))), tail)
 
 
@@ -112,8 +122,8 @@ def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Confi
         below = _inverse(lighter, k, memo)
         sc = _Scratch(below)
         debug = _debug_enabled()
-        _settle_group(sc, k, parts[:n], _counts(lighter, k), -3 if below.is_zero else below.support_max, 0, debug)
-        c = sc.to_configuration()
+        top = _settle_group(sc, k, parts[:n], _counts(lighter, k), -3 if below.is_zero else below.support_max, 0, debug)
+        c = sc.to_configuration(hi=top)
         if debug:
             expected = kappa(RiggedPartition._trusted(parts), k)
             if c != expected:
@@ -156,8 +166,10 @@ def verify_roundtrip(k: int, N: int) -> VerifyReport:
     check_level(k)
     count = 0
     image: set[RiggedPartition] = set()
-    # Configurations of every image and lighter-group suffix met so far, for this report only.
+    # Configurations of every image and lighter-group suffix met so far, and E0 of every particle
+    # content met so far, for this report only.
     memo = {(): ZERO}
+    ground: dict[tuple[int, ...], int] = {}
     witness = None
     for a in enumerate_configurations(k, 3, N):
         count += 1
@@ -166,13 +178,19 @@ def verify_roundtrip(k: int, N: int) -> VerifyReport:
         if back != a:
             witness = f"{a}: inverse map returns {back}"
             break
-        if any(r < 0 for r in rp.riggings):
+        riggings = rp.riggings
+        if any(r < 0 for r in riggings):
             witness = f"{a}: negative rigging in {rp}"
             break
-        if a.energy() != e0(rp.weights, k) + e1(rp.riggings):
-            witness = f"{a}: energy {a.energy()} != E0+E1 of {rp}"
+        weights = rp.weights
+        base = ground.get(weights)
+        if base is None:
+            base = ground[weights] = e0(weights, k)
+        energy = a.energy()
+        if energy != base + e1(riggings):
+            witness = f"{a}: energy {energy} != E0+E1 of {rp}"
             break
-        if a.length() != sum(rp.weights):
+        if a.length() != sum(weights):
             witness = f"{a}: length {a.length()} != |{rp}|"
             break
         if rp in image:

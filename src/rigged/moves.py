@@ -24,7 +24,9 @@ columns.  The long-running procedures keep one buffer for their whole run:
   these four is as strong as re-checking everything, and the next scan
   starts just above them.  The forward map peels every particle off one
   buffer this way: once a particle is free, zeroing its two columns leaves
-  the remainder in place.
+  the remainder in place.  The remainder weighs at most the peeled particle,
+  so its weight steps down from there, one downward ``_sight`` per step,
+  until a scan sights a particle.
 - Settling particles with full bottom-up left sweeps (``_settle``): one
   cut-scan from the lowest window that may sight a particle, then per sweep
   a ``_rescan`` (the cut-scan fused with its window walk) of the windows
@@ -37,7 +39,9 @@ columns.  The long-running procedures keep one buffer for their whole run:
   the rescan sights exactly what a full scan sights, and the particle-count
   check still counts every particle.  RIGGED_DEBUG=1 compares each sweep
   with a full cut-scan.
-- Passing a heavy probe down through a lighter configuration from far above.
+- Passing a heavy probe down through a lighter configuration from far above,
+  one unit left move in place per step; only a move at the buffer's low
+  margin goes through ``bump``, which grows the buffer.
 
 Free flight.  A weight-l particle is *isolated* when all l of its units lie
 in two adjacent columns with three zero columns on each side.  A window
@@ -212,6 +216,20 @@ def _sight(vals: list[int], l: int, kl: int, j: int, step: int) -> tuple[int, bo
                 return j, False
             j += step
     return None
+
+
+def _stepped_weight(vals: list[int], k: int, l: int, top: int) -> int:
+    """Weight of the buffer ``vals``, nonzero with highest occupied index ``top``, given that it is at most ``l``.
+
+    The weight is l exactly when some window has S = l or L = k + l, so it
+    steps down from l until a downward ``_sight`` from the top sights a
+    particle.  A nonzero buffer has weight at least 1.
+    """
+    while _sight(vals, l, k + l, top + 1, -1) is None:
+        l -= 1
+        if not l:
+            raise InternalCheckError(f"no particle sighted in a nonzero buffer below index {top + 1}")
+    return l
 
 
 def _cut_scan(vals: list[int], windows: Iterable[int], l: int, kl: int) -> list[int]:
@@ -484,9 +502,11 @@ def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
 
     Each particle floats free by right moves; the remainder is what lies
     below its free position, so zeroing its two columns in place leaves the
-    remainder in the buffer.  Right moves never lower the lowest occupied
-    column, so the next weight is one window pass from there to the top.
-    Length and energy are updated, not re-summed; RIGGED_DEBUG=1 re-sums them.
+    remainder in the buffer.  The next particle weighs at most l, the weight
+    just peeled, so the remainder's weight steps down from l until a downward
+    ``_sight`` from its top finds S = l or L = k + l (``_stepped_weight``).
+    Length and energy are updated, not re-summed; RIGGED_DEBUG=1 re-sums them
+    and recomputes each weight with ``_window_maxima``.
     """
     if a.is_zero:
         return []
@@ -510,8 +530,13 @@ def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
             top -= 1
         if top < bottom:
             return peeled
-        s_max, _, l_max = _window_maxima(vals[bottom - 2 : top + 3])
-        l = max(s_max, l_max - k)
+        l = _stepped_weight(vals, k, l, top)
+        if debug:
+            s_max, _, l_max = _window_maxima(vals[bottom - 2 : top + 3])
+            if max(s_max, l_max - k) != l:
+                raise InternalCheckError(
+                    f"remainder weight {max(s_max, l_max - k)} disagrees with the stepped weight {l}, from {a}"
+                )
 
 
 def build_free_configuration(l: int, energies: list[int], k: int) -> Configuration:
@@ -670,7 +695,14 @@ def _descend(a: Configuration, k: int, l: int, probe_column: int, record: bool) 
                     return nodes, rest
             if record and pos <= top + 1:
                 nodes.append((kind, pos, sc.to_configuration()))
-        sc.transfer(pos, +1)
+        i = found[0]
+        if i < sc.MARGIN:
+            sc.transfer(pos, +1)
+            continue
+        vals[i] += 1
+        vals[i + 1] -= 1
+        if vals[i + 1] < 0:
+            raise InternalCheckError(f"column {pos + 1} driven negative")
     raise InternalCheckError(f"probe failed to pass {a} within {cap} moves")
 
 

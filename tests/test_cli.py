@@ -22,6 +22,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def config_flags(form, text):
+    """``--config`` with its value as the next argument (``space``) or after ``=`` (``equals``)."""
+    return ("--config", text) if form == "space" else (f"--config={text}",)
+
+
 class TestMapUnmap:
     def test_map(self, capsys):
         code, out, _ = run(capsys, "map", "--k", "3", "--config", "0:3,0,0,1")
@@ -77,6 +82,13 @@ class TestMapUnmap:
             assert code == 0
             code, back, _ = run(capsys, "map", "--k", str(k), f"--config={out.strip()}")
             assert code == 0 and json.loads(back) == json.loads(partition)
+
+    @pytest.mark.parametrize("form", ["space", "equals"])
+    def test_map_negative_offset(self, capsys, form):
+        code, out, err = run(capsys, "map", "--k", "3", *config_flags(form, "-5:1,1,0,2"))
+        # Shifting 0:1,1,0,2 (riggings 1, 1) down by 5 lowers each weight-2 rigging by 10.
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"parts": [{"weight": 2, "rigging": -9}, {"weight": 2, "rigging": -9}]}
 
     def test_roundtrip_through_text(self, capsys):
         code, out, _ = run(capsys, "map", "--k", "4", "--config", "1,1,1")
@@ -138,6 +150,23 @@ class TestTrace:
             "0:1,2,1,0,2  [S@0]",
             "0:2,1,1,0,2  [S@0]",
         ]
+
+    @pytest.mark.parametrize("form", ["space", "equals"])
+    def test_negative_offset(self, capsys, form):
+        code, out, err = run(capsys, "trace", "--k", "4", "--l", "3", "--pass", *config_flags(form, "-3:1,1,1"))
+        assert (code, err) == (0, "")
+        # The worked passing history of 0:1,1,1, three columns lower.
+        assert out.strip().splitlines() == [
+            "S@0  -3:1,1,1,0,3",
+            "L@-1  -3:1,1,1,1,2",
+            "S@-2  -3:1,1,2,0,2",
+            "S@-3  -3:1,2,1,0,2",
+            "S@-4  -3:3,0,1,0,2",
+            "result  -1:1,0,2",
+        ]
+        code, out, err = run(capsys, "trace", "--k", "3", "--l", "2", "--right", "2", *config_flags(form, "-5:1,1,0,2"))
+        assert (code, err) == (0, "")
+        assert out.strip().splitlines() == ["-5:1,1,0,2  [S@-2]", "-5:1,1,0,1,1  [S@-2]", "-5:1,1,0,0,2  [S@-1]"]
 
     @pytest.mark.parametrize(
         "flags, out",

@@ -1,5 +1,6 @@
 import itertools
 import operator
+import random
 from functools import lru_cache
 
 import pytest
@@ -106,6 +107,18 @@ class TestFunctionals:
         assert cfg(3, 0, 0, 1).length() == 4
         assert ZERO.length() == 0
         assert cfg(1, 1, 1).length() == 3
+
+    @pytest.mark.parametrize("offset", [-(10**15), -37, -1, 0, 1, 6, 10**12])
+    def test_energy_and_length_match_column_sums(self, offset):
+        rng = random.Random(offset)
+        rows = [(c,) for c in range(1, 5)] + [
+            tuple(rng.randint(0, 6) for _ in range(rng.randint(1, 14))) for _ in range(60)
+        ]
+        for counts in rows:
+            a = Configuration(offset, counts)
+            assert a.energy() == sum((offset + j) * c for j, c in enumerate(counts)), (offset, counts)
+            assert a.length() == sum(counts), (offset, counts)
+        assert Configuration(offset, (0, 0)) == ZERO and ZERO.energy() == ZERO.length() == 0
 
 
 class TestAdmissibility:

@@ -359,6 +359,13 @@ class TestWitnesses:
         report = verify_roundtrip(2, 5)
         assert report.passed is False and report.first_mismatch == witness
 
+    def test_roundtrip_memoized_ground_energy(self, monkeypatch):
+        # 5:1 comes first and leaves E0 of the content (1,) in the report's memo, which 4:1 then reads.
+        four = cfg(1, offset=4)
+        forge_iota(monkeypatch, lambda a, k: shifted_riggings(+1)(a, k) if a == four else iota(a, k))
+        report = verify_roundtrip(2, 5)
+        assert report.passed is False and report.first_mismatch == "4:1: energy 4 != E0+E1 of ((1),(5))"
+
     def test_init_cover_overlap(self, monkeypatch):
         monkeypatch.setattr(identities, "member", lambda rp, rset, k: True)
         report = verify_init_cover(2, 2, 3)

@@ -202,6 +202,30 @@ class TestFreeFlight:
             separate_highest(self.RISING, 3, 2)
 
 
+class TestSteppedWeight:
+    """The weight found by stepping down from any bound at or above it, as ``_peel`` and the cached forward map do."""
+
+    def test_matches_weight(self):
+        for k in range(1, 5):
+            for a in enumerate_configurations(k, 3, 5):
+                if a.is_zero:
+                    continue
+                sc = moves._Scratch(a)
+                top = len(sc.vals) - sc.MARGIN - 1
+                w = weight(a, k)
+                assert [moves._stepped_weight(sc.vals, k, l, top) for l in range(w, k + 1)] == [w] * (k + 1 - w), (k, a)
+
+    def test_zero_buffer_raises(self):
+        with pytest.raises(InternalCheckError, match="no particle sighted"):
+            moves._stepped_weight([0] * 9, 3, 3, 4)
+
+    def test_wrong_step_detected_under_debug(self, rigged_debug, monkeypatch):
+        # Never stepping down keeps weight 3 for the weight-1 remainder of 0:3,0,0,1.
+        monkeypatch.setattr(moves, "_stepped_weight", lambda vals, k, l, top: l)
+        with pytest.raises(InternalCheckError, match="remainder weight 1 disagrees with the stepped weight 3"):
+            moves._peel(cfg(3, 0, 0, 1), 3)
+
+
 @pytest.mark.parametrize(
     "a, k, l", [(cfg(5), 3, 2), (cfg(1, 1), 3, 5), (cfg(0, 2), 0, 2)], ids=["inadmissible", "l above k", "level 0"]
 )
@@ -389,6 +413,24 @@ class TestPassing:
             for l in range(1, k + 1):
                 for a in enumerate_configurations(k, 3, 5, max_weight=l - 1):
                     assert pass_particle(a, k, l) == passing_history(a, k, l)[1], (k, l, a)
+
+    @pytest.mark.parametrize("d", [-40, -7, -1, 3])
+    def test_translation_invariant(self, d):
+        # Every probe ends below the lowest column it passes, so each pass grows the buffer at its low margin.
+        for k in range(2, 5):
+            for l in range(2, k + 1):
+                for a in enumerate_configurations(k, 3, 5, max_weight=l - 1):
+                    b = a.shifted(d)
+                    assert pass_particle(b, k, l) == pass_particle(a, k, l).shifted(d), (k, l, a)
+                    nodes, result = passing_history(a, k, l)
+                    moved = [(kind, pos + d, c.shifted(d)) for kind, pos, c in nodes]
+                    assert passing_history(b, k, l) == (moved, result.shifted(d)), (k, l, a)
+
+    def test_negative_column_detected(self, monkeypatch):
+        # A forged sighting at column 3, above the content and below the probe, moves a unit out of empty column 4.
+        monkeypatch.setattr(moves, "_sight", lambda vals, l, kl, j, step: (7, True))
+        with pytest.raises(InternalCheckError, match="column 4 driven negative"):
+            pass_particle(cfg(1, 1, 1), 4, 3)
 
     def test_worked_example_level_five(self):
         result = pass_particle(cfg(1, 2, 1, 1), 5, 4)
