@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configuration import ZERO, Configuration, check_level
+from .configuration import ZERO, Configuration, _check_ints, check_level
 from .moves import InternalCheckError, _debug_enabled, _peel, _Scratch, _settle
 from .phases import _load, _quadratic_form
 
@@ -38,7 +38,9 @@ class RiggedPartition:
     parts: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        parts = tuple((int(w), int(r)) for w, r in self.parts)
+        parts = tuple((w, r) for w, r in self.parts)
+        _check_ints("weight", *(w for w, _ in parts))
+        _check_ints("rigging", *(r for _, r in parts))
         object.__setattr__(self, "parts", parts)
         for (w1, r1), (w2, r2) in zip(parts, parts[1:]):
             if w1 < w2:
@@ -108,14 +110,7 @@ class RiggedPartition:
     @classmethod
     def from_json_dict(cls, data: dict) -> "RiggedPartition":
         """Parse ``{"parts": [{"weight": w, "rigging": r}, ...]}``; w and r must be JSON integers."""
-        parts = []
-        for p in data.get("parts", ()):
-            w, r = p["weight"], p["rigging"]
-            for name, value in (("weight", w), ("rigging", r)):
-                if type(value) is not int:
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
-            parts.append((w, r))
-        return cls(tuple(parts))
+        return cls(tuple((p["weight"], p["rigging"]) for p in data.get("parts", ())))
 
     def sort_key(self) -> tuple:
         return (self.weights, self.riggings)

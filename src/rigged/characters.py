@@ -30,7 +30,7 @@ from operator import add, sub
 from typing import Iterable, Iterator
 
 from .bijection import RiggedPartition, RiggingError, _counts, e0, e1
-from .configuration import Configuration, check_level, enumerate_configurations
+from .configuration import Configuration, _check_ints, _next_column, check_level, enumerate_configurations
 from .configuration import weight as config_weight
 from .moves import InternalCheckError, _debug_enabled
 from .phases import _load, _table, _vacancies
@@ -44,7 +44,8 @@ class RiggingFloor:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(int(v) for v in self.values)
+        values = tuple(self.values)
+        _check_ints("floor", *values)
         if any(v < 0 for v in values):
             raise ValueError(f"floors must be non-negative, got {values}")
         object.__setattr__(self, "values", values)
@@ -296,30 +297,22 @@ def _column_transfer(
 ) -> QPolynomial:
     """Energy polynomial of the (k, r)-admissible rows 0..limit, column by column.
 
-    A state is the last columns the filters read: (a_{i-3}, a_{i-2}, a_{i-1})
-    under a weight cap l, else the last r - 1.  Each state carries the dense
-    coefficient list of the energies of the rows that end in it.  A new
-    column value v is kept when its r-window sum is at most k, it matches the
-    column's pin (None pins nothing), and under a cap S = a_{i-1} + v <= l and
-    L = a_{i-3} + 2 a_{i-2} + 2 a_{i-1} + v <= k + l.  One zero column past
-    the limit closes the last windows (a second one would only re-check
-    smaller L sums), and a nonzero pin out there empties the family.  Lists
-    stop at ``max_degree`` when one is given and otherwise grow with the
-    largest energy reached.
+    A state is the last columns ``configuration._next_column`` reads; it
+    carries the dense coefficient list of the energies of the rows that end
+    in it and grows by every value that function allows after it.  One zero
+    column past the limit closes the last windows (a second one would only
+    re-check smaller L sums), and a nonzero pin out there empties the family.
+    Lists stop at ``max_degree`` when one is given and otherwise grow with
+    the largest energy reached.
     """
     depth = 3 if l is not None else r - 1
     states: dict[tuple[int, ...], list[int]] = {(0,) * depth: [1]}
     for i in range(limit + 2):
         pin = pins.get(i)
         after: dict[tuple[int, ...], list[int]] = {}
+        top = 0 if i > limit else k
         for state, coeffs in states.items():
-            top = k - sum(state[depth - r + 1 :])
-            if i > limit:
-                top = min(top, 0)
-            if l is not None:
-                x, y, z = state
-                top = min(top, l - z, k + l - x - 2 * y - 2 * z)
-            for v in range(top + 1) if pin is None else (pin,) if 0 <= pin <= top else ():
+            for v in _next_column(k, r, l, state, top, pin):
                 shift = i * v
                 if max_degree is not None and shift > max_degree:
                     break

@@ -16,14 +16,10 @@ with k; the weight is max(S_max, L_max - k, 0).
 
 Enumeration fills one mutable row of columns 0..limit left to right, where
 the limit is the smaller of the boundary N and the energy cap.  Each column
-takes every value its r-window, the energy left and an optional weight cap l
-allow (or its pinned a_0/a_1 value).  The cap checks S <= l and L <= k + l on
-each window the new column enters, counting later columns as zero; window
-sums only grow, so the cap is exact and never builds a dead subtree, and at
-l = k it never binds, as each L is the sum of two 3-windows.  Descent stops
-once one unit in the next column costs more than the energy left, since
-every later column is then zero.  The descent tracks the row's lowest and
-highest nonzero columns, so each leaf copies just that stretch into one
+takes the values ``_next_column`` allows, capped by the energy left.  Descent
+stops once one unit in the next column costs more than the energy left,
+since every later column is then zero.  The descent tracks the row's lowest
+and highest nonzero columns, so each leaf copies just that stretch into one
 canonical configuration, in lexicographic order of (a_0, a_1, ...).  The character
 identities count configurations with a column transfer matrix over the same
 window rules (``characters.config_sum``); this enumeration is its
@@ -55,6 +51,13 @@ def check_level(k: int, l: int | None = None) -> None:
         raise ValueError(f"weight cap must satisfy 0 <= l <= k, got l={l} at k={k}")
 
 
+def _check_ints(name: str, *values: object) -> None:
+    """Raise ValueError unless every value is a plain int: a float, bool or str is never truncated or parsed."""
+    for value in values:
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A finitely supported column-occupancy sequence.
@@ -69,10 +72,12 @@ class Configuration:
     counts: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(self.counts)
+        _check_ints("offset", self.offset)
+        _check_ints("count", *counts)
         if any(c < 0 for c in counts):
             raise ValueError(f"negative occupation number in {counts!r}")
-        self._trim(int(self.offset), counts)
+        self._trim(self.offset, counts)
 
     @classmethod
     def _trusted(cls, offset: int, counts: tuple[int, ...]) -> "Configuration":
@@ -146,9 +151,10 @@ class Configuration:
 
     def shifted(self, delta: int) -> "Configuration":
         """Translate every column by ``delta``."""
+        _check_ints("shift", delta)
         if self.is_zero:
             return self
-        return Configuration._trusted(int(self.offset + delta), self.counts)
+        return Configuration._trusted(self.offset + delta, self.counts)
 
     def superposed(self, other: "Configuration") -> "Configuration":
         """Column-wise sum of two sequences."""
@@ -190,11 +196,7 @@ class Configuration:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Configuration":
         """Parse ``{"offset": o, "counts": [c0, ...]}``; o and every c must be JSON integers."""
-        offset, counts = data.get("offset", 0), tuple(data.get("counts", ()))
-        for name, value in (("offset", offset), *(("count", c) for c in counts)):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        return cls(offset, counts)
+        return cls(data.get("offset", 0), tuple(data.get("counts", ())))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -252,6 +254,21 @@ def weight(a: Configuration, k: int) -> int:
     return max(s_max, l_max - k, 0)
 
 
+def _next_column(k: int, r: int, l: int | None, last: Sequence[int], top: int, pin: int | None) -> Sequence[int]:
+    """The values v <= ``top`` a column may take after the columns ``last`` (at least r - 1 of them; 3 under a cap l).
+
+    v keeps its r-window sum <= k and matches ``pin`` (None pins nothing).  A weight cap l needs r = 3; v then
+    keeps S = a_{i-1} + v <= l and the L window ending at v <= k + l, as later L windows are a 3-window plus
+    an S.  Window sums only grow, so the cap builds no dead end; at l = k it never binds (L is two 3-windows).
+    """
+    if l is None:
+        top = min(top, k - sum(last[1 - r :]))
+    else:
+        x, y, z = last
+        top = min(top, k - y - z, l - z, k + l - x - 2 * y - 2 * z)
+    return range(top + 1) if pin is None else (pin,) if 0 <= pin <= top else ()
+
+
 def enumerate_configurations(
     k: int,
     r: int,
@@ -296,15 +313,7 @@ def enumerate_configurations(
         if i > limit or budget < i:
             yield ZERO if last < 0 else Configuration._canonical(first, tuple(row[first + 3 : last + 4]))
             return
-        x, y, z = row[i : i + 3]
-        cap = k - z - (y if r == 3 else 0)
-        if i:
-            cap = min(cap, budget // i)
-        if l is not None:
-            # S = z + v and the L window ending at v; later L windows are sums of a 3-window and an S.
-            cap = min(cap, l - z, k + l - x - 2 * y - 2 * z)
-        pin = pins.get(i)
-        for v in range(cap + 1) if pin is None else (pin,) if 0 <= pin <= cap else ():
+        for v in _next_column(k, r, l, row[i : i + 3], budget // i if i else k, pins.get(i)):
             row[i + 3] = v
             if v:
                 yield from fill(i + 1, budget - i * v, i if last < 0 else first, i)

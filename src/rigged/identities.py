@@ -16,6 +16,7 @@ from .bijection import EMPTY, RiggedPartition, _counts, _settle_group, e0, e1, k
 from .characters import (
     RestrictedSet,
     _add_at,
+    _fits_ceilings,
     _floor_difference_sets,
     chi_closed,
     config_sum,
@@ -24,7 +25,6 @@ from .characters import (
     initial_columns_set,
     member,
     rigged_sum,
-    satisfies_boundary,
     weighted_config_sum,
 )
 from .configuration import ZERO, Configuration, check_level, enumerate_configurations, weight
@@ -38,7 +38,7 @@ from .moves import (
     passing_history,
     right_move,
 )
-from .phases import _load, phase
+from .phases import _load, _rise, phase
 from .qseries import QPolynomial, _over_one_minus
 
 
@@ -222,8 +222,7 @@ def _gordon_rhs(k: int, max_degree: int, window: int) -> QPolynomial:
             return
         while g <= max_degree:
             rec(j + 1, g, term)
-            # One more weight-j particle raises Q by its load on the particles already counted.
-            g += _load(k, j, m) if window == 3 else sum(2 * min(j, v) * m_v for v, m_v in enumerate(m)) + j
+            g += _rise(k, j, m, window)
             m[j] += 1
             _over_one_minus(term, m[j], exact=False)
         m[j] = 0
@@ -336,7 +335,7 @@ def verify_boundary(k: int, l: int, N: int) -> VerifyReport:
     for cfg in enumerate_configurations(k, 3, N + 3, max_weight=l):
         checked += 1
         inside = cfg.support_max is None or cfg.support_max <= N
-        fits = satisfies_boundary(_iota(cfg, k), k, N)
+        fits = _fits_ceilings(_iota(cfg, k), k, N)
         if inside != fits:
             witness = f"{cfg}: support inside boundary {inside} but ceilings {fits}"
             break

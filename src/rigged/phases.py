@@ -56,7 +56,22 @@ def _quadratic_form(k: int, m: Sequence[int]) -> int:
 
 
 def gordon_phase(l: int, lp: int) -> int:
-    """Energy shift 2 min(l, l') for the window-2 theory."""
+    """Energy shift G(l, l') = 2 min(l, l') for the window-2 theory."""
     if l < 1 or lp < 1:
         raise ValueError(f"weights must be positive, got ({l}, {lp})")
     return 2 * min(l, lp)
+
+
+def _gordon_load(w: int, m: Sequence[int]) -> int:
+    """The window-2 twin of ``_load``: sum_v G(w, v) m_v, for ``m`` indexed by weight with ``m[0] == 0``."""
+    return sum(gordon_phase(w, v) * m_v for v, m_v in enumerate(m) if m_v)
+
+
+def _gordon_form(m: Sequence[int]) -> int:
+    """Q_2(m) = (G m, m) / 2, counting each particle's pair with itself once as G(w, w) / 2 = w."""
+    return sum(m_w * _gordon_load(w, m) for w, m_w in enumerate(m) if m_w) // 2
+
+
+def _rise(k: int, w: int, m: Sequence[int], window: int) -> int:
+    """Q(m + e_w) - Q(m): the ground energy one more weight-w particle adds, in the window-3 or window-2 theory."""
+    return _load(k, w, m) if window == 3 else _gordon_load(w, m) + w

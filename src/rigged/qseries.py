@@ -17,8 +17,8 @@ from functools import lru_cache
 from itertools import accumulate, zip_longest
 from operator import sub
 
-from .configuration import check_level
-from .phases import _quadratic_form, gordon_phase
+from .configuration import _check_ints, check_level
+from .phases import _gordon_form, _quadratic_form
 
 
 def _min_order(a: int | None, b: int | None) -> int | None:
@@ -94,7 +94,8 @@ class QPolynomial:
     def _coerce(value: "QPolynomial | int") -> "QPolynomial":
         if isinstance(value, QPolynomial):
             return value
-        return QPolynomial((int(value),))
+        _check_ints("coefficient", value)
+        return QPolynomial((value,))
 
     def __add__(self, other: "QPolynomial | int") -> "QPolynomial":
         other = self._coerce(other)
@@ -198,13 +199,6 @@ def _times_binomial(c: list[int], p: int, m: int) -> None:
         _over_one_minus(c, i, exact=True)
 
 
-def _divide_exact(p: QPolynomial, i: int) -> QPolynomial:
-    """Exact synthetic division of an exact polynomial by (1 - q**i)."""
-    c = list(p.coeffs)
-    _over_one_minus(c, i, exact=True)
-    return QPolynomial(tuple(c))
-
-
 @lru_cache(maxsize=None)
 def q_binomial(m: int, n: int) -> QPolynomial:
     """Gaussian binomial [m choose n]; zero outside 0 <= n <= m.
@@ -249,10 +243,4 @@ def gordon_quadratic_form(m: tuple[int, ...]) -> int:
     """Ground-state energy for the window-2 theory: half of (G m, m)."""
     if any(v < 0 for v in m):
         raise ValueError(f"multiplicities must be non-negative, got {m}")
-    total = 0
-    for l in range(1, len(m) + 1):
-        ml = m[l - 1]
-        total += l * ml * ml
-        for lp in range(l + 1, len(m) + 1):
-            total += gordon_phase(l, lp) * ml * m[lp - 1]
-    return total
+    return _gordon_form((0, *m))

@@ -98,6 +98,13 @@ class TestRiggedPartition:
         assert RiggedPartition.from_json_dict(part.to_json_dict()) == part
         assert EMPTY.to_json_dict() == {"parts": []}
 
+    @pytest.mark.parametrize("value", [0.5, 2.0, "2"])
+    def test_constructor_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match="weight must be an integer"):
+            RiggedPartition(((value, 0),))
+        with pytest.raises(ValueError, match="rigging must be an integer"):
+            RiggedPartition(((2, value),))
+
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "1", None])
     def test_json_rejects_non_integers(self, value):
         for part in ({"weight": 2, "rigging": value}, {"weight": value, "rigging": 0}):

@@ -53,6 +53,11 @@ class TestFloors:
         with pytest.raises(ValueError):
             RiggingFloor((0, -1))
 
+    @pytest.mark.parametrize("value", [0.5, 1.7, True, "1"])
+    def test_floor_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match="floor must be an integer"):
+            RiggingFloor((0, value))
+
 
 class TestMembership:
     def test_floor_and_bump(self):

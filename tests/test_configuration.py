@@ -76,6 +76,19 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="count must be an integer"):
             Configuration.from_json_dict({"offset": 0, "counts": [1, value]})
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3"])
+    def test_constructor_rejects_non_integers(self, value):
+        with pytest.raises(ValueError, match="offset must be an integer"):
+            Configuration(value, (1,))
+        with pytest.raises(ValueError, match="count must be an integer"):
+            Configuration(0, (1, value))
+
+    @pytest.mark.parametrize("delta", [0.5, True])
+    def test_shift_rejects_non_integers(self, delta):
+        for a in (cfg(1, 2, offset=3), ZERO):
+            with pytest.raises(ValueError, match="shift must be an integer"):
+                a.shifted(delta)
+
     def test_text_without_offset(self):
         assert Configuration.from_text("3,0,0,1") == cfg(3, 0, 0, 1)
         assert Configuration.from_text("0:") == ZERO

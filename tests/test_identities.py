@@ -379,7 +379,7 @@ class TestWitnesses:
         assert report.first_mismatch.endswith("claimed by (1, 0) but not in that image")
 
     def test_boundary(self, monkeypatch):
-        monkeypatch.setattr(identities, "satisfies_boundary", lambda rp, k, N: False)
+        monkeypatch.setattr(identities, "_fits_ceilings", lambda rp, k, N: False)
         report = verify_boundary(2, 2, 3)
         assert report.passed is False
         assert report.first_mismatch == "0:: support inside boundary True but ceilings False"

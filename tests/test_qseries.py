@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from rigged.bijection import e0, multiplicities
 from rigged.qseries import (
     QPolynomial,
-    _divide_exact,
     _over_one_minus,
     _times_binomial,
     _times_one_minus,
@@ -116,6 +116,20 @@ class TestArithmetic:
         with pytest.raises(ValueError, match="must be an integer"):
             QPolynomial.from_json_dict(data)
 
+    @pytest.mark.parametrize("scalar", [0.5, True])
+    def test_scalars_must_be_integers(self, scalar):
+        one = QPolynomial.one()
+        for combine in (
+            lambda: one + scalar,
+            lambda: scalar + one,
+            lambda: one - scalar,
+            lambda: scalar - one,
+            lambda: one * scalar,
+            lambda: scalar * one,
+        ):
+            with pytest.raises(ValueError, match="coefficient must be an integer"):
+                combine()
+
     def test_canonical_form(self):
         assert QPolynomial((1, 0, 2, 0, 0)).coeffs == (1, 0, 2)
         assert QPolynomial((1, 0, 2, 5), order=1).coeffs == (1,)
@@ -185,15 +199,20 @@ def test_arithmetic_matches_dict_reference(x, y):
 @given(series, st.integers(1, 6))
 @settings(max_examples=200, deadline=None)
 def test_exact_division_by_one_minus_q_power(x, i):
+    def divided(p):
+        c = list(p.coeffs)
+        _over_one_minus(c, i, exact=True)
+        return QPolynomial(tuple(c))
+
     p = poly(x[0])
-    assert _divide_exact(p * (1 - QPolynomial.q_power(i)), i) == p
+    assert divided(p * (1 - QPolynomial.q_power(i))) == p
     # p is a multiple of 1 - q^i iff its coefficients sum to zero in every
     # residue class of the degree mod i.
     if any(sum(c for d, c in x[0].items() if d % i == res) for res in range(i)):
         with pytest.raises(ArithmeticError):
-            _divide_exact(p, i)
+            divided(p)
     else:
-        assert _divide_exact(p, i) * (1 - QPolynomial.q_power(i)) == p
+        assert divided(p) * (1 - QPolynomial.q_power(i)) == p
 
 
 coefficient_lists = st.lists(st.integers(-4, 4), max_size=12)
@@ -266,6 +285,16 @@ class TestInvPochhammer:
                 assert series[j] == partitions_with_at_most(m, j)
 
 
+def partitions(max_part, slots):
+    """Every partition with at most ``slots`` parts, each at most ``max_part``, largest part first; some repeat."""
+    yield ()
+    if slots == 0:
+        return
+    for first in range(1, max_part + 1):
+        for rest in partitions(first, slots - 1):
+            yield (first,) + rest
+
+
 class TestQuadraticForm:
     def test_unit_vectors_vanish(self):
         for k in (1, 2, 3, 4):
@@ -284,17 +313,16 @@ class TestQuadraticForm:
     def test_matches_pairwise_interaction(self):
         # Ground-state energy from multiplicities equals the pairwise sum,
         # across all partitions with at most six parts.
-        def partitions(max_part, slots):
-            yield ()
-            if slots == 0:
-                return
-            for first in range(1, max_part + 1):
-                for rest in partitions(first, slots - 1):
-                    yield (first,) + rest
-
         for k in (1, 2, 3, 4):
             for lam in set(partitions(k, 6)):
                 assert quadratic_form_Q(multiplicities(lam, k), k) == e0(lam, k)
+
+    def test_gordon_form_matches_pairwise_interaction(self):
+        # Half of (G m, m): 2 min over every pair of parts, plus each part against itself once.
+        for k in (1, 2, 3, 4):
+            for lam in set(partitions(k, 6)):
+                pairwise = sum(2 * min(x, y) for x, y in itertools.combinations(lam, 2)) + sum(lam)
+                assert gordon_quadratic_form(multiplicities(lam, k)) == pairwise
 
     def test_gordon_form_is_integral_and_positive(self):
         assert gordon_quadratic_form((1,)) == 1
