@@ -13,28 +13,41 @@ verification harness plays them against each other.
 
 The configuration side of every character identity is a column transfer
 matrix (Stanley, Enumerative Combinatorics 1, 4.7): a dynamic programme over
-columns whose state is the last few columns and which carries one dense
-energy polynomial per state, so a sum costs polynomial time in columns times
-degree.  The closed side and the rigged enumeration share one pruned walk over
-multiplicity vectors.  Enumerating configurations is the oracle both sides
+columns whose state is the last few columns and which carries its energy
+polynomial as one packed int (``qseries._pack``), so a sum costs polynomial
+time in columns times degree.  The closed side and the rigged enumeration
+share one pruned walk over multiplicity vectors; the closed side packs its
+Gaussian binomials too.  Enumerating configurations is the oracle both sides
 are tested against, and under RIGGED_DEBUG=1 every configuration sum is
-recounted by enumeration as well.
+recounted by enumeration as well.  A slot of B bits, B a multiple of 8, never
+carries while 2^B exceeds every coefficient of every partial sum:
+
+- transfer: at most (k + 1)^(limit + 1) rows share an energy, and under a
+  degree cap D at most (k + 1) p(D) < 2^(bitlen(k + 1) + 4 (isqrt(D) + 1)),
+  as column 0 is free and the rest is a partition of the energy (p(n) <
+  e^(pi sqrt(2n/3)), Apostol, Intro. to Analytic Number Theory, Thm 14.5).
+  A prefix extends by zeros to a row of the same energy, so a state's
+  partial sums obey the smaller bound too.
+- fermionic: the whole sum at q = 1, the size of the family, which the
+  walk over multiplicity vectors counts exactly before any product is formed.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add, sub
+from functools import lru_cache
+from operator import sub
 from typing import Iterable, Iterator
 
 from .bijection import RiggedPartition, RiggingError, _counts, e0, e1
-from .configuration import Configuration, _check_ints, _next_column, check_level, enumerate_configurations
+from .configuration import Configuration, _check_ints, _check_window, _next_column, check_level, enumerate_configurations
 from .configuration import weight as config_weight
 from .moves import InternalCheckError, _debug_enabled
 from .phases import _load, _table, _vacancies
-from .qseries import QPolynomial, _times_binomial, q_binomial
+from .qseries import QPolynomial, _pack, _slot_bits, _unpack, q_binomial
 
 
 @dataclass(frozen=True)
@@ -83,15 +96,7 @@ def floor_for(a: int, b: int, l: int, k: int) -> RiggingFloor:
     check_level(k, l)
     if a < 0 or b < 0 or a + b > l:
         raise ValueError(f"need 0 <= a, 0 <= b, a + b <= l, got a={a}, b={b}, l={l}")
-    values = []
-    for j in range(1, k + 1):
-        if j <= a:
-            values.append(0)
-        elif j <= a + b:
-            values.append(j - a)
-        else:
-            values.append(2 * (j - a) - b)
-    return RiggingFloor(tuple(values))
+    return RiggingFloor(tuple(max(0, j - a, 2 * (j - a) - b) for j in range(1, k + 1)))
 
 
 def initial_columns_set(a: int, b: int, l: int, k: int, boundary: int | None = None) -> RestrictedSet:
@@ -245,32 +250,21 @@ def rigged_sum(k: int, rset: RestrictedSet) -> QPolynomial:
     return QPolynomial.from_dict(Counter(e0(rp.weights, k) + e1(rp.riggings) for rp in family))
 
 
-def _add_at(acc: list[int], coeffs: list[int] | tuple[int, ...], shift: int) -> None:
-    """acc[shift + d] += coeffs[d] for every d, growing ``acc`` with zeros as needed."""
-    end = shift + len(coeffs)
-    if len(acc) < end:
-        acc.extend([0] * (end - len(acc)))
-    acc[shift:end] = map(add, acc[shift:end], coeffs)
-
-
 def _fermionic_sum(k: int, floor_values: tuple[int, ...], N: int, weight_cap: int) -> QPolynomial:
     """Sum of q^(Q(m) + r.m) times Gaussian binomial factors over multiplicities.
 
     The factor of weight j is [p_j + m_j choose m_j], with p_j the vacancy of
     ``rigged.phases``; it is zero once p_j < 0 with m_j > 0, so the sum runs
     over the vectors ``_feasible`` yields and skips exactly those whose
-    binomial product is zero.  Factors with p_j = 0 are 1; the product starts
-    as a copy of the first other factor's cached ``q_binomial`` and takes each
-    further one in place (``qseries._times_binomial``).
+    binomial product is zero.  Factors with p_j = 0 are 1.  The walk runs
+    once, counting the family; each other factor is then packed once per
+    call, and a term is their bigint product shifted to its exponent.
     """
-    acc: list[int] = []
-    for m, p, exponent in _feasible(k, min(k, weight_cap), N, (0, *floor_values)):
-        (p_first, m_first), *rest = [(p_j, m_j) for p_j, m_j in zip(p, m) if m_j and p_j] or [(0, 0)]
-        product = list(q_binomial(p_first + m_first, m_first).coeffs)
-        for p_j, m_j in rest:
-            _times_binomial(product, p_j, m_j)
-        _add_at(acc, product, exponent)
-    return QPolynomial(tuple(acc))
+    low = (0, *floor_values)
+    terms = [(e, [key for key in zip(p, m) if key[0] and key[1]]) for m, p, e in _feasible(k, min(k, weight_cap), N, low)]
+    bits = _slot_bits(sum(math.prod(math.comb(p_j + m_j, m_j) for p_j, m_j in keys) for _, keys in terms))
+    factor = lru_cache(maxsize=None)(lambda p_j, m_j: _pack(q_binomial(p_j + m_j, m_j), bits))
+    return _unpack(sum(math.prod(factor(*key) for key in keys) << bits * e for e, keys in terms), bits)
 
 
 def chi_closed(k: int, l: int, a: int, b: int, N: int) -> QPolynomial:
@@ -288,8 +282,15 @@ def chi_closed(k: int, l: int, a: int, b: int, N: int) -> QPolynomial:
         b = k - a
     if a < 0 or b < 0 or a + b > k:
         raise ValueError(f"need 0 <= a, 0 <= b, a + b <= k, got a={a}, b={b}, k={k}")
-    floor = floor_for(a, b, k, k)
-    return _fermionic_sum(k, floor.values, N, weight_cap=l)
+    return _fermionic_sum(k, floor_for(a, b, k, k).values, N, weight_cap=l)
+
+
+def _transfer_bits(k: int, limit: int, max_degree: int | None) -> int:
+    """Slot width of ``_column_transfer``: the smaller of (k + 1)^(limit + 1) and, under a cap D, (k + 1) p(D)."""
+    bound = (k + 1) ** (limit + 1)
+    if max_degree is not None:
+        bound = min(bound, (1 << (k + 1).bit_length() + 4 * (math.isqrt(max_degree) + 1)) - 1)
+    return _slot_bits(bound)
 
 
 def _column_transfer(
@@ -298,31 +299,28 @@ def _column_transfer(
     """Energy polynomial of the (k, r)-admissible rows 0..limit, column by column.
 
     A state is the last columns ``configuration._next_column`` reads; it
-    carries the dense coefficient list of the energies of the rows that end
-    in it and grows by every value that function allows after it.  One zero
-    column past the limit closes the last windows (a second one would only
-    re-check smaller L sums), and a nonzero pin out there empties the family.
-    Lists stop at ``max_degree`` when one is given and otherwise grow with
-    the largest energy reached.
+    carries the energies of the rows that end in it, packed, and grows by
+    every value that function allows after it: v units in column i shift it
+    by i v slots.  One zero column past the limit closes the last windows (a
+    second one would only re-check smaller L sums), and a nonzero pin out
+    there empties the family.  Under ``max_degree`` each column's states are
+    masked to the slots up to it.
     """
-    depth = 3 if l is not None else r - 1
-    states: dict[tuple[int, ...], list[int]] = {(0,) * depth: [1]}
+    bits = _transfer_bits(k, limit, max_degree)
+    mask = None if max_degree is None else (1 << bits * (max_degree + 1)) - 1
+    states: dict[tuple[int, ...], int] = {(0,) * (3 if l is not None else r - 1): 1}
     for i in range(limit + 2):
         pin = pins.get(i)
-        after: dict[tuple[int, ...], list[int]] = {}
+        after: dict[tuple[int, ...], int] = {}
         top = 0 if i > limit else k
-        for state, coeffs in states.items():
+        for state, packed in states.items():
             for v in _next_column(k, r, l, state, top, pin):
-                shift = i * v
-                if max_degree is not None and shift > max_degree:
+                if mask is not None and i * v > max_degree:
                     break
-                src = coeffs if max_degree is None else coeffs[: max_degree + 1 - shift]
-                _add_at(after.setdefault((state + (v,))[1:], []), src, shift)
-        states = after
-    total: list[int] = []
-    for coeffs in states.values():
-        _add_at(total, coeffs, 0)
-    return QPolynomial(tuple(total), max_degree)
+                key = (state + (v,))[1:]
+                after[key] = after.get(key, 0) + (packed << bits * i * v)
+        states = after if mask is None else {state: packed & mask for state, packed in after.items()}
+    return _unpack(sum(states.values()), bits, max_degree)
 
 
 def _check_against_enumeration(result: QPolynomial, family: Iterable[Configuration]) -> None:
@@ -352,8 +350,7 @@ def config_sum(
     if max_degree is not None and max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     check_level(k)
-    if r not in (2, 3):
-        raise ValueError(f"window size r must be 2 or 3, got {r}")
+    _check_window(r)
     limit = min(bound for bound in (N, max_degree) if bound is not None)
     result = _column_transfer(k, r, {0: a0, 1: a1}, limit, max_degree)
     if _debug_enabled():
@@ -366,7 +363,8 @@ def weighted_config_sum(k: int, l: int, a0: int, a1: int, N: int) -> QPolynomial
     check_level(k, l)
     if N < 0:
         raise ValueError("boundary must be non-negative")
-    result = _column_transfer(k, 3, {0: a0, 1: a1}, N, None, l)
+    # At l = k the cap never binds (L is two 3-windows), so the transfer runs on the smaller uncapped states.
+    result = _column_transfer(k, 3, {0: a0, 1: a1}, N, None, l if l < k else None)
     if _debug_enabled():
         # Filtered by weight(), not the enumerator's own cap, so the two caps never vouch for each other.
         family = enumerate_configurations(k, 3, N, a0=a0, a1=a1)

@@ -58,6 +58,12 @@ def _check_ints(name: str, *values: object) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_window(r: int) -> None:
+    """Raise ValueError unless the window size ``r`` is 2 or 3."""
+    if r not in (2, 3):
+        raise ValueError(f"window size r must be 2 or 3, got {r}")
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A finitely supported column-occupancy sequence.
@@ -235,8 +241,7 @@ def _window_maxima(cols: Sequence[int]) -> tuple[int, int, int]:
 def is_admissible(a: Configuration, k: int, r: int = 3) -> bool:
     """True iff every window of ``r`` consecutive columns sums to at most ``k``."""
     check_level(k)
-    if r not in (2, 3):
-        raise ValueError(f"window size r must be 2 or 3, got {r}")
+    _check_window(r)
     s_max, t_max, _ = _window_maxima((0, 0) + a.counts + (0, 0))
     return (s_max if r == 2 else t_max) <= k
 
@@ -288,8 +293,7 @@ def enumerate_configurations(
     empty stream.  The order is lexicographic in (a_0, a_1, ...).
     """
     check_level(k, max_weight)
-    if r not in (2, 3):
-        raise ValueError(f"window size r must be 2 or 3, got {r}")
+    _check_window(r)
     if max_weight is not None and r == 2:
         raise ValueError("a weight cap needs window size r = 3")
     if N is None and max_energy is None:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Callable, Iterable
 
 from .bijection import EMPTY, RiggedPartition, _counts, _settle_group, e0, e1, kappa
 from .characters import (
     RestrictedSet,
-    _add_at,
     _fits_ceilings,
     _floor_difference_sets,
     chi_closed,
@@ -211,14 +211,14 @@ def _gordon_rhs(k: int, max_degree: int, window: int) -> QPolynomial:
     The walk fixes m_1, m_2, ... in turn, carrying 1 / prod (q)_{m_l} over the fixed weights as one list cut
     to the degrees still reachable; raising the current m_l to v divides that list in place by (1 - q^v).
     """
-    total: list[int] = []
+    total = [0] * (max_degree + 1)
     m = [0] * (k + 1)
 
     def rec(j: int, g: int, term: list[int]) -> None:
         """Add the term of every fitting vector extending m_1..m_{j-1}, whose Q is ``g`` and 1 / prod (q)_{m_l} ``term``."""
         term = term[: max_degree + 1 - g]
         if j > k:
-            _add_at(total, term, g)
+            total[g : g + len(term)] = map(add, total[g : g + len(term)], term)
             return
         while g <= max_degree:
             rec(j + 1, g, term)

@@ -6,7 +6,10 @@ unknown, not zero).  Either is a dense tuple of coefficients, one per degree
 from 0 up.  Arithmetic between truncated values keeps the smaller order.
 Coefficients are arbitrary-precision integers; divisions inside the
 Gaussian binomial are synthetic and checked to be exact, so nothing here can
-silently lose precision.
+silently lose precision.  Kernels whose coefficients are non-negative and
+bounded may pack a polynomial into one int instead (``_pack``/``_unpack``):
+coefficient d in bits [B d, B (d + 1)), B a multiple of 8 with 2^B above
+every coefficient, so sums, shifts and products run as bigint arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, zip_longest
+from itertools import accumulate, repeat, zip_longest
 from operator import sub
 
 from .configuration import _check_ints, check_level
@@ -197,6 +200,23 @@ def _times_binomial(c: list[int], p: int, m: int) -> None:
     for i in range(1, m + 1):
         _times_one_minus(c, p + i)
         _over_one_minus(c, i, exact=True)
+
+
+def _slot_bits(bound: int) -> int:
+    """The smallest multiple of 8, B, with 2^B > ``bound``: a packed slot's width when no coefficient exceeds it."""
+    return -(-max(bound, 1).bit_length() // 8) * 8
+
+
+def _pack(poly: QPolynomial, bits: int) -> int:
+    """One int holding coefficient d of ``poly`` in bits [bits*d, bits*(d+1)); each must lie in 0..2^bits - 1."""
+    return int.from_bytes(b"".join(map(int.to_bytes, poly.coeffs, repeat(bits // 8), repeat("little"))), "little")
+
+
+def _unpack(x: int, bits: int, order: int | None = None) -> QPolynomial:
+    """The inverse of ``_pack``: slot d of ``x`` is the coefficient of q^d, dropped above ``order``."""
+    size = bits // 8
+    raw = x.to_bytes(-(-x.bit_length() // bits) * size, "little")
+    return QPolynomial(tuple(int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)), order)
 
 
 @lru_cache(maxsize=None)

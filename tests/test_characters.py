@@ -10,7 +10,9 @@ from rigged.bijection import RiggedPartition, e0, e1
 from rigged.characters import (
     RestrictedSet,
     RiggingFloor,
+    _feasible,
     _fermionic_sum,
+    _transfer_bits,
     chi_closed,
     config_sum,
     enumerate_rigged,
@@ -22,9 +24,10 @@ from rigged.characters import (
     satisfies_boundary,
     weighted_config_sum,
 )
+from rigged.configuration import _next_column
 from rigged.moves import InternalCheckError
 from rigged.phases import phase
-from rigged.qseries import QPolynomial, quadratic_form_Q
+from rigged.qseries import QPolynomial, _slot_bits, _times_binomial, quadratic_form_Q
 
 
 def rp(weights, riggings):
@@ -296,6 +299,105 @@ class TestFermionicSum:
                 for cap in range(k + 1):
                     expected = fermionic_reference(k, floor, N, cap)
                     assert _fermionic_sum(k, floor, N, cap) == expected, (N, floor, cap)
+
+
+def add_at(acc, coeffs, shift):
+    """acc[shift + d] += coeffs[d] for every d, growing ``acc`` with zeros as needed."""
+    end = shift + len(coeffs)
+    acc.extend([0] * (end - len(acc)))
+    acc[shift:end] = map(operator.add, acc[shift:end], coeffs)
+
+
+def list_column_transfer(k, r, pins, limit, max_degree, l=None):
+    """The column transfer matrix on one dense coefficient list per state, cut at ``max_degree`` per shift.
+
+    No packing, so no slot can carry into the next: the reference for the packed library kernel.
+    """
+    states = {(0,) * (3 if l is not None else r - 1): [1]}
+    for i in range(limit + 2):
+        after = {}
+        for state, coeffs in states.items():
+            for v in _next_column(k, r, l, state, 0 if i > limit else k, pins.get(i)):
+                shift = i * v
+                if max_degree is not None and shift > max_degree:
+                    break
+                src = coeffs if max_degree is None else coeffs[: max_degree + 1 - shift]
+                add_at(after.setdefault((state + (v,))[1:], []), src, shift)
+        states = after
+    total = []
+    for coeffs in states.values():
+        add_at(total, coeffs, 0)
+    return QPolynomial(tuple(total), max_degree)
+
+
+def list_fermionic_sum(k, floor_values, N, weight_cap):
+    """The fermionic sum with each binomial product grown in place on a list (``qseries._times_binomial``)."""
+    acc = []
+    for m, p, exponent in _feasible(k, min(k, weight_cap), N, (0, *floor_values)):
+        product = [1]
+        for p_j, m_j in zip(p, m):
+            _times_binomial(product, p_j, m_j)
+        add_at(acc, product, exponent)
+    return QPolynomial(tuple(acc))
+
+
+def floor_grid(k):
+    return sorted({(0,) * k} | {floor_for(a, b, k, k).values for a in range(k + 1) for b in range(k + 1 - a)})
+
+
+class TestPackedKernels:
+    """The packed kernels against their list twins, with coefficients of up to 36 bits, and the slot widths.
+
+    The debug recount is switched off: enumerating these families would take hours, and the list kernels
+    are the independent side here.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_recount(self, monkeypatch):
+        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+
+    @pytest.mark.parametrize(
+        "k,r,a0,D,bits",
+        [(8, 3, None, 120, 31), (8, 3, None, 150, 36), (5, 2, 0, 100, 25), (5, 2, None, 140, 33)],
+    )
+    def test_config_sum_matches_lists(self, k, r, a0, D, bits):
+        got = config_sum(k, r, a0=a0, max_degree=D)
+        assert got == list_column_transfer(k, r, {0: a0}, D, D)
+        assert max(got.coeffs).bit_length() == bits
+
+    def test_weighted_sum_matches_capped_lists(self):
+        # The library drops the cap at l = k; the reference keeps the three-column states there.
+        for l in range(7):
+            for a in range(7):
+                for b in range(7 - a):
+                    expected = list_column_transfer(6, 3, {0: a, 1: b}, 10, None, l)
+                    assert weighted_config_sum(6, l, a, b, 10) == expected, (l, a, b)
+
+    def test_fermionic_sum_matches_lists(self):
+        for floor in floor_grid(6):
+            for cap in range(7):
+                assert _fermionic_sum(6, floor, 12, cap) == list_fermionic_sum(6, floor, 12, cap), (floor, cap)
+
+    def test_transfer_slots_hold_every_coefficient(self):
+        for k, r in itertools.product((1, 2, 4, 8), (2, 3)):
+            for N in range(7):
+                for D in (None, 0, 1, 5, 12, 40):
+                    limit = N if D is None else min(N, D)
+                    bits = _transfer_bits(k, limit, D)
+                    top = max(list_column_transfer(k, r, {}, limit, D).coeffs)
+                    assert bits % 8 == 0 and top < 1 << bits, (k, r, N, D)
+
+    def test_fermionic_slots_hold_every_coefficient(self, monkeypatch):
+        widths = []
+        monkeypatch.setattr(characters, "_slot_bits", lambda bound: widths.append(_slot_bits(bound)) or widths[-1])
+        for k in (1, 2, 3, 4):
+            for N in range(7):
+                for floor in floor_grid(k):
+                    for cap in range(k + 1):
+                        _fermionic_sum(k, floor, N, cap)
+                        bits = widths.pop()
+                        top = max(list_fermionic_sum(k, floor, N, cap).coeffs, default=0)
+                        assert bits % 8 == 0 and top < 1 << bits, (k, N, floor, cap)
 
 
 def boundary_reference(rp, k, N):

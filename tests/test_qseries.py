@@ -10,8 +10,11 @@ from rigged.bijection import e0, multiplicities
 from rigged.qseries import (
     QPolynomial,
     _over_one_minus,
+    _pack,
+    _slot_bits,
     _times_binomial,
     _times_one_minus,
+    _unpack,
     gordon_quadratic_form,
     inv_pochhammer,
     q_binomial,
@@ -246,6 +249,32 @@ def test_times_binomial_matches_box_partition_product(coeffs, p, m):
     assert len(c) == len(coeffs) + p * m
     box = QPolynomial.from_dict(dict(box_partition_counts(m, p)))
     assert QPolynomial(tuple(c)) == QPolynomial(tuple(coeffs)) * box
+
+
+class TestPacking:
+    def test_slot_bits_are_whole_bytes_above_the_bound(self):
+        assert [_slot_bits(b) for b in (0, 1, 255, 256, 2**16 - 1, 2**16, 2**40)] == [8, 8, 8, 16, 16, 24, 48]
+
+    @given(st.lists(st.integers(0, 2**40 - 1), max_size=12), st.sampled_from([8, 16, 24, 40, 48]))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip_is_evaluation_at_two_to_the_slot_width(self, coeffs, bits):
+        coeffs = [c % (1 << bits) for c in coeffs]
+        value = QPolynomial(tuple(coeffs))
+        packed = _pack(value, bits)
+        assert packed == sum(c << bits * d for d, c in enumerate(coeffs))
+        assert _unpack(packed, bits) == value
+        for order in range(len(coeffs) + 1):
+            assert _unpack(packed, bits, order) == QPolynomial(tuple(coeffs), order)
+
+    def test_product_of_packed_binomials_is_their_product(self):
+        bits = _slot_bits(10**6)
+        for (a, b), (c, d) in itertools.product([(4, 2), (7, 3), (9, 4)], repeat=2):
+            product = _unpack(_pack(q_binomial(a, b), bits) * _pack(q_binomial(c, d), bits), bits)
+            assert product == q_binomial(a, b) * q_binomial(c, d)
+
+    def test_coefficient_above_the_slot_is_refused(self):
+        with pytest.raises(OverflowError):
+            _pack(QPolynomial((1, 256)), 8)
 
 
 class TestQBinomial:
