@@ -202,12 +202,11 @@ def _settle_group(
     return top
 
 
-def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
+def _kappa(rp: RiggedPartition, k: int, extra: int, debug: bool) -> Configuration:
     """Inverse map on one column buffer, with ``extra`` additional settling sweeps per weight.
 
     Settles the weight groups from lightest to heaviest (``_settle_group``).
     """
-    debug = _debug_enabled()
     sc = _Scratch(ZERO)
     parts = rp.parts
     later = [0] * (k + 1)
@@ -244,9 +243,10 @@ def kappa(rp: RiggedPartition, k: int) -> Configuration:
         raise RiggingError(f"largest weight {rp.parts[0][0]} exceeds the level k={k}")
     d = -min((r // w for w, r in rp.parts), default=0)
     rp = RiggedPartition._trusted(tuple((w, r + w * d) for w, r in rp.parts))
-    result = _kappa(rp, k, 0)
-    if _debug_enabled():
-        alt = _kappa(rp, k, rp.parts[0][0] if rp.parts else 1)
+    debug = _debug_enabled()
+    result = _kappa(rp, k, 0, debug)
+    if debug:
+        alt = _kappa(rp, k, rp.parts[0][0] if rp.parts else 1, debug)
         if alt != result:
             raise InternalCheckError(f"inverse map depends on the settling count: {result} vs {alt}")
     return result.shifted(-d) if d else result

@@ -74,8 +74,8 @@ class VerifyReport:
 
 
 @lru_cache(maxsize=None)
-def _iota(a: Configuration, k: int) -> RiggedPartition:
-    """Cached ``iota(a, k)`` for an admissible ``a``.
+def _iota(a: Configuration, k: int, debug: bool) -> RiggedPartition:
+    """Cached ``iota(a, k)`` for an admissible ``a``; ``debug`` re-checks each free rise (``_float_free``).
 
     A miss floats only the highest particle free and looks up what lies below
     it, which the grid has usually mapped already.  Its new part is checked
@@ -90,14 +90,14 @@ def _iota(a: Configuration, k: int) -> RiggedPartition:
     top = len(vals) - sc.MARGIN - 1
     # An admissible configuration has weight at most k: S and L - k are each at most a 3-window sum.
     l = _stepped_weight(vals, k, k, top)
-    t, i = _float_free(sc, k, l, top, a.length(), a.energy(), a)
+    t, i = _float_free(sc, k, l, top, a.length(), a.energy(), a, debug)
     # The free particle holds vals[i] units at column sc.lo + i and the rest of its l one column up.
     surplus = l * (sc.lo + i) + vals[i + 1] - t
-    tail = _iota(sc.to_configuration(a.offset, sc.lo + i - 1), k)
+    tail = _iota(sc.to_configuration(a.offset, sc.lo + i - 1), k, debug)
     return RiggedPartition._prepended((l, surplus - _load(k, l, _counts(tail.parts, k))), tail)
 
 
-def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Configuration]) -> Configuration:
+def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Configuration], debug: bool) -> Configuration:
     """``kappa`` of the rigged partition with ``parts``, memoized in ``memo``, which must map () to ZERO.
 
     A miss settles only the heaviest weight group, as ``kappa``'s loop does,
@@ -106,7 +106,7 @@ def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Confi
     case, where its rigging translation keeps the cost independent of the
     riggings, so it goes to ``kappa``.  A heavier group's sweep count reads
     only its riggings relative to the columns below it, which that
-    translation leaves unchanged.  RIGGED_DEBUG=1 compares every miss with
+    translation leaves unchanged.  With ``debug`` every miss is compared with
     ``kappa``.
     """
     c = memo.get(parts)
@@ -119,9 +119,8 @@ def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Confi
         c = kappa(RiggedPartition._trusted(parts), k)
     else:
         lighter = parts[n:]
-        below = _inverse(lighter, k, memo)
+        below = _inverse(lighter, k, memo, debug)
         sc = _Scratch(below)
-        debug = _debug_enabled()
         top = _settle_group(sc, k, parts[:n], _counts(lighter, k), -3 if below.is_zero else below.support_max, 0, debug)
         c = sc.to_configuration(hi=top)
         if debug:
@@ -171,10 +170,11 @@ def verify_roundtrip(k: int, N: int) -> VerifyReport:
     memo = {(): ZERO}
     ground: dict[tuple[int, ...], int] = {}
     witness = None
+    debug = _debug_enabled()
     for a in enumerate_configurations(k, 3, N):
         count += 1
-        rp = _iota(a, k)
-        back = _inverse(rp.parts, k, memo)
+        rp = _iota(a, k, debug)
+        back = _inverse(rp.parts, k, memo, debug)
         if back != a:
             witness = f"{a}: inverse map returns {back}"
             break
@@ -282,15 +282,15 @@ def verify_polynomial_identity(k: int, l: int, a: int, b: int, N: int) -> Verify
     return _poly_report("polynomial", params, lhs, rhs)
 
 
-def _init_image(k: int, l: int, a: int, b: int, N: int) -> set[RiggedPartition]:
+def _init_image(k: int, l: int, a: int, b: int, N: int, debug: bool) -> set[RiggedPartition]:
     """Forward-map image of the boundary-N configurations of weight <= l with (a_0, a_1) = (a, b)."""
-    return {_iota(cfg, k) for cfg in enumerate_configurations(k, 3, N, a0=a, a1=b, max_weight=l)}
+    return {_iota(cfg, k, debug) for cfg in enumerate_configurations(k, 3, N, a0=a, a1=b, max_weight=l)}
 
 
 def verify_init(k: int, l: int, a: int, b: int, N: int) -> VerifyReport:
     """The forward image of the (a_0, a_1) = (a, b) family equals its predicate set."""
     check_level(k, l)
-    image = _init_image(k, l, a, b, N)
+    image = _init_image(k, l, a, b, N, _debug_enabled())
     rset = initial_columns_set(a, b, l, k, boundary=N)
     predicate = {rp for rp in enumerate_rigged(k, l, N, rset.floor) if member(rp, rset, k)}
     witness = _set_mismatch(image, predicate)
@@ -310,7 +310,8 @@ def verify_init_cover(k: int, l: int, N: int) -> VerifyReport:
     check_level(k, l)
     pairs = [(a, b) for a in range(l + 1) for b in range(l + 1 - a)]
     sets = {(a, b): initial_columns_set(a, b, l, k, boundary=N) for a, b in pairs}
-    images = {(a, b): _init_image(k, l, a, b, N) for a, b in pairs}
+    debug = _debug_enabled()
+    images = {(a, b): _init_image(k, l, a, b, N, debug) for a, b in pairs}
     witness = None
     for rp in enumerate_rigged(k, l, N):
         hits = [(a, b) for a, b in pairs if member(rp, sets[(a, b)], k)]
@@ -332,10 +333,11 @@ def verify_boundary(k: int, l: int, N: int) -> VerifyReport:
         raise ValueError("boundary must be non-negative")
     witness = None
     checked = 0
+    debug = _debug_enabled()
     for cfg in enumerate_configurations(k, 3, N + 3, max_weight=l):
         checked += 1
         inside = cfg.support_max is None or cfg.support_max <= N
-        fits = _fits_ceilings(_iota(cfg, k), k, N)
+        fits = _fits_ceilings(_iota(cfg, k, debug), k, N)
         if inside != fits:
             witness = f"{cfg}: support inside boundary {inside} but ceilings {fits}"
             break
@@ -406,15 +408,16 @@ def verify_shift(k: int, l: int, samples: Iterable[Configuration]) -> VerifyRepo
     check_level(k, l)
     witness = None
     checked = 0
+    debug = _debug_enabled()
     for a in samples:
         checked += 1
         w = weight(a, k)
         if w >= l:
             raise ValueError(f"shift samples must have weight below l={l}, got {a} of weight {w}")
-        rp = _iota(a, k)
+        rp = _iota(a, k, debug)
         passed = pass_particle(a, k, l)
         expected = RiggedPartition(tuple((wi, ri + phase(k, l, wi)) for wi, ri in rp.parts))
-        actual = _iota(passed, k)
+        actual = _iota(passed, k, debug)
         if actual != expected:
             witness = f"{a}: riggings shift to {actual.riggings}, expected {expected.riggings}"
             break
@@ -492,8 +495,10 @@ def verify_golden() -> VerifyReport:
         chain.append(right_move(chain[-1], 3, 3))
     if tuple(chain) != GOLDEN_CHAIN:
         witness = f"move chain diverges: {[str(c) for c in chain]}"
-    if witness is None and _iota(start, 3) != RiggedPartition.of((3, 1), (0, 0)):
-        witness = f"image of {start} is {_iota(start, 3)}"
+    if witness is None:
+        image = _iota(start, 3, _debug_enabled())
+        if image != RiggedPartition.of((3, 1), (0, 0)):
+            witness = f"image of {start} is {image}"
     if witness is None:
         nodes, result = passing_history(Configuration(0, (1, 1, 1)), 4, 3)
         if tuple(nodes) != GOLDEN_PASS_NODES:

@@ -29,16 +29,18 @@ columns.  The long-running procedures keep one buffer for their whole run:
   until a scan sights a particle.
 - Settling particles with full bottom-up left sweeps (``_settle``): one
   cut-scan from the lowest window that may sight a particle, then per sweep
-  a ``_rescan`` (the cut-scan fused with its window walk) of the windows
-  within two columns of where the previous sweep sighted particles.  That
-  is exact: weight at most l means S <= l and L <= k + l everywhere, and a
+  a ``_rescan`` (the cut-scan fused with its window walk) of only the
+  windows q - 2, q - 1 and q of each sighting q of the previous sweep.  That
+  is exact.  Weight at most l means S <= l and L <= k + l everywhere, and a
   cut only lowers window sums, so only a window whose uncut S or L attains
-  its bound can be sighted.  A window more than two columns from every
-  sighting of the last sweep reads no column that sweep cut or moved; it
-  was not sighted uncut then, so it is below both bounds, then and now.  So
-  the rescan sights exactly what a full scan sights, and the particle-count
-  check still counts every particle.  RIGGED_DEBUG=1 compares each sweep
-  with a full cut-scan.
+  its bound can be sighted.  The left move at q raises S and L at q - 1 and
+  L at q - 2, keeps S and L at q and S at q +- 2, and lowers S and L at
+  q + 1 and L at q + 2 by one.  So no window w outside every {q - 2, q - 1,
+  q} rose, and a sum of w at its bound but unsighted was masked by a cut at
+  a sighting q' < w: it read column q' or q' + 1, so it is S or L at q' + 1
+  or L at q' + 2, which the move at q' lowered.  So the rescan sights what a
+  full scan sights, and the particle-count check still counts every
+  particle.  RIGGED_DEBUG=1 compares each sweep with a full cut-scan.
 - Passing a heavy probe down through a lighter configuration from far above,
   one unit left move in place per step; only a move at the buffer's low
   margin goes through ``bump``, which grows the buffer.
@@ -160,12 +162,6 @@ class _Scratch:
         self.lo = a.offset - m
         self.vals = [0] * m + list(a.counts) + [0] * m
 
-    def get(self, col: int) -> int:
-        j = col - self.lo
-        if 0 <= j < len(self.vals):
-            return self.vals[j]
-        return 0
-
     def bump(self, col: int, delta: int) -> None:
         j = col - self.lo
         m = self.MARGIN
@@ -253,17 +249,22 @@ def _cut_scan(vals: list[int], windows: Iterable[int], l: int, kl: int) -> list[
 
 
 def _rescan(vals: list[int], last: list[int], l: int, kl: int) -> list[int]:
-    """``_cut_scan`` of the windows within two columns of each index of ascending ``last``, merged ascending."""
-    found, cuts, j = [], [], -1
+    """``_cut_scan`` of the windows q - 2, q - 1 and q for each index q >= 3 of ascending ``last``, merged ascending."""
+    found, cuts, j = [], [], 0
     for p in last:
-        for j in range(max(j + 1, p - 2), p + 3):
+        j = j if j > p - 2 else p - 2
+        while j <= p:
             s = vals[j] + vals[j + 1]
             if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
                 found.append(j)
-                cuts.append((j, vals[j], vals[j + 1]))
+                cuts.append(vals[j])
+                cuts.append(vals[j + 1])
                 vals[j] = vals[j + 1] = 0
-    for j, x, y in reversed(cuts):
-        vals[j], vals[j + 1] = x, y
+            j += 1
+    # Undo the cuts last first: a later cut may re-zero a column an earlier one saved.
+    for j in reversed(found):
+        vals[j + 1] = cuts.pop()
+        vals[j] = cuts.pop()
     return found
 
 
@@ -413,8 +414,8 @@ def free_particle(a: Configuration, k: int, l: int) -> FreeParticle | None:
     return FreeParticle(sc.lo + i, c, l) if by_s and c and top <= i + 1 else None
 
 
-def _float_free(sc: _Scratch, k: int, l: int, top: int, length: int, energy: int, origin: Configuration) -> tuple[int, int]:
-    """Right-move the highest weight-l particle in place until it floats free.
+def _float_free(sc: _Scratch, k: int, l: int, top: int, length: int, energy: int, origin: Configuration, debug: bool) -> tuple[int, int]:
+    """Right-move the highest weight-l particle in place until it floats free, replaying each jump under ``debug``.
 
     ``top`` is the buffer index of the highest occupied column, the buffer
     has weight exactly l, and ``length`` and ``energy`` are the buffer's.
@@ -446,7 +447,7 @@ def _float_free(sc: _Scratch, k: int, l: int, top: int, length: int, energy: int
             e = i * vals[i] + (i + 1) * vals[i + 1]
             rise = l * (n - 4) - e
             if rise > 0:
-                before = sc.to_configuration() if _debug_enabled() else None
+                before = sc.to_configuration() if debug else None
                 vals[i] = vals[i + 1] = 0
                 sc.place(e + rise + l * sc.lo, l)
                 if before is not None:
@@ -492,7 +493,7 @@ def separate_highest(a: Configuration, k: int, l: int) -> Separation:
         raise MoveError("the zero configuration holds no particle to separate")
     _require_weight_exact(a, k, l)
     sc = _Scratch(a)
-    t, i = _float_free(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a)
+    t, i = _float_free(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, _debug_enabled())
     fp = FreeParticle(sc.lo + i, sc.vals[i], l)
     return Separation(t, fp, fp.energy - t, sc.to_configuration(hi=fp.position - 1))
 
@@ -520,8 +521,8 @@ def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
     while True:
         if debug and (sum(vals), sum((sc.lo + j) * c for j, c in enumerate(vals))) != (length, energy):
             raise InternalCheckError(f"running length {length} and energy {energy} disagree with the buffer, from {a}")
-        t, i = _float_free(sc, k, l, top, length, energy, a)
-        e = FreeParticle(sc.lo + i, vals[i], l).energy
+        t, i = _float_free(sc, k, l, top, length, energy, a, debug)
+        e = l * (sc.lo + i) + vals[i + 1]
         peeled.append((l, e - t))
         length, energy = length - l, energy + t - e
         vals[i] = vals[i + 1] = 0
@@ -589,9 +590,9 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
     """Apply ``times`` full bottom-up left sweeps to the weight-l particles in ``sc``, in place.
 
     The first sweep cut-scans the windows from index ``start`` up, none below
-    which may sight a particle (``_cut_scan``); each later one only those within
-    two columns of the previous sweep's sightings, which sight the same
-    particles (``_rescan``).  When every sighting of a sweep is an isolated
+    which may sight a particle (``_cut_scan``); each later one only the windows
+    q - 2, q - 1 and q of each sighting q of the previous sweep, which sight
+    the same particles (``_rescan``).  When every sighting of a sweep is an isolated
     particle, they all fall by as many sweeps as keeps them isolated in one
     step (module docstring).  With ``debug`` every sweep is compared with a
     cut-scan of every window, and every fall with as many sweeps of ``move_all``.
@@ -682,20 +683,19 @@ def _descend(a: Configuration, k: int, l: int, probe_column: int, record: bool) 
         found = _sight(vals, l, kl, 1 if last_pos is None else last_pos - 2 - sc.lo, +1)
         if found is None:
             raise InternalCheckError("probe vanished during descent")
-        pos, kind = sc.lo + found[0], "S" if found[1] else "L"
+        i = found[0]
+        pos, kind = sc.lo + i, "S" if found[1] else "L"
         if pos != last_pos:
             last_pos = pos
             # Stop once the probe is isolated: nothing below it, a two-column
             # gap above it, and everything above too light to interact.  The
             # isolated state is not part of the recorded history.
-            below_clear = not any(vals[: pos - sc.lo])
-            if below_clear and sc.get(pos + 2) == 0 and sc.get(pos + 3) == 0:
+            if not (any(vals[:i]) or vals[i + 2] or vals[i + 3]):
                 rest = sc.to_configuration(lo=pos + 2)
                 if weight(rest, k) < l:
                     return nodes, rest
             if record and pos <= top + 1:
                 nodes.append((kind, pos, sc.to_configuration()))
-        i = found[0]
         if i < sc.MARGIN:
             sc.transfer(pos, +1)
             continue
@@ -706,8 +706,8 @@ def _descend(a: Configuration, k: int, l: int, probe_column: int, record: bool) 
     raise InternalCheckError(f"probe failed to pass {a} within {cap} moves")
 
 
-def _pass(a: Configuration, k: int, l: int, record: bool) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
-    """``passing_history``, with the nodes left empty unless ``record`` is on."""
+def _pass(a: Configuration, k: int, l: int, record: bool, debug: bool) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
+    """``passing_history``, with the nodes left empty unless ``record`` is on; ``debug`` re-drops the probe."""
     check_level(k, l)
     if l < 1:
         raise ValueError("the probe needs positive weight")
@@ -718,7 +718,7 @@ def _pass(a: Configuration, k: int, l: int, record: bool) -> tuple[list[tuple[st
         return [], ZERO
     probe_column = max(3, a.support_max + 4)
     nodes, result = _descend(a, k, l, probe_column, record)
-    if _debug_enabled():
+    if debug:
         nodes2, result2 = _descend(a, k, l, probe_column + 1, record)
         if result2 != result:
             raise InternalCheckError(f"passing result depends on the placement column: {result} vs {result2}")
@@ -736,9 +736,9 @@ def passing_history(a: Configuration, k: int, l: int) -> tuple[list[tuple[str, i
     of where the probe was dropped from; with RIGGED_DEBUG=1 that
     independence is rechecked from one column higher.
     """
-    return _pass(a, k, l, True)
+    return _pass(a, k, l, True, _debug_enabled())
 
 
 def pass_particle(a: Configuration, k: int, l: int) -> Configuration:
     """What a configuration of weight below l becomes after a weight-l probe passes it (no history recorded)."""
-    return _pass(a, k, l, False)[1]
+    return _pass(a, k, l, False, _debug_enabled())[1]

@@ -279,8 +279,8 @@ class TestInverseMapDebug(TestInverseMap):
     def test_resettle_disagreement_detected(self, monkeypatch):
         honest = bijection._kappa
 
-        def drifting(rp, k, extra):
-            return honest(rp, k, extra).shifted(1 if extra else 0)
+        def drifting(rp, k, extra, debug):
+            return honest(rp, k, extra, debug).shifted(1 if extra else 0)
 
         monkeypatch.setattr(bijection, "_kappa", drifting)
         with pytest.raises(InternalCheckError, match="settling count"):

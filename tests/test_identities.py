@@ -62,9 +62,9 @@ class TestRoundtrip:
         memos = []
         honest = identities._inverse
 
-        def recording(parts, k, memo):
+        def recording(parts, k, memo, debug):
             memos.append(memo)
-            return honest(parts, k, memo)
+            return honest(parts, k, memo, debug)
 
         monkeypatch.setattr(identities, "_inverse", recording)
         verify_roundtrip(2, 3)
@@ -81,10 +81,10 @@ def poison_memo(monkeypatch):
     """
     honest = identities._inverse
 
-    def poisoned(parts, k, memo):
+    def poisoned(parts, k, memo, debug):
         if parts == ((2, 3), (1, 0)):
             memo[((1, 0),)] = cfg(1, offset=1)
-        return honest(parts, k, memo)
+        return honest(parts, k, memo, debug)
 
     monkeypatch.setattr(identities, "_inverse", poisoned)
 
@@ -315,13 +315,13 @@ def forge_iota(monkeypatch, forge):
     """Make identities' forward map return ``forge(a, k)``, with the inverse map inverting the forgery."""
     back = {}
 
-    def forged(a, k):
+    def forged(a, k, debug):
         rp = forge(a, k)
         back[rp.parts] = a
         return rp
 
     monkeypatch.setattr(identities, "_iota", forged)
-    monkeypatch.setattr(identities, "_inverse", lambda parts, k, memo: back[parts])
+    monkeypatch.setattr(identities, "_inverse", lambda parts, k, memo, debug: back[parts])
 
 
 def shifted_riggings(delta):
@@ -338,7 +338,7 @@ class TestWitnesses:
     """Every disagreement a check can find makes it report FAIL with its witness."""
 
     def test_roundtrip_inverse(self, monkeypatch):
-        monkeypatch.setattr(identities, "_inverse", lambda parts, k, memo: cfg(1, offset=9))
+        monkeypatch.setattr(identities, "_inverse", lambda parts, k, memo, debug: cfg(1, offset=9))
         report = verify_roundtrip(2, 3)
         assert report.passed is False
         assert report.first_mismatch == "0:: inverse map returns 9:1"
@@ -373,7 +373,7 @@ class TestWitnesses:
         assert report.first_mismatch == "() lies in 6 families: [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]"
 
     def test_init_cover_missing_image(self, monkeypatch):
-        monkeypatch.setattr(identities, "_iota", lambda a, k: EMPTY)
+        monkeypatch.setattr(identities, "_iota", lambda a, k, debug: EMPTY)
         report = verify_init_cover(2, 2, 3)
         assert report.passed is False
         assert report.first_mismatch.endswith("claimed by (1, 0) but not in that image")
@@ -415,7 +415,7 @@ class TestWitnesses:
             return passed.shifted(-2)
 
         monkeypatch.setattr(identities, "pass_particle", low_pass)
-        monkeypatch.setattr(identities, "_iota", lambda a, k: iota(lowered.get(a, a), k))
+        monkeypatch.setattr(identities, "_iota", lambda a, k, debug: iota(lowered.get(a, a), k))
         report = verify_shift(3, 2, shift_sample_space(3, 2, 4))
         assert report.passed is False
         assert report.first_mismatch == "1:1: passed result 1:1 dips below column 2"
@@ -440,7 +440,7 @@ class TestWitnesses:
         assert verify_golden().first_mismatch.startswith("move chain diverges: ['0:3,0,0,1', '0:3,0,0,1'")
 
     def test_golden_image(self, monkeypatch):
-        monkeypatch.setattr(identities, "_iota", lambda a, k: RiggedPartition.of((3, 1), (0, 1)))
+        monkeypatch.setattr(identities, "_iota", lambda a, k, debug: RiggedPartition.of((3, 1), (0, 1)))
         assert verify_golden().first_mismatch == "image of 0:3,0,0,1 is ((3,1),(0,1))"
 
     def test_golden_pass_nodes(self, monkeypatch):

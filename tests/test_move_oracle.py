@@ -5,6 +5,7 @@ from a list of columns at every step, move one unit per step, and share no
 code with ``rigged.moves``.
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -200,7 +201,7 @@ def test_cached_iota_matches_iota():
     identities._iota.cache_clear()
     for k in (1, 2, 3):
         for a in enumerate_configurations(k, 3, 8):
-            assert identities._iota(a, k) == iota(a, k)
+            assert identities._iota(a, k, False) == iota(a, k)
     identities._iota.cache_clear()
 
 
@@ -241,23 +242,35 @@ def settling(draw):
     return k, l, len(energies), t, Configuration(base, tuple(cols))
 
 
+def reference_scan(cols: list[int], k: int, l: int) -> list[int]:
+    """Indices a full bottom-up scan of a copy of ``cols`` sights, cutting each sighted particle's two columns off the copy."""
+    cut, positions = cols[:], []
+    for i in range(1, len(cut) - 2):
+        s = cut[i] + cut[i + 1]
+        if s == l or cut[i - 1] + 2 * s + cut[i + 2] == k + l:
+            positions.append(i)
+            cut[i] = cut[i + 1] = 0
+    return positions
+
+
+def reference_left_moves(cols: list[int], positions: list[int]) -> None:
+    """One unit left move at each of ``positions``, in place."""
+    for i in positions:
+        cols[i] += 1
+        cols[i + 1] -= 1
+        assert cols[i + 1] >= 0
+
+
 def reference_sweeps(b: Configuration, k: int, l: int, times: int, m: int) -> Configuration:
     """``times`` sweeps, each a full bottom-up scan of a cut copy, then one left move per sighting."""
-    pad = times + 4
+    # A sighting moves down by at most two windows per sweep.
+    pad = 2 * times + 4
     cols = [0] * pad + list(b.counts) + [0] * 4
     base = b.offset - pad
     for _ in range(times):
-        cut, positions = cols[:], []
-        for i in range(1, len(cut) - 2):
-            s = cut[i] + cut[i + 1]
-            if s == l or cut[i - 1] + 2 * s + cut[i + 2] == k + l:
-                positions.append(i)
-                cut[i] = cut[i + 1] = 0
+        positions = reference_scan(cols, k, l)
         assert len(positions) == m
-        for i in positions:
-            cols[i] += 1
-            cols[i + 1] -= 1
-            assert cols[i + 1] >= 0
+        reference_left_moves(cols, positions)
     return Configuration(base, tuple(cols))
 
 
@@ -266,6 +279,40 @@ def reference_sweeps(b: Configuration, k: int, l: int, times: int, m: int) -> Co
 def test_left_sweeps_match_full_scans(case):
     k, l, m, t, b = case
     assert left_sweeps(b, k, l, t, expected=m) == reference_sweeps(b, k, l, t, m)
+
+
+@given(st.one_of(admissible(), gapped()), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_sightings_stay_within_two_windows_below(case, times):
+    # The locality rule ``moves._rescan`` rests on: after a full left sweep at
+    # the configuration's weight, every particle a full scan sights lies in
+    # window q - 2, q - 1 or q of some sighting q of that sweep.
+    k, a = case
+    pad = 2 * times + 4
+    cols = [0] * pad + list(a.counts) + [0] * 4
+    l = reference_weight(cols, k)
+    last = reference_scan(cols, k, l)
+    for _ in range(times):
+        reference_left_moves(cols, last)
+        assert reference_weight(cols, k) == l
+        found = reference_scan(cols, k, l)
+        assert len(found) == len(last) and found[0] > 2
+        assert set(found) <= {q - d for q in last for d in (0, 1, 2)}, (last, found)
+        last = found
+
+
+@given(st.one_of(admissible(), gapped()), st.integers(0, 12))
+@settings(max_examples=150, deadline=None)
+def test_left_sweeps_match_reference_without_debug(case, times):
+    # Without RIGGED_DEBUG no full scan backs up the rescans of later sweeps.
+    k, a = case
+    cols = [0] * 3 + list(a.counts) + [0] * 3
+    l = reference_weight(cols, k)
+    m = len(reference_scan(cols, k, l))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("RIGGED_DEBUG", raising=False)
+        swept = left_sweeps(a, k, l, times, expected=m)
+    assert swept == reference_sweeps(a, k, l, times, m)
 
 
 @st.composite

@@ -150,23 +150,51 @@ class TestPositions:
             move_all(cfg(1, 0, 0, 1), 1, 1, "right")
 
 
-class TestLocalRescan:
-    def test_dropped_window_detected(self, rigged_debug, monkeypatch):
-        # Drop the window just below each sighting from the next sweep's
-        # rescan.  A weight-2 particle at column 7 falls freely for six sweeps,
-        # until it sits at column 4, three zero columns above a weight-1
-        # particle at column 0; the last of those sweeps sighted it at 4.  The
-        # seventh sweep is an ordinary one: the full scan sights the particle
-        # at 3, which the faulty rescan no longer reads.
-        def rescan_without_below(vals, last, l, kl):
-            windows = {j for p in last for j in range(p - 2, p + 3)} - {p - 1 for p in last}
-            return moves._cut_scan(vals, sorted(windows), l, kl)
+def rescan_without(offset):
+    """A faulty ``_rescan`` that reads the windows q - 2, q - 1 and q of each sighting q except q + ``offset``."""
 
-        monkeypatch.setattr(moves, "_rescan", rescan_without_below)
+    def rescan(vals, last, l, kl):
+        windows = {q + d for q in last for d in (-2, -1, 0) if d != offset}
+        return moves._cut_scan(vals, sorted(windows), l, kl)
+
+    return rescan
+
+
+class TestLocalRescan:
+    """Each of the three windows a rescan reads per sighting is needed, and the debug full scan notices one missing."""
+
+    def test_dropped_window_detected(self, rigged_debug, monkeypatch):
+        # Drop the window just below each sighting.  A weight-2 particle at
+        # column 7 falls freely for six sweeps, until it sits at column 4,
+        # three zero columns above a weight-1 particle at column 0; the last
+        # of those sweeps sighted it at 4.  The seventh sweep is an ordinary
+        # one: the full scan sights the particle at 3, which the faulty rescan
+        # no longer reads.
+        monkeypatch.setattr(moves, "_rescan", rescan_without(-1))
         b = cfg(1, 0, 0, 0, 0, 0, 0, 2)
         assert left_sweeps(b, 3, 2, 6, expected=1) == cfg(1, 0, 0, 0, 2)
         with pytest.raises(InternalCheckError, match="full scan"):
             left_sweeps(b, 3, 2, 7, expected=1)
+
+    def test_dropped_window_two_below_detected(self, rigged_debug, monkeypatch):
+        # At k = 2 the first sweep sights the weight-2 particle of
+        # 0:1,0,1,0,1,1 by L at column 3.  After its move, 0:1,0,1,1,0,1, the
+        # full scan sights it by L at column 1, two windows lower.
+        monkeypatch.setattr(moves, "_rescan", rescan_without(-2))
+        b = cfg(1, 0, 1, 0, 1, 1)
+        assert left_sweeps(b, 2, 2, 1, expected=1) == cfg(1, 0, 1, 1, 0, 1)
+        with pytest.raises(InternalCheckError, match="full scan"):
+            left_sweeps(b, 2, 2, 2, expected=1)
+
+    def test_dropped_sighting_window_detected(self, rigged_debug, monkeypatch):
+        # At k = 3 the first sweep sights the weight-2 particle of 0:2,0,1 by
+        # S at column -1.  After its move, -1:1,1,0,1, the full scan sights it
+        # by S at column -1 again.
+        monkeypatch.setattr(moves, "_rescan", rescan_without(0))
+        b = cfg(2, 0, 1)
+        assert left_sweeps(b, 3, 2, 1, expected=1) == cfg(1, 1, 0, 1, offset=-1)
+        with pytest.raises(InternalCheckError, match="full scan"):
+            left_sweeps(b, 3, 2, 2, expected=1)
 
 
 class TestFreeFlight:
@@ -339,7 +367,7 @@ class TestSeparation:
                         sights = iter([(i, False)])
                         monkeypatch.setattr(moves, "_sight", lambda *args: next(sights))
                         try:
-                            moves._float_free(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a)
+                            moves._float_free(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, False)
                         except InternalCheckError as err:
                             assert "left the weight" in str(err) and moves._leaves_class(sc.vals, k, l), (k, l, a, i)
                             leaving += 1
