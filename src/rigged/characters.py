@@ -16,10 +16,13 @@ matrix (Stanley, Enumerative Combinatorics 1, 4.7): a dynamic programme over
 columns whose state is the last few columns and which carries its energy
 polynomial as one packed int (``qseries._pack``), so a sum costs polynomial
 time in columns times degree.  The closed side and the rigged enumeration
-share one pruned walk over multiplicity vectors; the closed side packs its
-Gaussian binomials too.  Enumerating configurations is the oracle both sides
-are tested against, and under RIGGED_DEBUG=1 every configuration sum is
-recounted by enumeration as well.  A slot of B bits, B a multiple of 8, never
+share one pruned walk over multiplicity vectors, an odometer without
+recursion that carries each vector's vacancies and energy forward by one row
+of A per particle; the closed side multiplies Gaussian binomials packed once
+per slot width, next to ``q_binomial``'s cache.  Enumerating configurations is
+the oracle both sides are tested against, and under RIGGED_DEBUG=1 every
+configuration sum is recounted by enumeration and every fermionic sum by list
+products as well.  A slot of B bits, B a multiple of 8, never
 carries while 2^B exceeds every coefficient of every partial sum:
 
 - transfer: at most (k + 1)^(limit + 1) rows share an energy, and under a
@@ -38,7 +41,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -47,7 +49,7 @@ from .configuration import Configuration, _check_ints, _check_window, _next_colu
 from .configuration import weight as config_weight
 from .moves import InternalCheckError, _debug_enabled
 from .phases import _load, _table, _vacancies
-from .qseries import QPolynomial, _pack, _slot_bits, _unpack, q_binomial
+from .qseries import QPolynomial, _packed_binomial, _slot_bits, _times_binomial, _unpack
 
 
 @dataclass(frozen=True)
@@ -184,31 +186,34 @@ def _feasible(k: int, l: int, N: int, floor: tuple[int, ...]) -> Iterator[tuple[
 
     ``m`` and ``floor`` are indexed by weight (``floor[0] == 0``), ``p`` holds
     the vacancies of ``rigged.phases``, and a vector fits when p_w >= 0 at
-    every occupied weight.  Particles are added from the heaviest weight down,
-    so vectors come in the lexicographic order of (m_l, ..., m_1).  A weight-j
-    particle lowers every vacancy by A(i, j) >= 2, so once an occupied vacancy
-    is negative it stays so and the weight's loop stops.  ``m`` is live: read
-    it before resuming the walk.
+    every occupied weight.  One odometer over (m_l, ..., m_1), m_1 fastest, so
+    vectors come in lexicographic order.  ``base[j]`` holds the vacancies and
+    energy of the current m_l..m_j with every lighter weight empty; one more
+    weight-j particle subtracts row j of A from them and adds
+    sum_v A(j, v) m_v + floor_j = j N + A(j, j) - p_j, read off the vacancy it
+    lands on.  A particle lowers every vacancy by A(i, j) >= 2, so once p_j or
+    an occupied heavier vacancy is negative it stays so: the odometer clears
+    m_j and moves on to weight j + 1.  ``m`` is live: read it before resuming.
     """
-    m = [0] * (l + 1)
     table = _table(k)
-
-    def walk(j: int, p: list[int], energy: int) -> Iterator[tuple[list[int], list[int], int]]:
-        if j == 0:
-            yield m, p, energy
-            return
-        yield from walk(j - 1, p, energy)
+    m = [0] * (l + 1)
+    p = _vacancies(k, N, m, floor)
+    base = [(p, 0)] * (l + 1)
+    yield m, p, 0
+    j = 1
+    while j <= l:
+        p, energy = base[j]
         row = table[j]
-        while True:
-            energy += _load(k, j, m) + floor[j]
-            m[j] += 1
-            p = list(map(sub, p, row))
-            if any(p_w < 0 for p_w, m_w in zip(p, m) if m_w):
-                break
-            yield from walk(j - 1, p, energy)
-        m[j] = 0
-
-    return walk(l, _vacancies(k, N, m, floor), 0)
+        energy += j * N + row[j] - p[j]
+        p = list(map(sub, p, row))
+        m[j] += 1
+        if min(itertools.compress(p, m)) < 0:
+            m[j] = 0
+            j += 1
+            continue
+        base[1 : j + 1] = [(p, energy)] * j
+        yield m, p, energy
+        j = 1
 
 
 def enumerate_rigged(
@@ -257,14 +262,29 @@ def _fermionic_sum(k: int, floor_values: tuple[int, ...], N: int, weight_cap: in
     ``rigged.phases``; it is zero once p_j < 0 with m_j > 0, so the sum runs
     over the vectors ``_feasible`` yields and skips exactly those whose
     binomial product is zero.  Factors with p_j = 0 are 1.  The walk runs
-    once, counting the family; each other factor is then packed once per
-    call, and a term is their bigint product shifted to its exponent.
+    once, counting the family; each other factor is then read packed at that
+    slot width from ``qseries._packed_binomial``, which packs a binomial once
+    per width for as long as ``q_binomial`` caches it, and a term is the
+    bigint product of its factors shifted to its exponent.  Under
+    RIGGED_DEBUG=1 every term's product is also grown on a list
+    (``qseries._times_binomial``) and the sums must agree.
     """
     low = (0, *floor_values)
     terms = [(e, [key for key in zip(p, m) if key[0] and key[1]]) for m, p, e in _feasible(k, min(k, weight_cap), N, low)]
     bits = _slot_bits(sum(math.prod(math.comb(p_j + m_j, m_j) for p_j, m_j in keys) for _, keys in terms))
-    factor = lru_cache(maxsize=None)(lambda p_j, m_j: _pack(q_binomial(p_j + m_j, m_j), bits))
-    return _unpack(sum(math.prod(factor(*key) for key in keys) << bits * e for e, keys in terms), bits)
+    packs = {key: _packed_binomial(*key, bits) for key in set(itertools.chain.from_iterable(keys for _, keys in terms))}
+    result = _unpack(sum(math.prod(map(packs.__getitem__, keys)) << bits * e for e, keys in terms), bits)
+    if _debug_enabled():
+        coeffs: Counter[int] = Counter()
+        for e, keys in terms:
+            product = [1]
+            for key in keys:
+                _times_binomial(product, *key)
+            coeffs.update(dict(enumerate(product, e)))
+        listed = QPolynomial.from_dict(coeffs)
+        if listed != result:
+            raise InternalCheckError(f"packed fermionic sum gives {result}, list products {listed}")
+    return result
 
 
 def chi_closed(k: int, l: int, a: int, b: int, N: int) -> QPolynomial:

@@ -133,12 +133,12 @@ def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Confi
 
 def _poly_mismatch(lhs: QPolynomial, rhs: QPolynomial) -> str | None:
     """Smallest degree where two polynomials disagree, or None."""
+    if lhs == rhs:
+        return None
     for d in range(max(len(lhs.coeffs), len(rhs.coeffs))):
         if lhs.coefficient(d) != rhs.coefficient(d):
             return f"q^{d}: {lhs.coefficient(d)} vs {rhs.coefficient(d)}"
-    if lhs.order != rhs.order:
-        return f"truncation orders differ: {lhs.order} vs {rhs.order}"
-    return None
+    return f"truncation orders differ: {lhs.order} vs {rhs.order}"
 
 
 def _poly_report(name: str, parameters: dict, lhs: QPolynomial, rhs: QPolynomial) -> VerifyReport:

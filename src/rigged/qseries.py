@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, repeat, zip_longest
 from operator import sub
 
@@ -82,6 +82,11 @@ class QPolynomial:
     def terms(self) -> tuple[tuple[int, int], ...]:
         """The nonzero ``(degree, coefficient)`` pairs in ascending degree."""
         return tuple((d, c) for d, c in enumerate(self.coeffs) if c)
+
+    @cached_property
+    def _packs(self) -> dict[int, int]:
+        """This value's packed forms by slot width, filled by ``_packed_binomial``: a memo that dies with the value."""
+        return {}
 
     @property
     def is_zero(self) -> bool:
@@ -231,6 +236,15 @@ def q_binomial(m: int, n: int) -> QPolynomial:
     c = [1]
     _times_binomial(c, m - n, n)
     return QPolynomial(tuple(c))
+
+
+def _packed_binomial(p: int, m: int, bits: int) -> int:
+    """[p + m choose m] packed at ``bits``, kept on ``q_binomial``'s cached value, so it is cleared with that cache."""
+    poly = q_binomial(p + m, m)
+    packs = poly._packs
+    if bits not in packs:
+        packs[bits] = _pack(poly, bits)
+    return packs[bits]
 
 
 def inv_pochhammer(m: int, order: int) -> QPolynomial:

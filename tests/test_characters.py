@@ -290,6 +290,43 @@ def fermionic_reference(k, floor_values, N, weight_cap):
     return QPolynomial.from_dict(total)
 
 
+def feasible_reference(k, l, N, floor_values):
+    """(m_1..m_k, p_1..p_k, energy) of every fitting vector of weights <= l, from an itertools.product box.
+
+    The box runs over (m_l, ..., m_1) with m_1 fastest.  An occupied weight j
+    needs p_j >= 0, so A(j, j) m_j <= j N + A(j, j) - floor_j: no fitting
+    vector leaves the box.  Vacancies come from ``phase`` one pair at a time
+    and the energy from ``quadratic_form_Q``, so nothing here is shared with
+    the library's odometer.
+    """
+    A = {(i, j): phase(k, i, j) for i in range(1, k + 1) for j in range(1, k + 1)}
+    bounds = [max(0, (j * N + A[j, j] - floor_values[j - 1]) // A[j, j]) for j in range(l, 0, -1)]
+    found = []
+    for heavy_first in itertools.product(*(range(b + 1) for b in bounds)):
+        m = heavy_first[::-1] + (0,) * (k - l)
+        p = [
+            w * N + A[w, w] - floor_values[w - 1] - sum(A[w, v] * m[v - 1] for v in range(1, k + 1))
+            for w in range(1, k + 1)
+        ]
+        if all(p_w >= 0 for p_w, m_w in zip(p, m) if m_w):
+            found.append((m, p, quadratic_form_Q(m, k) + sum(map(operator.mul, floor_values, m))))
+    return found
+
+
+class TestFeasible:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_product_box(self, k):
+        floors = {(4 * k + 1,) * k} | {floor_for(a, b, k, k).values for a in range(k + 1) for b in range(k + 1 - a)}
+        for N in range(7):
+            for floor in sorted(floors):
+                for l in range(k + 1):
+                    got = [
+                        (tuple(m[1:]) + (0,) * (k - l), p[1:], energy)
+                        for m, p, energy in _feasible(k, l, N, (0, *floor))
+                    ]
+                    assert got == feasible_reference(k, l, N, floor), (N, floor, l)
+
+
 class TestFermionicSum:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_full_product(self, k):
@@ -299,6 +336,13 @@ class TestFermionicSum:
                 for cap in range(k + 1):
                     expected = fermionic_reference(k, floor, N, cap)
                     assert _fermionic_sum(k, floor, N, cap) == expected, (N, floor, cap)
+
+    @pytest.mark.usefixtures("rigged_debug")
+    def test_wrong_packed_factor_detected(self, monkeypatch):
+        honest = characters._packed_binomial
+        monkeypatch.setattr(characters, "_packed_binomial", lambda p, m, bits: honest(p, m, bits) + (p == m == 1))
+        with pytest.raises(InternalCheckError, match="packed fermionic sum"):
+            _fermionic_sum(2, (0, 0), 7, 2)
 
 
 def add_at(acc, coeffs, shift):
@@ -386,6 +430,15 @@ class TestPackedKernels:
                     bits = _transfer_bits(k, limit, D)
                     top = max(list_column_transfer(k, r, {}, limit, D).coeffs)
                     assert bits % 8 == 0 and top < 1 << bits, (k, r, N, D)
+
+    def test_packed_binomials_keyed_by_slot_width(self, monkeypatch):
+        # Both families multiply [1 + 1 choose 1]: the first at 8-bit slots, the second at 16 or more.
+        widths = []
+        monkeypatch.setattr(characters, "_slot_bits", lambda bound: widths.append(_slot_bits(bound)) or widths[-1])
+        for k, floor, N, cap in [(2, (0, 0), 1, 1), (2, (0, 0), 7, 2)]:
+            assert any((1, 1) in zip(p, m) for m, p, _ in _feasible(k, cap, N, (0, *floor)))
+            assert _fermionic_sum(k, floor, N, cap) == list_fermionic_sum(k, floor, N, cap), (N, cap)
+        assert widths[0] == 8 and widths[1] >= 16
 
     def test_fermionic_slots_hold_every_coefficient(self, monkeypatch):
         widths = []
