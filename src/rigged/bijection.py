@@ -16,9 +16,12 @@ the sum of weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable
 
-from .configuration import ZERO, Configuration, _check_ints, check_level
-from .moves import InternalCheckError, _debug_enabled, _peel, _Scratch, _settle
+from .configuration import ZERO, Configuration, _check_ints, _json_as, _json_fields, check_level
+from .moves import InternalCheckError, _debug_enabled, _drop_groups, _peel
 from .phases import _load, _quadratic_form
 
 
@@ -108,9 +111,11 @@ class RiggedPartition:
         return {"parts": [{"weight": w, "rigging": r} for w, r in self.parts]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "RiggedPartition":
-        """Parse ``{"parts": [{"weight": w, "rigging": r}, ...]}``; w and r must be JSON integers."""
-        return cls(tuple((p["weight"], p["rigging"]) for p in data.get("parts", ())))
+    def from_json_dict(cls, data: object) -> "RiggedPartition":
+        """Parse ``{"parts": [{"weight": w, "rigging": r}, ...]}``, with no other key; w and r must be JSON integers."""
+        parts = _json_as(_json_fields(data, "rigged partition", ("parts",))["parts"], list, "parts")
+        parts = [_json_fields(p, "part", ("weight", "rigging")) for p in parts]
+        return cls(tuple((p["weight"], p["rigging"]) for p in parts))
 
     def sort_key(self) -> tuple:
         return (self.weights, self.riggings)
@@ -172,54 +177,24 @@ def iota(a: Configuration, k: int) -> RiggedPartition:
     return RiggedPartition(tuple(reversed(parts)))
 
 
-def _settle_group(
-    sc: _Scratch, k: int, group: tuple[tuple[int, int], ...], later: list[int], top: int, extra: int, debug: bool
-) -> int:
-    """Write the one-weight parts ``group`` free above ``sc``'s content and settle them in place.
+def _surpluses(k: int, group: Iterable[tuple[int, int]], later: list[int]) -> tuple[int, list[int]]:
+    """(weight, surpluses) of the one-weight parts ``group``, given in ascending rigging order.
 
-    ``later`` counts the buffer's parts by weight and gains the group's;
-    ``top`` is the buffer's highest occupied column, -3 on an empty buffer,
-    which starts the group at columns >= 0.  ``extra`` adds settling sweeps.
-    Returns the new top.
+    A part's surplus is its rigging plus the load it owes every later part;
+    ``later`` counts the later parts by weight and gains the group's.
     """
-    l = group[0][0]
-    # A part's surplus is its rigging plus the load it owes every later part.
     surpluses = []
-    for _, r in reversed(group):
+    for l, r in group:
         surpluses.append(r + _load(k, l, later))
         later[l] += 1
-    # Free particles must start strictly above everything already built,
-    # with a clear three-column gap below the lowest of them.
-    t = max(0, l * (top + 3) - surpluses[0]) + extra
-    for s in surpluses:
-        sc.place(s + t, l)
-    # Windows up to the old top read only lighter content, which sights no weight-l particle.
-    _settle(sc, k, l, t, len(group), debug, top - sc.lo + 1)
-    top = (surpluses[-1] + t) // l + 1  # sweeps only lower the top
-    vals = sc.vals
-    while not vals[top - sc.lo]:
-        top -= 1
-    return top
+    return l, surpluses
 
 
 def _kappa(rp: RiggedPartition, k: int, extra: int, debug: bool) -> Configuration:
-    """Inverse map on one column buffer, with ``extra`` additional settling sweeps per weight.
-
-    Settles the weight groups from lightest to heaviest (``_settle_group``).
-    """
-    sc = _Scratch(ZERO)
-    parts = rp.parts
+    """Inverse map, ``extra`` more settling sweeps per weight: weight groups lightest first (``_drop_groups``)."""
     later = [0] * (k + 1)
-    top = -3
-    end = len(parts)
-    while end:
-        l = parts[end - 1][0]
-        start = end - 1
-        while start and parts[start - 1][0] == l:
-            start -= 1
-        top = _settle_group(sc, k, parts[start:end], later, top, extra, debug)
-        end = start
-    return sc.to_configuration(hi=top)
+    groups = (_surpluses(k, group, later) for _, group in groupby(reversed(rp.parts), itemgetter(0)))
+    return _drop_groups(ZERO, k, groups, extra, debug)
 
 
 def kappa(rp: RiggedPartition, k: int) -> Configuration:

@@ -30,6 +30,7 @@ Everything is exact integer arithmetic on immutable values.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, Sequence
@@ -56,6 +57,26 @@ def _check_ints(name: str, *values: object) -> None:
     for value in values:
         if type(value) is not int:
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _json_as(value: object, kind: type, what: str) -> object:
+    """``value`` if it is a JSON object (``kind=dict``) or array (``kind=list``), else a ValueError naming ``what``."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, got {reprlib.repr(value)}")
+    return value
+
+
+def _json_fields(data: object, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """``data`` if it is a JSON object with every ``required`` key and no key outside ``required`` and ``optional``."""
+    _json_as(data, dict, what)
+    known = required + optional
+    for key in data:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {what}, expected only {', '.join(map(repr, known))}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{what} needs the key {key!r}")
+    return data
 
 
 def _check_window(r: int) -> None:
@@ -200,9 +221,10 @@ class Configuration:
         return {"offset": self.offset, "counts": list(self.counts)}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Configuration":
-        """Parse ``{"offset": o, "counts": [c0, ...]}``; o and every c must be JSON integers."""
-        return cls(data.get("offset", 0), tuple(data.get("counts", ())))
+    def from_json_dict(cls, data: object) -> "Configuration":
+        """Parse ``{"offset": o, "counts": [c0, ...]}`` (o defaults to 0); o and every c must be JSON integers."""
+        data = _json_fields(data, "configuration", ("counts",), ("offset",))
+        return cls(data.get("offset", 0), tuple(_json_as(data["counts"], list, "counts")))
 
     def __str__(self) -> str:
         return self.to_text()

@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable
 
-from .bijection import EMPTY, RiggedPartition, _counts, _settle_group, e0, e1, kappa
+from .bijection import EMPTY, RiggedPartition, _counts, _surpluses, e0, e1, kappa
 from .characters import (
     RestrictedSet,
     _fits_ceilings,
@@ -31,9 +31,8 @@ from .configuration import ZERO, Configuration, check_level, enumerate_configura
 from .moves import (
     InternalCheckError,
     _debug_enabled,
-    _float_free,
-    _Scratch,
-    _stepped_weight,
+    _detach,
+    _drop_groups,
     pass_particle,
     passing_history,
     right_move,
@@ -75,7 +74,7 @@ class VerifyReport:
 
 @lru_cache(maxsize=None)
 def _iota(a: Configuration, k: int, debug: bool) -> RiggedPartition:
-    """Cached ``iota(a, k)`` for an admissible ``a``; ``debug`` re-checks each free rise (``_float_free``).
+    """Cached ``iota(a, k)`` for an admissible ``a``; ``debug`` re-checks the float (``moves._detach``).
 
     A miss floats only the highest particle free and looks up what lies below
     it, which the grid has usually mapped already.  Its new part is checked
@@ -85,15 +84,8 @@ def _iota(a: Configuration, k: int, debug: bool) -> RiggedPartition:
     """
     if a.is_zero:
         return EMPTY
-    sc = _Scratch(a)
-    vals = sc.vals
-    top = len(vals) - sc.MARGIN - 1
-    # An admissible configuration has weight at most k: S and L - k are each at most a 3-window sum.
-    l = _stepped_weight(vals, k, k, top)
-    t, i = _float_free(sc, k, l, top, a.length(), a.energy(), a, debug)
-    # The free particle holds vals[i] units at column sc.lo + i and the rest of its l one column up.
-    surplus = l * (sc.lo + i) + vals[i + 1] - t
-    tail = _iota(sc.to_configuration(a.offset, sc.lo + i - 1), k, debug)
+    l, surplus, rest = _detach(a, k, debug)
+    tail = _iota(rest, k, debug)
     return RiggedPartition._prepended((l, surplus - _load(k, l, _counts(tail.parts, k))), tail)
 
 
@@ -119,10 +111,8 @@ def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Confi
         c = kappa(RiggedPartition._trusted(parts), k)
     else:
         lighter = parts[n:]
-        below = _inverse(lighter, k, memo, debug)
-        sc = _Scratch(below)
-        top = _settle_group(sc, k, parts[:n], _counts(lighter, k), -3 if below.is_zero else below.support_max, 0, debug)
-        c = sc.to_configuration(hi=top)
+        group = _surpluses(k, reversed(parts[:n]), _counts(lighter, k))
+        c = _drop_groups(_inverse(lighter, k, memo, debug), k, [group], 0, debug)
         if debug:
             expected = kappa(RiggedPartition._trusted(parts), k)
             if c != expected:

@@ -8,12 +8,13 @@ off just below (or above) a located particle and repeating locates all of
 them, which is what makes "move the c-th particle" well defined.
 
 All moves run on one substrate, the padded mutable column buffer
-``_Scratch``, and locate particles with list scans.  ``_sight`` walks the
-windows up or down from a given index to the nearest sighting.
-``_cut_scan`` scans given windows in order and cuts each sighted particle
-off in place by zeroing its two columns, so each sighting locates the next
-particle: every window it reads afterwards lies on the near side of the
-cut.  It restores the cut columns before it returns.  A single move copies
+``_Scratch``, which no other module touches: the maps call ``_peel``,
+``_detach`` and ``_drop_groups``.  Moves locate particles with list scans.
+``_sight`` walks the windows up or down from a given index to the nearest
+sighting.  ``_cut_scan`` scans given windows in order and cuts each sighted
+particle off in place by zeroing its two columns, so each sighting locates
+the next particle: every window it reads afterwards lies on the near side of
+the cut.  It restores the cut columns before it returns.  A single move copies
 a configuration into a buffer, sights the end particle and bumps two
 columns.  The long-running procedures keep one buffer for their whole run:
 
@@ -498,19 +499,34 @@ def separate_highest(a: Configuration, k: int, l: int) -> Separation:
     return Separation(t, fp, fp.energy - t, sc.to_configuration(hi=fp.position - 1))
 
 
+def _float_off(
+    sc: _Scratch, k: int, l: int, top: int, length: int, energy: int, origin: Configuration, debug: bool
+) -> tuple[int, int, int]:
+    """(weight, surplus, index i) of the highest particle of ``sc``, floated free to indices i and i + 1 in place.
+
+    The nonzero buffer holds its content from index ``MARGIN`` to ``top`` and weighs at most ``l``, from which
+    ``_stepped_weight`` steps down (RIGGED_DEBUG=1 recomputes the weight).  The surplus is the energy less the moves.
+    """
+    l = _stepped_weight(sc.vals, k, l, top)
+    if debug:
+        s_max, _, l_max = _window_maxima(sc.vals[sc.MARGIN - 2 : top + 3])
+        if max(s_max, l_max - k) != l:
+            raise InternalCheckError(
+                f"remainder weight {max(s_max, l_max - k)} disagrees with the stepped weight {l}, from {origin}"
+            )
+    t, i = _float_free(sc, k, l, top, length, energy, origin, debug)
+    return l, l * (sc.lo + i) + sc.vals[i + 1] - t, i
+
+
 def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
     """(weight, surplus) of every particle of ``a``, heaviest first, all on one buffer.
 
-    Each particle floats free by right moves; the remainder is what lies
-    below its free position, so zeroing its two columns in place leaves the
-    remainder in the buffer.  The next particle weighs at most l, the weight
-    just peeled, so the remainder's weight steps down from l until a downward
-    ``_sight`` from its top finds S = l or L = k + l (``_stepped_weight``).
-    Length and energy are updated, not re-summed; RIGGED_DEBUG=1 re-sums them
-    and recomputes each weight with ``_window_maxima``.
+    Each particle floats free by right moves (``_float_off``); the remainder
+    is what lies below its free position, so zeroing its two columns in place
+    leaves the remainder in the buffer.  The next particle weighs at most l,
+    the weight just peeled.  Length and energy are updated, not re-summed;
+    RIGGED_DEBUG=1 re-sums them.
     """
-    if a.is_zero:
-        return []
     l = weight(a, k)
     sc = _Scratch(a)
     vals, bottom = sc.vals, sc.MARGIN
@@ -518,26 +534,25 @@ def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
     length, energy = a.length(), a.energy()
     debug = _debug_enabled()
     peeled = []
-    while True:
+    while top >= bottom:
         if debug and (sum(vals), sum((sc.lo + j) * c for j, c in enumerate(vals))) != (length, energy):
             raise InternalCheckError(f"running length {length} and energy {energy} disagree with the buffer, from {a}")
-        t, i = _float_free(sc, k, l, top, length, energy, a, debug)
-        e = l * (sc.lo + i) + vals[i + 1]
-        peeled.append((l, e - t))
-        length, energy = length - l, energy + t - e
+        l, s, i = _float_off(sc, k, l, top, length, energy, a, debug)
+        peeled.append((l, s))
+        length, energy = length - l, energy - s
         vals[i] = vals[i + 1] = 0
         top = i - 1
         while top >= bottom and not vals[top]:
             top -= 1
-        if top < bottom:
-            return peeled
-        l = _stepped_weight(vals, k, l, top)
-        if debug:
-            s_max, _, l_max = _window_maxima(vals[bottom - 2 : top + 3])
-            if max(s_max, l_max - k) != l:
-                raise InternalCheckError(
-                    f"remainder weight {max(s_max, l_max - k)} disagrees with the stepped weight {l}, from {a}"
-                )
+    return peeled
+
+
+def _detach(a: Configuration, k: int, debug: bool) -> tuple[int, int, Configuration]:
+    """(weight, surplus, remainder below it) of the highest particle of a nonzero admissible ``a``, floated free."""
+    sc = _Scratch(a)
+    # An admissible configuration has weight at most k: S and L - k are each at most a 3-window sum.
+    l, s, i = _float_off(sc, k, k, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, debug)
+    return l, s, sc.to_configuration(a.offset, sc.lo + i - 1)
 
 
 def build_free_configuration(l: int, energies: list[int], k: int) -> Configuration:
@@ -657,6 +672,28 @@ def left_sweeps(b: Configuration, k: int, l: int, times: int, expected: int | No
     sc = _Scratch(b)
     _settle(sc, k, l, times, expected, _debug_enabled())
     return sc.to_configuration()
+
+
+def _drop_groups(
+    base: Configuration, k: int, groups: Iterable[tuple[int, list[int]]], extra: int, debug: bool
+) -> Configuration:
+    """``base`` with each group (l, ascending surpluses) of weight-l particles dropped in and settled, in turn.
+
+    Each group starts free at energies surplus + t, t the fewest sweeps that put it three columns clear above
+    the lighter content so far, plus ``extra``; t sweeps (``_settle``) bring each particle down to its surplus.
+    """
+    sc = _Scratch(base)
+    top = -3 if base.is_zero else base.support_max  # -3 starts groups on an empty base at columns >= 0
+    for l, surpluses in groups:
+        t = max(0, l * (top + 3) - surpluses[0]) + extra
+        for s in surpluses:
+            sc.place(s + t, l)
+        # Windows up to the old top read only lighter content, which sights no weight-l particle.
+        _settle(sc, k, l, t, len(surpluses), debug, top - sc.lo + 1)
+        top = (surpluses[-1] + t) // l + 1  # sweeps only lower the top
+        while not sc.vals[top - sc.lo]:
+            top -= 1
+    return sc.to_configuration(hi=top)
 
 
 # -- passing a heavy probe ---------------------------------------------------

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, repeat, zip_longest
 from operator import sub
 
-from .configuration import _check_ints, check_level
+from .configuration import _check_ints, _json_as, _json_fields, check_level
 from .phases import _gordon_form, _quadratic_form
 
 
@@ -160,9 +160,11 @@ class QPolynomial:
         return {"coeffs": {str(d): str(c) for d, c in self.terms}, "order": self.order}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "QPolynomial":
-        """Parse what ``to_json_dict`` writes: integer degrees and coefficients, as ints or decimal strings."""
-        coeffs = {_json_int(d, "degree"): _json_int(c, "coefficient") for d, c in data.get("coeffs", {}).items()}
+    def from_json_dict(cls, data: object) -> "QPolynomial":
+        """Parse what ``to_json_dict`` writes, ``order`` optional; degrees and coefficients are ints or decimal strings."""
+        data = _json_fields(data, "polynomial", ("coeffs",), ("order",))
+        coeffs = _json_as(data["coeffs"], dict, "coeffs")
+        coeffs = {_json_int(d, "degree"): _json_int(c, "coefficient") for d, c in coeffs.items()}
         order = data.get("order")
         if order is not None and type(order) is not int:
             raise ValueError(f"order must be an integer or null, got {order!r}")

@@ -93,6 +93,11 @@ class TestRiggedPartition:
         assert part.drop_weight(2) == rp((3, 1), (4, 0))
         assert len(EMPTY) == 0 and EMPTY.is_empty
 
+    def test_of_needs_equal_lengths(self):
+        assert RiggedPartition.of((2, 1), (0, 0)) == rp((2, 1), (0, 0))
+        with pytest.raises(RiggingError, match="weights and riggings must have equal length"):
+            RiggedPartition.of((2, 1), (0,))
+
     def test_json_roundtrip(self):
         part = rp((3, 1), (0, 0))
         assert RiggedPartition.from_json_dict(part.to_json_dict()) == part

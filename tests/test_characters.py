@@ -62,6 +62,30 @@ class TestFloors:
             RiggingFloor((0, value))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RestrictedSet(RiggingFloor((0, 0)), (frozenset(),), 2), "bump sets must be nonempty"),
+        (lambda: RestrictedSet(RiggingFloor((0, 0)), (frozenset({3}),), 2), r"bump set \{3\} escapes weights 1..2"),
+        (lambda: RestrictedSet(RiggingFloor((0, 0)), (frozenset({0, 1}),), 2), "escapes weights 1..2"),
+        (lambda: satisfies_boundary(rp((3,), (0,)), 2, 4), "weight 3 outside 1..2"),
+        (lambda: list(enumerate_rigged(2, 2, -1)), "boundary must be non-negative"),
+        (lambda: list(enumerate_rigged(2, 2, 4, RiggingFloor((0,)))), "floor must cover weights 1..2"),
+        (lambda: list(enumerate_rigged(2, 2, 4, RiggingFloor((0, 0, 0)))), "floor must cover weights 1..2"),
+        (lambda: weighted_config_sum(2, 2, 0, 0, -1), "boundary must be non-negative"),
+        (lambda: config_sum(2, 4, N=3), "window size r must be 2 or 3, got 4"),
+        (lambda: config_sum(2, 1, max_degree=3), "window size r must be 2 or 3, got 1"),
+    ],
+    ids=[
+        "empty bump set", "bump above l", "bump below 1", "boundary weight above k", "negative boundary",
+        "short floor", "long floor", "weighted sum negative N", "window 4", "window 1",
+    ],
+)
+def test_public_validation_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestMembership:
     def test_floor_and_bump(self):
         one_zero = initial_columns_set(1, 0, 1, 1)

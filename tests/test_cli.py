@@ -73,6 +73,27 @@ class TestMapUnmap:
         code, out, err = run(capsys, "unmap", "--k", "3", "--partition", partition)
         assert code == 2 and out == "" and err.startswith("error:") and "integer" in err
 
+    @pytest.mark.parametrize(
+        "partition, message",
+        [
+            ('{"prts": [{"weight": 1, "rigging": 0}]}', "unknown key 'prts' in rigged partition"),
+            ('{"parts": [{"weight": 1, "rigging": 0}], "offset": 0}', "unknown key 'offset' in rigged partition"),
+            ("{}", "rigged partition needs the key 'parts'"),
+            ('{"parts": [{"weight": 1}]}', "part needs the key 'rigging'"),
+            ('{"parts": [{"rigging": 0}]}', "part needs the key 'weight'"),
+            ('{"parts": [{"weight": 1, "rigging": 0, "energy": 3}]}', "unknown key 'energy' in part"),
+            ('{"parts": [[1, 0]]}', "part must be a JSON object"),
+            ('{"parts": {"weight": 1, "rigging": 0}}', "parts must be a JSON array"),
+            ('{"parts": null}', "parts must be a JSON array"),
+            ("null", "rigged partition must be a JSON object"),
+            ("[]", "rigged partition must be a JSON object"),
+            ("3", "rigged partition must be a JSON object"),
+        ],
+    )
+    def test_unmap_rejects_misshapen_json(self, capsys, partition, message):
+        code, out, err = run(capsys, "unmap", "--k", "3", "--partition", partition)
+        assert (code, out) == (2, "") and err.startswith("error: cannot parse rigged partition") and message in err
+
     def test_unmap_wide_mixed_sign_spread(self, capsys, monkeypatch):
         # RIGGED_DEBUG=1 rescans the whole buffer on every sweep by design.
         monkeypatch.delenv("RIGGED_DEBUG", raising=False)

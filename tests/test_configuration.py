@@ -36,6 +36,21 @@ def count_admissible_oracle(k: int, r: int, ncols: int) -> int:
     return go(0, (0,) * (r - 1))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_admissible(Configuration(0, (1,)), 2, 4),
+        lambda: is_admissible(Configuration(0, (1,)), 2, 1),
+        lambda: list(enumerate_configurations(2, 4, 3)),
+        lambda: list(enumerate_configurations(2, 0, None, max_energy=3)),
+    ],
+    ids=["is_admissible r=4", "is_admissible r=1", "enumerate r=4", "enumerate r=0"],
+)
+def test_window_size_validated(call):
+    with pytest.raises(ValueError, match="window size r must be 2 or 3"):
+        call()
+
+
 class TestCanonicalForm:
     def test_trimming(self):
         assert Configuration(0, (0, 0, 3, 0, 0, 1, 0)) == Configuration(2, (3, 0, 0, 1))
@@ -75,6 +90,25 @@ class TestCanonicalForm:
             Configuration.from_json_dict({"offset": value, "counts": [1]})
         with pytest.raises(ValueError, match="count must be an integer"):
             Configuration.from_json_dict({"offset": 0, "counts": [1, value]})
+
+    def test_json_offset_defaults_to_zero(self):
+        assert Configuration.from_json_dict({"counts": [1, 2]}) == cfg(1, 2)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (None, "configuration must be a JSON object"),
+            ([0, [1]], "configuration must be a JSON object"),
+            ({"offset": 0}, "configuration needs the key 'counts'"),
+            ({"offset": 0, "counts": [1], "ofset": 2}, "unknown key 'ofset' in configuration"),
+            ({"counts": "12"}, "counts must be a JSON array"),
+            ({"counts": {"0": 1}}, "counts must be a JSON array"),
+        ],
+    )
+    def test_json_rejects_other_shapes(self, data, message):
+        with pytest.raises(ValueError) as raised:
+            Configuration.from_json_dict(data)
+        assert message in str(raised.value)
 
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "3"])
     def test_constructor_rejects_non_integers(self, value):

@@ -263,6 +263,10 @@ class TestRecursion:
     def test_sublevel(self):
         assert verify_recursion(2, 3, 3).passed
 
+    def test_level_zero_rejected(self):
+        with pytest.raises(ValueError, match="recursion needs l >= 1"):
+            verify_recursion(0, 2, 3)
+
 
 class TestShift:
     def test_worked_samples(self):

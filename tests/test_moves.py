@@ -266,6 +266,22 @@ def test_sweeps_and_free_particle_validate_like_move_all(a, k, l):
         assert str(raised.value) == str(expected.value)
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: particle_positions(cfg(1), 2, 1, "up"), ValueError, "side must be 'right' or 'left', got 'up'"),
+        (lambda: move_all(cfg(1), 2, 1, "down"), ValueError, "side must be 'right' or 'left', got 'down'"),
+        (lambda: move_cth(cfg(1), 2, 1, 0), MoveError, "particle index must be positive, got 0"),
+        (lambda: build_free_configuration(0, [], 2), ValueError, "free particles need positive weight"),
+        (lambda: pass_particle(cfg(1), 2, 0), ValueError, "the probe needs positive weight"),
+    ],
+    ids=["positions side", "move_all side", "move_cth c=0", "free weight 0", "probe weight 0"],
+)
+def test_public_validation_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestMoveCth:
     def test_examples(self):
         a = cfg(1, 0, 0, 1)
@@ -374,6 +390,98 @@ class TestSeparation:
                         except StopIteration:
                             assert not moves._leaves_class(sc.vals, k, l), (k, l, a, i)
         assert leaving > 0
+
+
+def highest_unit(vals, l, kl, j, step):
+    """A faulty ``_sight`` that reports the highest occupied index, by L: it never finds the particle free."""
+    return max(i for i, c in enumerate(vals) if c), False
+
+
+def below_lowest_unit(vals, l, kl, j, step):
+    """A faulty ``_sight`` that reports the index just below the lowest occupied one, by S."""
+    return min(i for i, c in enumerate(vals) if c) - 1, True
+
+
+class TestFaultPaths:
+    """Each remaining self-check of the move kernels raises when a patched kernel feeds it a fault."""
+
+    @pytest.fixture(autouse=True)
+    def debug_off(self, monkeypatch):
+        # Without the debug double computations the kernels' own checks are the ones that fire.
+        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+
+    def test_transfer_from_empty_column(self, monkeypatch):
+        # Index 5 of the buffer of 0:1,0,0,1 is the empty column 1: the right move takes a unit it does not hold.
+        monkeypatch.setattr(moves, "_sight", lambda vals, l, kl, j, step: (5, True))
+        with pytest.raises(InternalCheckError, match="column 1 driven negative"):
+            right_move(cfg(1, 0, 0, 1), 1, 1)
+
+    def test_float_loses_its_particle(self, monkeypatch):
+        monkeypatch.setattr(moves, "_sight", lambda vals, l, kl, j, step: None)
+        with pytest.raises(InternalCheckError, match="weight fell below l=1 after 0 right moves from 0:1,0,0,1"):
+            separate_highest(cfg(1, 0, 0, 1), 1, 1)
+
+    def test_float_moves_from_empty_column(self, monkeypatch):
+        monkeypatch.setattr(moves, "_sight", lambda vals, l, kl, j, step: (5, False))
+        with pytest.raises(InternalCheckError, match="column 1 driven negative"):
+            separate_highest(cfg(1, 0, 0, 1), 1, 1)
+
+    def test_float_never_frees(self, monkeypatch):
+        # The top unit of 0:1 marches right for ever; the cap length * (c + 2) - energy + 2 = 4 stops it.
+        monkeypatch.setattr(moves, "_sight", highest_unit)
+        with pytest.raises(InternalCheckError, match="no free particle after 4 right moves from 0:1"):
+            separate_highest(cfg(1), 1, 1)
+
+    def test_running_energy_checked_under_debug(self, rigged_debug, monkeypatch):
+        # One move too many counted for the first particle leaves the running energy one above the remainder's, 0.
+        honest = moves._float_free
+        calls = []
+
+        def miscounting(sc, k, l, top, length, energy, origin, debug):
+            t, i = honest(sc, k, l, top, length, energy, origin, debug)
+            calls.append(l)
+            return t + (len(calls) == 1), i
+
+        monkeypatch.setattr(moves, "_float_free", miscounting)
+        with pytest.raises(InternalCheckError, match="running length 1 and energy 1 disagree with the buffer"):
+            moves._peel(cfg(3, 0, 0, 1), 3)
+
+    def test_sweep_count_checked(self):
+        b = cfg(1, 0, 0, 0, 0, 0, 0, 2)
+        assert left_sweeps(b, 3, 2, 3, expected=1) == left_sweeps(b, 3, 2, 3)
+        with pytest.raises(InternalCheckError, match="expected 2 weight-2 particles during sweep, found 1"):
+            left_sweeps(b, 3, 2, 3, expected=2)
+
+    def test_sweep_moves_from_empty_column(self, monkeypatch):
+        # A first scan that sights the unit at column 0 of 0:1,0,0,1 moves a unit out of the empty column 1.
+        monkeypatch.setattr(moves, "_cut_scan", lambda vals, windows, l, kl: [4])
+        with pytest.raises(InternalCheckError, match="column 1 driven negative"):
+            left_sweeps(cfg(1, 0, 0, 1), 1, 1, 1)
+
+    def test_probe_vanishes(self, monkeypatch):
+        monkeypatch.setattr(moves, "_sight", lambda vals, l, kl, j, step: None)
+        with pytest.raises(InternalCheckError, match="probe vanished during descent"):
+            pass_particle(cfg(1, 1, 1), 4, 3)
+
+    def test_probe_never_passes(self, monkeypatch):
+        # Sighting one column below the lowest unit drags the cargo 0:1 down for ever, under the probe
+        # at column 4; the cap l * (4 - 0 + 3 * (1 + 2) + 10) + 10 = 56 stops it.
+        monkeypatch.setattr(moves, "_sight", below_lowest_unit)
+        with pytest.raises(InternalCheckError, match="probe failed to pass 0:1 within 56 moves"):
+            pass_particle(cfg(1), 2, 2)
+
+    def test_history_redrop_checked_under_debug(self, rigged_debug, monkeypatch):
+        # Same result from either placement, but one node fewer from the odd one; without nodes no check fires.
+        honest = moves._descend
+
+        def column_dependent(a, k, l, probe_column, record):
+            nodes, result = honest(a, k, l, probe_column, record)
+            return nodes[: len(nodes) - probe_column % 2], result
+
+        monkeypatch.setattr(moves, "_descend", column_dependent)
+        assert pass_particle(cfg(1, 1, 1), 4, 3) == Configuration(2, (1, 0, 2))
+        with pytest.raises(InternalCheckError, match="passing history depends on the placement column"):
+            passing_history(cfg(1, 1, 1), 4, 3)
 
 
 class TestScratch:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigged.bijection import e0, multiplicities
+from rigged.phases import gordon_phase
 from rigged.qseries import (
     QPolynomial,
     _over_one_minus,
@@ -118,6 +119,24 @@ class TestArithmetic:
     def test_json_rejects_non_integers(self, data):
         with pytest.raises(ValueError, match="must be an integer"):
             QPolynomial.from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (None, "polynomial must be a JSON object"),
+            ([], "polynomial must be a JSON object"),
+            ({"order": 3}, "polynomial needs the key 'coeffs'"),
+            ({"coeffs": {}, "ordr": 3}, "unknown key 'ordr' in polynomial"),
+            ({"coeffs": [1, 2]}, "coeffs must be a JSON object"),
+        ],
+    )
+    def test_json_rejects_other_shapes(self, data, message):
+        with pytest.raises(ValueError) as raised:
+            QPolynomial.from_json_dict(data)
+        assert message in str(raised.value)
+
+    def test_json_order_defaults_to_none(self):
+        assert QPolynomial.from_json_dict({"coeffs": {"1": "2"}}) == poly({1: 2})
 
     @pytest.mark.parametrize("scalar", [0.5, True])
     def test_scalars_must_be_integers(self, scalar):
@@ -298,6 +317,23 @@ class TestQBinomial:
             for n in range(m + 1):
                 expected = dict(box_partition_counts(n, m - n))
                 assert dict(q_binomial(m, n).terms) == {d: c for d, c in expected.items() if c}
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: inv_pochhammer(-1, 3), "need a non-negative number of factors"),
+        (lambda: inv_pochhammer(2, -1), "need a non-negative truncation order"),
+        (lambda: quadratic_form_Q((1, -1), 2), r"multiplicities must be non-negative, got \(1, -1\)"),
+        (lambda: gordon_quadratic_form((0, -2)), r"multiplicities must be non-negative, got \(0, -2\)"),
+        (lambda: gordon_phase(0, 1), r"weights must be positive, got \(0, 1\)"),
+        (lambda: gordon_phase(2, -1), r"weights must be positive, got \(2, -1\)"),
+    ],
+    ids=["pochhammer m<0", "pochhammer order<0", "Q negative m", "gordon Q negative m", "gordon phase l=0", "gordon phase l'<0"],
+)
+def test_public_validation_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestInvPochhammer:
