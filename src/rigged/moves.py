@@ -12,36 +12,43 @@ All moves run on one substrate, the padded mutable column buffer
 ``_detach`` and ``_drop_groups``.  Moves locate particles with list scans.
 ``_sight`` walks the windows up or down from a given index to the nearest
 sighting.  ``_cut_scan`` scans given windows in order and cuts each sighted
-particle off in place by zeroing its two columns, so each sighting locates
-the next particle: every window it reads afterwards lies on the near side of
-the cut.  It restores the cut columns before it returns.  A single move copies
-a configuration into a buffer, sights the end particle and bumps two
-columns.  The long-running procedures keep one buffer for their whole run:
+particle off a copy by zeroing its two columns, so each sighting locates the
+next particle: every window it reads afterwards lies on the near side of the
+cut.  A single move copies a configuration into a buffer, sights the end
+particle and bumps two columns.  The long-running procedures keep one buffer
+for their whole run:
 
-- Floating the highest particle free by right moves (``separate_highest``).
+- Floating the highest particle free by right moves (``_float_free``).
   A unit moved from column i to i + 1 raises only the windows that weigh
   column i + 1 above column i: the 3-window and S at i + 1 and L at i + 1
   and i + 2.  Every other window loses value or keeps it, so re-checking
-  these four is as strong as re-checking everything, and the next scan
-  starts just above them.  The forward map peels every particle off one
-  buffer this way: once a particle is free, zeroing its two columns leaves
-  the remainder in place.  The remainder weighs at most the peeled particle,
-  so its weight steps down from there, one downward ``_sight`` per step,
-  until a scan sights a particle.
-- Settling particles with full bottom-up left sweeps (``_settle``): one
-  cut-scan from the lowest window that may sight a particle, then per sweep
-  a ``_rescan`` (the cut-scan fused with its window walk) of only the
-  windows q - 2, q - 1 and q of each sighting q of the previous sweep.  That
-  is exact.  Weight at most l means S <= l and L <= k + l everywhere, and a
-  cut only lowers window sums, so only a window whose uncut S or L attains
-  its bound can be sighted.  The left move at q raises S and L at q - 1 and
-  L at q - 2, keeps S and L at q and S at q +- 2, and lowers S and L at
-  q + 1 and L at q + 2 by one.  So no window w outside every {q - 2, q - 1,
-  q} rose, and a sum of w at its bound but unsighted was masked by a cut at
-  a sighting q' < w: it read column q' or q' + 1, so it is S or L at q' + 1
-  or L at q' + 2, which the move at q' lowered.  So the rescan sights what a
-  full scan sights, and the particle-count check still counts every
-  particle.  RIGGED_DEBUG=1 compares each sweep with a full cut-scan.
+  these four is as strong as re-checking everything, and the inline walk to
+  the next sighting starts just above them.  The forward map peels every
+  particle off one buffer this way: once a particle is free, zeroing its two
+  columns leaves the remainder in place.  The remainder weighs at most the
+  peeled particle, so its weight steps down from there, one downward
+  ``_sight`` per step, and the float starts at the first sighting.
+- Settling particles with full bottom-up left sweeps (``_settle``), each one
+  pass of ``_sweep``: the first over every window that may sight a particle,
+  each later one over only the windows q - 2, q - 1 and q of each sighting q
+  of the previous sweep.  That is exact.  Weight at most l means S <= l and
+  L <= k + l everywhere, and a cut only lowers window sums, so only a window
+  whose uncut S or L attains its bound can be sighted.  The left move at q
+  raises S and L at q - 1 and L at q - 2, keeps S and L at q and S at q +- 2,
+  and lowers S and L at q + 1 and L at q + 2 by one.  So no window w outside
+  every {q - 2, q - 1, q} rose, and a sum of w at its bound but unsighted was
+  masked by a cut at a sighting q' < w: it read column q' or q' + 1, so it is
+  S or L at q' + 1 or L at q' + 2, which the move at q' lowered.
+  The pass cuts nothing: a cut at c zeroes columns c and c + 1, which of the
+  later windows only c + 1 and c + 2 read, so it reads them there as zero.
+  It moves each sighting c when found, as no later window reads columns c
+  and c + 1 unmasked.  Isolation (below) is judged on the columns before the
+  sweep, and a sighting p can be isolated only if the one before lies below
+  p - 4: with columns p - 3 to p - 1 empty, window p - 3 or p - 2 sights
+  nothing, window p - 1 only with l units in column p, which leaves window p
+  nothing to sight, and window p - 4 only with l units in column p - 4, which
+  window p - 5 sights first.  RIGGED_DEBUG=1 compares each sweep with a full
+  cut-scan made before it.
 - Passing a heavy probe down through a lighter configuration from far above,
   one unit left move in place per step; only a move at the buffer's low
   margin goes through ``bump``, which grows the buffer.
@@ -215,58 +222,68 @@ def _sight(vals: list[int], l: int, kl: int, j: int, step: int) -> tuple[int, bo
     return None
 
 
-def _stepped_weight(vals: list[int], k: int, l: int, top: int) -> int:
+def _stepped_weight(vals: list[int], k: int, l: int, top: int) -> tuple[int, tuple[int, bool]]:
     """Weight of the buffer ``vals``, nonzero with highest occupied index ``top``, given that it is at most ``l``.
 
     The weight is l exactly when some window has S = l or L = k + l, so it
     steps down from l until a downward ``_sight`` from the top sights a
-    particle.  A nonzero buffer has weight at least 1.
+    particle, and returns that sighting too.  A nonzero buffer has weight at least 1.
     """
-    while _sight(vals, l, k + l, top + 1, -1) is None:
+    while True:
+        found = _sight(vals, l, k + l, top + 1, -1)
+        if found is not None:
+            return l, found
         l -= 1
         if not l:
             raise InternalCheckError(f"no particle sighted in a nonzero buffer below index {top + 1}")
-    return l
 
 
 def _cut_scan(vals: list[int], windows: Iterable[int], l: int, kl: int) -> list[int]:
     """Indices of ``windows``, scanned in order, that sight a particle once the earlier ones are cut off.
 
-    Each sighting cuts its particle off by zeroing its two columns in place;
-    the cuts are undone before returning.  ``l = 0`` sights nothing.
+    Each sighting cuts its particle off a copy of ``vals`` by zeroing its two
+    columns.  ``l = 0`` sights nothing.
     """
     if not l:
         return []
-    found, cuts = [], []
+    vals, found = vals[:], []
     for j in windows:
         s = vals[j] + vals[j + 1]
         if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
             found.append(j)
-            cuts.append((j, vals[j], vals[j + 1]))
             vals[j] = vals[j + 1] = 0
-    for j, x, y in reversed(cuts):
-        vals[j], vals[j + 1] = x, y
     return found
 
 
-def _rescan(vals: list[int], last: list[int], l: int, kl: int) -> list[int]:
-    """``_cut_scan`` of the windows q - 2, q - 1 and q for each index q >= 3 of ascending ``last``, merged ascending."""
-    found, cuts, j = [], [], 0
-    for p in last:
-        j = j if j > p - 2 else p - 2
-        while j <= p:
-            s = vals[j] + vals[j + 1]
-            if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
+def _sweep(vals: list[int], last: Iterable[int], l: int, kl: int, lo: int) -> tuple[list[int], bool]:
+    """One left sweep in place over the windows q - 2, q - 1 and q of each q >= 3 of ascending ``last``.
+
+    Returns the indices ``_cut_scan`` of those windows would sight, each moved left when sighted, and whether
+    each was isolated (module docstring).  ``a``, ``b``, ``x`` and ``y`` hold the masked columns j - 1 to j + 2
+    of window j; ``lo`` names columns in errors.
+    """
+    found, isolated = [], True
+    c = j = -9  # the last sighting and the next window to read
+    for q in last:
+        if j < q - 2:  # a jump, so no sighting at j - 1 and none but one at j - 2 masks a column
+            j = q - 2
+            a, b, x = (0 if c == j - 2 else vals[j - 1]), vals[j], vals[j + 1]
+        while j <= q:
+            y = vals[j + 2]
+            s = b + x
+            if s == l or 2 * s + a + y == kl:
+                if isolated:
+                    isolated = c < j - 4 and s == l and not (a or y or vals[j - 2] or vals[j + 3] or vals[j - 3] or vals[j + 4])
+                if not x:
+                    raise InternalCheckError(f"column {lo + j + 1} driven negative")
+                vals[j] += 1
+                vals[j + 1] = x - 1
                 found.append(j)
-                cuts.append(vals[j])
-                cuts.append(vals[j + 1])
-                vals[j] = vals[j + 1] = 0
+                c = j
+                b = x = 0
+            a, b, x = b, x, y
             j += 1
-    # Undo the cuts last first: a later cut may re-zero a column an earlier one saved.
-    for j in reversed(found):
-        vals[j + 1] = cuts.pop()
-        vals[j] = cuts.pop()
-    return found
+    return found, isolated
 
 
 def _every_window(vals: list[int], step: int) -> range:
@@ -415,15 +432,17 @@ def free_particle(a: Configuration, k: int, l: int) -> FreeParticle | None:
     return FreeParticle(sc.lo + i, c, l) if by_s and c and top <= i + 1 else None
 
 
-def _float_free(sc: _Scratch, k: int, l: int, top: int, length: int, energy: int, origin: Configuration, debug: bool) -> tuple[int, int]:
+def _float_free(sc: _Scratch, k: int, l: int, top: int, length: int, energy: int, origin: Configuration, debug: bool,
+                found: tuple[int, bool] | None) -> tuple[int, int]:
     """Right-move the highest weight-l particle in place until it floats free, replaying each jump under ``debug``.
 
-    ``top`` is the buffer index of the highest occupied column, the buffer
-    has weight exactly l, and ``length`` and ``energy`` are the buffer's.
-    Returns the move count and the index of the free particle's lower column.
-    Each move re-checks the four windows it raises.  An isolated particle
-    below lighter content rises to four columns below it in one step (module
-    docstring); the moves count one each.  ``origin`` names the input in errors.
+    ``top`` is the buffer index of the highest occupied column, ``found`` the
+    downward ``_sight`` of the particle from there, the buffer has weight
+    exactly l, and ``length`` and ``energy`` are the buffer's.  Returns the
+    move count and the index of the free particle's lower column.  Each move
+    re-checks the four windows it raises, then walks down as ``_sight`` does.
+    An isolated particle below lighter content rises to four columns below it
+    in one step (module docstring).  ``origin`` names the input in errors.
     """
     vals = sc.vals
     # Energy rises by one per move but stays below length * (c + 2), c the
@@ -431,14 +450,14 @@ def _float_free(sc: _Scratch, k: int, l: int, top: int, length: int, energy: int
     # so this cap is unreachable except through a bug.
     cap = length * (sc.lo + top + 2) - energy + 2
     kl = k + l
-    j, t = top, 0
-    while t <= cap:
-        found = _sight(vals, l, kl, j, -1)
-        if found is None:
+    i, by_s = found or (0, False)  # window 0 is never read: index 0 stands for no sighting
+    t = 0
+    while True:
+        if not i:
             raise InternalCheckError(f"weight fell below l={l} after {t} right moves from {origin}")
-        i, by_s = found
         if by_s and vals[i] and top <= i + 1:
             return t, i
+        rise = 0
         if by_s and not (vals[i - 1] or vals[i + 2] or vals[i - 2] or vals[i + 3] or vals[i - 3] or vals[i + 4]):
             # Isolated below lighter content at column n: rise until the
             # particle's upper column is n - 4, at energy l * (n - 4).
@@ -447,40 +466,51 @@ def _float_free(sc: _Scratch, k: int, l: int, top: int, length: int, energy: int
                 n += 1
             e = i * vals[i] + (i + 1) * vals[i + 1]
             rise = l * (n - 4) - e
-            if rise > 0:
-                before = sc.to_configuration() if debug else None
-                vals[i] = vals[i + 1] = 0
-                sc.place(e + rise + l * sc.lo, l)
-                if before is not None:
-                    for _ in range(rise):
-                        before = right_move(before, k, l)
-                    if before != sc.to_configuration():
-                        raise InternalCheckError(
-                            f"free rise of {rise} right moves from column {sc.lo + i} disagrees with "
-                            f"single moves, from {origin}"
-                        )
-                t += rise
-                j = n - 2
-                continue
-        vals[i] -= 1
-        vals[i + 1] += 1
-        if vals[i] < 0:
-            raise InternalCheckError(f"column {sc.lo + i} driven negative")
-        if i + 1 > top:
-            top = i + 1
-            if top + sc.MARGIN >= len(vals):
-                vals.extend([0] * len(vals))
-        # Re-check the four windows the move raised (module docstring).  Windows
-        # from i + 3 up read neither column and held no sighting before, so the
-        # next scan starts at i + 2.
-        b, c, d = vals[i + 1], vals[i + 2], vals[i + 3]
-        if b + c + d > k or b + c > l or vals[i] + d + 2 * (b + c) > kl or b + vals[i + 4] + 2 * (c + d) > kl:
-            raise InternalCheckError(
-                f"right move at column {sc.lo + i} left the weight-{l} admissible class, from {origin}"
-            )
-        j = i + 2
-        t += 1
-    raise InternalCheckError(f"no free particle after {cap} right moves from {origin}")
+        if rise > 0:
+            before = sc.to_configuration() if debug else None
+            vals[i] = vals[i + 1] = 0
+            sc.place(e + rise + l * sc.lo, l)
+            if before is not None:
+                for _ in range(rise):
+                    before = right_move(before, k, l)
+                if before != sc.to_configuration():
+                    raise InternalCheckError(
+                        f"free rise of {rise} right moves from column {sc.lo + i} disagrees with "
+                        f"single moves, from {origin}"
+                    )
+            t += rise
+            j = n - 2
+        else:
+            vals[i] -= 1
+            vals[i + 1] += 1
+            if vals[i] < 0:
+                raise InternalCheckError(f"column {sc.lo + i} driven negative")
+            if i + 1 > top:
+                top = i + 1
+                if top + sc.MARGIN >= len(vals):
+                    vals.extend([0] * len(vals))
+            # Re-check the four windows the move raised (module docstring).  Windows
+            # from i + 3 up read neither column and held no sighting before, so the
+            # next walk starts at i + 2.
+            b, c, d = vals[i + 1], vals[i + 2], vals[i + 3]
+            if b + c + d > k or b + c > l or vals[i] + d + 2 * (b + c) > kl or b + vals[i + 4] + 2 * (c + d) > kl:
+                raise InternalCheckError(
+                    f"right move at column {sc.lo + i} left the weight-{l} admissible class, from {origin}"
+                )
+            j = i + 2
+            t += 1
+        if t > cap:
+            raise InternalCheckError(f"no free particle after {cap} right moves from {origin}")
+        # Walk down from window j, holding its columns j - 1 to j + 2 in a, b, x and y.
+        b, x, y = vals[j], vals[j + 1], vals[j + 2]
+        while j:
+            a = vals[j - 1]
+            s = b + x
+            if s == l or 2 * s + a + y == kl:
+                break
+            b, x, y = a, b, x
+            j -= 1
+        i, by_s = j, s == l
 
 
 def separate_highest(a: Configuration, k: int, l: int) -> Separation:
@@ -494,7 +524,8 @@ def separate_highest(a: Configuration, k: int, l: int) -> Separation:
         raise MoveError("the zero configuration holds no particle to separate")
     _require_weight_exact(a, k, l)
     sc = _Scratch(a)
-    t, i = _float_free(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, _debug_enabled())
+    top = len(sc.vals) - sc.MARGIN - 1
+    t, i = _float_free(sc, k, l, top, a.length(), a.energy(), a, _debug_enabled(), _sight(sc.vals, l, k + l, top, -1))
     fp = FreeParticle(sc.lo + i, sc.vals[i], l)
     return Separation(t, fp, fp.energy - t, sc.to_configuration(hi=fp.position - 1))
 
@@ -507,14 +538,14 @@ def _float_off(
     The nonzero buffer holds its content from index ``MARGIN`` to ``top`` and weighs at most ``l``, from which
     ``_stepped_weight`` steps down (RIGGED_DEBUG=1 recomputes the weight).  The surplus is the energy less the moves.
     """
-    l = _stepped_weight(sc.vals, k, l, top)
+    l, found = _stepped_weight(sc.vals, k, l, top)
     if debug:
         s_max, _, l_max = _window_maxima(sc.vals[sc.MARGIN - 2 : top + 3])
         if max(s_max, l_max - k) != l:
             raise InternalCheckError(
                 f"remainder weight {max(s_max, l_max - k)} disagrees with the stepped weight {l}, from {origin}"
             )
-    t, i = _float_free(sc, k, l, top, length, energy, origin, debug)
+    t, i = _float_free(sc, k, l, top, length, energy, origin, debug, found)
     return l, l * (sc.lo + i) + sc.vals[i + 1] - t, i
 
 
@@ -584,16 +615,18 @@ def _fall(vals: list[int], l: int, found: list[int], energies: list[int], left: 
     ``energies`` are theirs in buffer indices, ascending like ``found``.  Each
     particle must stay three zero columns above the nearest occupied column
     below it (module docstring), so only columns down to where the particle
-    could land are read.
+    could land are read, and no column of a sighted particle: the particle
+    sighted below at q holds a unit in column q + 1 until its left move there,
+    so the read ends at q + 1, and the columns may hold this sweep's moves.
     """
     d = left
     for n, (p, e) in enumerate(zip(found, energies)):
-        c, stop = p - 4, max((e - d) // l - 3, 0)
-        while c >= stop and not vals[c]:
+        c, stop, below = p - 4, max((e - d) // l - 3, 0), found[n - 1] + 1 if n else -1
+        while c > below and c >= stop and not vals[c]:
             c -= 1
         if c < stop:
             continue
-        if n and c <= found[n - 1] + 1:
+        if c == below:
             if e - energies[n - 1] < 5 * l - 1:
                 d = min(d, e % l)
         else:
@@ -602,27 +635,23 @@ def _fall(vals: list[int], l: int, found: list[int], energies: list[int], left: 
 
 
 def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debug: bool, start: int = 1) -> None:
-    """Apply ``times`` full bottom-up left sweeps to the weight-l particles in ``sc``, in place.
+    """Apply ``times`` full bottom-up left sweeps to the weight-l particles in ``sc``, in place (``_sweep``).
 
-    The first sweep cut-scans the windows from index ``start`` up, none below
-    which may sight a particle (``_cut_scan``); each later one only the windows
-    q - 2, q - 1 and q of each sighting q of the previous sweep, which sight
-    the same particles (``_rescan``).  When every sighting of a sweep is an isolated
-    particle, they all fall by as many sweeps as keeps them isolated in one
-    step (module docstring).  With ``debug`` every sweep is compared with a
+    The first sweep reads the windows from index ``start`` up, none below which may sight a particle.  When
+    every sighting of a sweep is isolated, the particles fall on by as many sweeps as keeps them isolated,
+    counting that one, in one step (module docstring).  With ``debug`` every sweep is compared with a
     cut-scan of every window, and every fall with as many sweeps of ``move_all``.
     """
     vals, m, kl = sc.vals, sc.MARGIN, k + l
-    found, left = None, times
+    found, left = range(start + 2, len(vals) - 2), times
     while left > 0:
-        found = _cut_scan(vals, range(start, len(vals) - 2), l, kl) if found is None else _rescan(vals, found, l, kl)
-        if debug:
-            full = _cut_scan(vals, _every_window(vals, +1), l, kl)
-            if full != found:
-                raise InternalCheckError(
-                    f"local rescan sighted weight-{l} particles at {[sc.lo + p for p in found]}, "
-                    f"the full scan at {[sc.lo + p for p in full]}"
-                )
+        full = _cut_scan(vals, _every_window(vals, +1), l, kl) if debug else None
+        found, isolated = _sweep(vals, found, l, kl, sc.lo)
+        if full is not None and full != found:
+            raise InternalCheckError(
+                f"sweep sighted weight-{l} particles at {[sc.lo + p for p in found]}, "
+                f"the full scan at {[sc.lo + p for p in full]}"
+            )
         if expected is not None and len(found) != expected:
             raise InternalCheckError(
                 f"expected {expected} weight-{l} particles during sweep, found {len(found)}"
@@ -632,12 +661,9 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
             vals[:0] = [0] * pad
             sc.lo -= pad
             found = [p + pad for p in found]
-        for p in found:
-            if (vals[p - 1] or vals[p + 2] or vals[p - 2] or vals[p + 3] or vals[p - 3] or vals[p + 4]
-                    or vals[p] + vals[p + 1] != l):
-                break
-        else:
-            energies = [p * vals[p] + (p + 1) * vals[p + 1] for p in found]
+        if isolated:
+            # Each particle has made this sweep's move: its energy before the sweep is one more.
+            energies = [p * vals[p] + (p + 1) * vals[p + 1] + 1 for p in found]
             d = _fall(vals, l, found, energies, left)
             if d > 1:
                 before = sc.to_configuration() if debug else None
@@ -646,7 +672,7 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
                     vals[p] = vals[p + 1] = 0
                 for e in energies:
                     sc.place(e - d + l * lo, l)
-                if before is not None and move_all(before, k, l, "left", d) != sc.to_configuration():
+                if before is not None and move_all(before, k, l, "left", d - 1) != sc.to_configuration():
                     raise InternalCheckError(
                         f"free fall of {d} sweeps of weight-{l} particles at {[lo + p for p in found]} "
                         "disagrees with single sweeps"
@@ -655,11 +681,6 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
                 found = [(e - d) // l + lo - sc.lo for e in energies]
                 left -= d
                 continue
-        for p in found:
-            vals[p] += 1
-            vals[p + 1] -= 1
-            if vals[p + 1] < 0:
-                raise InternalCheckError(f"column {sc.lo + p + 1} driven negative")
         left -= 1
 
 
@@ -683,15 +704,20 @@ def _drop_groups(
     the lighter content so far, plus ``extra``; t sweeps (``_settle``) bring each particle down to its surplus.
     """
     sc = _Scratch(base)
+    vals = sc.vals
     top = -3 if base.is_zero else base.support_max  # -3 starts groups on an empty base at columns >= 0
     for l, surpluses in groups:
         t = max(0, l * (top + 3) - surpluses[0]) + extra
+        # The group's free particles lie A(l, l) >= 2l apart, in empty columns: grow once, then write them.
+        vals.extend([0] * ((surpluses[-1] + t) // l + 2 + sc.MARGIN - sc.lo - len(vals)))
         for s in surpluses:
-            sc.place(s + t, l)
+            j, counts = _free_columns(s + t, l)
+            j -= sc.lo
+            vals[j : j + len(counts)] = counts
         # Windows up to the old top read only lighter content, which sights no weight-l particle.
         _settle(sc, k, l, t, len(surpluses), debug, top - sc.lo + 1)
         top = (surpluses[-1] + t) // l + 1  # sweeps only lower the top
-        while not sc.vals[top - sc.lo]:
+        while not vals[top - sc.lo]:
             top -= 1
     return sc.to_configuration(hi=top)
 

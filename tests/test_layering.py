@@ -5,7 +5,7 @@ from pathlib import Path
 
 import rigged
 
-BUFFER_NAMES = {"_Scratch", "_settle", "_float_free", "_stepped_weight", "_sight", "_cut_scan", "_rescan", "_fall"}
+BUFFER_NAMES = {"_Scratch", "_settle", "_float_free", "_stepped_weight", "_sight", "_cut_scan", "_sweep", "_fall"}
 
 
 def names(tree: ast.AST) -> set[str]:

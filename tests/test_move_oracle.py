@@ -284,7 +284,7 @@ def test_left_sweeps_match_full_scans(case):
 @given(st.one_of(admissible(), gapped()), st.integers(1, 12))
 @settings(max_examples=150, deadline=None)
 def test_sightings_stay_within_two_windows_below(case, times):
-    # The locality rule ``moves._rescan`` rests on: after a full left sweep at
+    # The locality rule ``moves._sweep`` rests on: after a full left sweep at
     # the configuration's weight, every particle a full scan sights lies in
     # window q - 2, q - 1 or q of some sighting q of that sweep.
     k, a = case
@@ -301,10 +301,38 @@ def test_sightings_stay_within_two_windows_below(case, times):
         last = found
 
 
+def reference_isolated(cols: list[int], l: int, positions: list[int]) -> bool:
+    """Whether every sighting holds all l units in its two columns, with three zero columns on each side."""
+    return all(cols[p] + cols[p + 1] == l and not any(cols[p - 3 : p] + cols[p + 2 : p + 5]) for p in positions)
+
+
+@given(st.one_of(admissible(), gapped(), settling().map(lambda case: (case[0], case[4]))), st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_sweep_matches_cut_scan_and_moves(case, times):
+    # Each pass of ``moves._sweep`` reads masked columns instead of cutting
+    # and moves each sighting as it is found.  Over every window first, then
+    # over the windows q - 2, q - 1 and q of the last sweep's sightings q, it
+    # must sight what a full scan of a cut copy sights, leave the columns its
+    # moves leave, and flag the sweep isolated exactly when each sighting was.
+    k, a = case
+    pad = 2 * times + 4
+    cols = [0] * pad + list(a.counts) + [0] * 4
+    l = reference_weight(cols, k)
+    last = range(3, len(cols) - 2)
+    for _ in range(times + 1):
+        found = reference_scan(cols, k, l)
+        isolated = reference_isolated(cols, l, found)
+        vals = cols[:]
+        assert moves._sweep(vals, last, l, k + l, 0) == (found, isolated), (cols, list(last))
+        reference_left_moves(cols, found)
+        assert vals == cols
+        last = found
+
+
 @given(st.one_of(admissible(), gapped()), st.integers(0, 12))
 @settings(max_examples=150, deadline=None)
 def test_left_sweeps_match_reference_without_debug(case, times):
-    # Without RIGGED_DEBUG no full scan backs up the rescans of later sweeps.
+    # Without RIGGED_DEBUG no full scan backs up the later sweeps, which read only windows near the last sightings.
     k, a = case
     cols = [0] * 3 + list(a.counts) + [0] * 3
     l = reference_weight(cols, k)

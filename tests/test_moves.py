@@ -150,27 +150,34 @@ class TestPositions:
             move_all(cfg(1, 0, 0, 1), 1, 1, "right")
 
 
-def rescan_without(offset):
-    """A faulty ``_rescan`` that reads the windows q - 2, q - 1 and q of each sighting q except q + ``offset``."""
+def sweep_without(offset):
+    """A faulty ``_sweep`` that reads the windows q - 2, q - 1 and q of each q of ``last`` except q + ``offset``.
 
-    def rescan(vals, last, l, kl):
-        windows = {q + d for q in last for d in (-2, -1, 0) if d != offset}
-        return moves._cut_scan(vals, sorted(windows), l, kl)
+    It sights by ``_cut_scan`` and moves and tests isolation as the honest sweep does.
+    """
 
-    return rescan
+    def sweep(vals, last, l, kl, lo):
+        found = moves._cut_scan(vals, sorted({q + d for q in last for d in (-2, -1, 0) if d != offset}), l, kl)
+        isolated = all(vals[p] + vals[p + 1] == l and not any(vals[p - 3 : p] + vals[p + 2 : p + 5]) for p in found)
+        for p in found:
+            vals[p] += 1
+            vals[p + 1] -= 1
+        return found, isolated
+
+    return sweep
 
 
 class TestLocalRescan:
-    """Each of the three windows a rescan reads per sighting is needed, and the debug full scan notices one missing."""
+    """Each of the three windows a sweep reads per sighting is needed, and the debug full scan notices one missing."""
 
     def test_dropped_window_detected(self, rigged_debug, monkeypatch):
         # Drop the window just below each sighting.  A weight-2 particle at
         # column 7 falls freely for six sweeps, until it sits at column 4,
         # three zero columns above a weight-1 particle at column 0; the last
         # of those sweeps sighted it at 4.  The seventh sweep is an ordinary
-        # one: the full scan sights the particle at 3, which the faulty rescan
+        # one: the full scan sights the particle at 3, which the faulty sweep
         # no longer reads.
-        monkeypatch.setattr(moves, "_rescan", rescan_without(-1))
+        monkeypatch.setattr(moves, "_sweep", sweep_without(-1))
         b = cfg(1, 0, 0, 0, 0, 0, 0, 2)
         assert left_sweeps(b, 3, 2, 6, expected=1) == cfg(1, 0, 0, 0, 2)
         with pytest.raises(InternalCheckError, match="full scan"):
@@ -180,7 +187,7 @@ class TestLocalRescan:
         # At k = 2 the first sweep sights the weight-2 particle of
         # 0:1,0,1,0,1,1 by L at column 3.  After its move, 0:1,0,1,1,0,1, the
         # full scan sights it by L at column 1, two windows lower.
-        monkeypatch.setattr(moves, "_rescan", rescan_without(-2))
+        monkeypatch.setattr(moves, "_sweep", sweep_without(-2))
         b = cfg(1, 0, 1, 0, 1, 1)
         assert left_sweeps(b, 2, 2, 1, expected=1) == cfg(1, 0, 1, 1, 0, 1)
         with pytest.raises(InternalCheckError, match="full scan"):
@@ -190,7 +197,7 @@ class TestLocalRescan:
         # At k = 3 the first sweep sights the weight-2 particle of 0:2,0,1 by
         # S at column -1.  After its move, -1:1,1,0,1, the full scan sights it
         # by S at column -1 again.
-        monkeypatch.setattr(moves, "_rescan", rescan_without(0))
+        monkeypatch.setattr(moves, "_sweep", sweep_without(0))
         b = cfg(2, 0, 1)
         assert left_sweeps(b, 3, 2, 1, expected=1) == cfg(1, 1, 0, 1, offset=-1)
         with pytest.raises(InternalCheckError, match="full scan"):
@@ -241,7 +248,9 @@ class TestSteppedWeight:
                 sc = moves._Scratch(a)
                 top = len(sc.vals) - sc.MARGIN - 1
                 w = weight(a, k)
-                assert [moves._stepped_weight(sc.vals, k, l, top) for l in range(w, k + 1)] == [w] * (k + 1 - w), (k, a)
+                # The sighting handed to the float is its highest weight-w particle, as a downward sight from the top finds it.
+                expected = (w, moves._sight(sc.vals, w, k + w, top, -1))
+                assert [moves._stepped_weight(sc.vals, k, l, top) for l in range(w, k + 1)] == [expected] * (k + 1 - w), (k, a)
 
     def test_zero_buffer_raises(self):
         with pytest.raises(InternalCheckError, match="no particle sighted"):
@@ -249,7 +258,8 @@ class TestSteppedWeight:
 
     def test_wrong_step_detected_under_debug(self, rigged_debug, monkeypatch):
         # Never stepping down keeps weight 3 for the weight-1 remainder of 0:3,0,0,1.
-        monkeypatch.setattr(moves, "_stepped_weight", lambda vals, k, l, top: l)
+        sight = moves._sight
+        monkeypatch.setattr(moves, "_stepped_weight", lambda vals, k, l, top: (l, sight(vals, l, k + l, top + 1, -1)))
         with pytest.raises(InternalCheckError, match="remainder weight 1 disagrees with the stepped weight 3"):
             moves._peel(cfg(3, 0, 0, 1), 3)
 
@@ -367,11 +377,12 @@ class TestSeparation:
         with pytest.raises(InternalCheckError, match="admissible class"):
             separate_highest(cfg(1, 0, 0, 1), 1, 1)
 
-    def test_recheck_raises_exactly_when_the_move_leaves_the_class(self, monkeypatch):
+    def test_recheck_raises_exactly_when_the_move_leaves_the_class(self):
         # The per-move re-check reads only the four windows a unit right move
-        # raises.  A scanner that points at one occupied column once and then
-        # stops the float makes it re-check one move of that unit; it must
-        # raise on exactly the moves that a full window pass rejects.
+        # raises.  A float handed a sighting at one occupied column, and an
+        # energy that leaves it a cap of 0 moves, re-checks one move of that
+        # unit and stops; it must raise on exactly the moves that a full
+        # window pass rejects.
         leaving = 0
         for k in range(1, 5):
             for l in range(1, k + 1):
@@ -380,21 +391,18 @@ class TestSeparation:
                         if not c:
                             continue
                         sc = moves._Scratch(a)
-                        sights = iter([(i, False)])
-                        monkeypatch.setattr(moves, "_sight", lambda *args: next(sights))
-                        try:
-                            moves._float_free(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, False)
-                        except InternalCheckError as err:
-                            assert "left the weight" in str(err) and moves._leaves_class(sc.vals, k, l), (k, l, a, i)
+                        top = len(sc.vals) - sc.MARGIN - 1
+                        # The cap is length * (column of top + 2) - energy + 2.
+                        energy = a.length() * (sc.lo + top + 2) + 2
+                        with pytest.raises(InternalCheckError) as err:
+                            moves._float_free(sc, k, l, top, a.length(), energy, a, False, (i, False))
+                        if "left the weight" in str(err.value):
+                            assert moves._leaves_class(sc.vals, k, l), (k, l, a, i)
                             leaving += 1
-                        except StopIteration:
+                        else:
+                            assert "no free particle after 0 right moves" in str(err.value), (k, l, a, i)
                             assert not moves._leaves_class(sc.vals, k, l), (k, l, a, i)
         assert leaving > 0
-
-
-def highest_unit(vals, l, kl, j, step):
-    """A faulty ``_sight`` that reports the highest occupied index, by L: it never finds the particle free."""
-    return max(i for i, c in enumerate(vals) if c), False
 
 
 def below_lowest_unit(vals, l, kl, j, step):
@@ -426,19 +434,22 @@ class TestFaultPaths:
         with pytest.raises(InternalCheckError, match="column 1 driven negative"):
             separate_highest(cfg(1, 0, 0, 1), 1, 1)
 
-    def test_float_never_frees(self, monkeypatch):
-        # The top unit of 0:1 marches right for ever; the cap length * (c + 2) - energy + 2 = 4 stops it.
-        monkeypatch.setattr(moves, "_sight", highest_unit)
-        with pytest.raises(InternalCheckError, match="no free particle after 4 right moves from 0:1"):
-            separate_highest(cfg(1), 1, 1)
+    def test_float_never_frees(self):
+        # Told an energy 17 above its own 8, the float of 0:2,0,0,0,0,0,0,0,1 at k=3 gets the cap
+        # length * (c + 2) - energy + 2 = 3 * 10 - 25 + 2 = 7, c = 8 its top column: below the 8 moves it needs.
+        a = cfg(2, 0, 0, 0, 0, 0, 0, 0, 1)
+        sc = moves._Scratch(a)
+        top = len(sc.vals) - sc.MARGIN - 1
+        with pytest.raises(InternalCheckError, match="no free particle after 7 right moves from 0:2,0,0,0,0,0,0,0,1"):
+            moves._float_free(sc, 3, 2, top, a.length(), a.energy() + 17, a, False, moves._sight(sc.vals, 2, 5, top, -1))
 
     def test_running_energy_checked_under_debug(self, rigged_debug, monkeypatch):
         # One move too many counted for the first particle leaves the running energy one above the remainder's, 0.
         honest = moves._float_free
         calls = []
 
-        def miscounting(sc, k, l, top, length, energy, origin, debug):
-            t, i = honest(sc, k, l, top, length, energy, origin, debug)
+        def miscounting(sc, k, l, top, length, energy, origin, debug, found):
+            t, i = honest(sc, k, l, top, length, energy, origin, debug, found)
             calls.append(l)
             return t + (len(calls) == 1), i
 
@@ -452,11 +463,11 @@ class TestFaultPaths:
         with pytest.raises(InternalCheckError, match="expected 2 weight-2 particles during sweep, found 1"):
             left_sweeps(b, 3, 2, 3, expected=2)
 
-    def test_sweep_moves_from_empty_column(self, monkeypatch):
-        # A first scan that sights the unit at column 0 of 0:1,0,0,1 moves a unit out of the empty column 1.
-        monkeypatch.setattr(moves, "_cut_scan", lambda vals, windows, l, kl: [4])
+    def test_sweep_moves_from_empty_column(self):
+        # Outside the weight-2 class (S = 3 at column 2), 0:1,0,3 at k=3 has L = 5 at column 0, so the sweep
+        # sights column 0 and moves a unit out of the empty column 1.
         with pytest.raises(InternalCheckError, match="column 1 driven negative"):
-            left_sweeps(cfg(1, 0, 0, 1), 1, 1, 1)
+            moves._settle(moves._Scratch(cfg(1, 0, 3)), 3, 2, 1, None, False)
 
     def test_probe_vanishes(self, monkeypatch):
         monkeypatch.setattr(moves, "_sight", lambda vals, l, kl, j, step: None)
