@@ -91,10 +91,6 @@ class RiggedPartition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.parts
-
     def multiplicity(self, w: int) -> int:
         return sum(1 for wi, _ in self.parts if wi == w)
 

@@ -45,8 +45,8 @@ from operator import sub
 from typing import Iterable, Iterator
 
 from .bijection import RiggedPartition, RiggingError, _counts, e0, e1
-from .configuration import Configuration, _check_ints, _check_window, _next_column, check_level, enumerate_configurations
-from .configuration import weight as config_weight
+from .configuration import Configuration, _check_ints, _check_nonnegative, _check_window, _next_column, check_level
+from .configuration import enumerate_configurations, weight as config_weight
 from .moves import InternalCheckError, _debug_enabled
 from .phases import _load, _table, _vacancies
 from .qseries import QPolynomial, _packed_binomial, _slot_bits, _times_binomial, _unpack
@@ -81,6 +81,8 @@ class RestrictedSet:
     raised: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.boundary is not None:
+            _check_ints("boundary", self.boundary)
         for J in self.bumps:
             if not J:
                 raise ValueError("bump sets must be nonempty")
@@ -96,6 +98,7 @@ def floor_for(a: int, b: int, l: int, k: int) -> RiggingFloor:
     2(j - a) - b beyond; the same formula continues past l up to k.
     """
     check_level(k, l)
+    _check_ints("column", a, b)
     if a < 0 or b < 0 or a + b > l:
         raise ValueError(f"need 0 <= a, 0 <= b, a + b <= l, got a={a}, b={b}, l={l}")
     return RiggingFloor(tuple(max(0, j - a, 2 * (j - a) - b) for j in range(1, k + 1)))
@@ -134,6 +137,7 @@ def _fits_ceilings(rp: RiggedPartition, k: int, N: int) -> bool:
 def satisfies_boundary(rp: RiggedPartition, k: int, N: int) -> bool:
     """True iff every rigging fits under its weight's ceiling w*N - sum_v A(w, v) m_v + A(w, w)."""
     check_level(k)
+    _check_ints("boundary", N)
     if rp.parts and rp.parts[0][0] > k:
         raise RiggingError(f"weight {rp.parts[0][0]} outside 1..{k}")
     return _fits_ceilings(rp, k, N)
@@ -228,8 +232,7 @@ def enumerate_rigged(
     blocks; independent of both maps and of the closed-form characters.
     """
     check_level(k, l)
-    if boundary < 0:
-        raise ValueError("boundary must be non-negative")
+    _check_nonnegative("boundary", boundary)
     values = floor.values if floor is not None else (0,) * k
     if floor is not None and len(values) != k:
         raise ValueError(f"floor must cover weights 1..{k}")
@@ -294,8 +297,8 @@ def chi_closed(k: int, l: int, a: int, b: int, N: int) -> QPolynomial:
     a + b overshoots k by one (the boundary wrap of the four-term identity).
     """
     check_level(k, l)
-    if N < 0:
-        raise ValueError("boundary must be non-negative")
+    _check_nonnegative("boundary", N)
+    _check_ints("column", a, b)
     if a == -1:
         return QPolynomial.zero()
     if a + b == k + 1:
@@ -326,6 +329,7 @@ def _column_transfer(
     there empties the family.  Under ``max_degree`` each column's states are
     masked to the slots up to it.
     """
+    _check_ints("pin", *(v for v in pins.values() if v is not None))
     bits = _transfer_bits(k, limit, max_degree)
     mask = None if max_degree is None else (1 << bits * (max_degree + 1)) - 1
     states: dict[tuple[int, ...], int] = {(0,) * (3 if l is not None else r - 1): 1}
@@ -365,10 +369,9 @@ def config_sum(
     """
     if N is None and max_degree is None:
         raise ValueError("config_sum needs a boundary N or a max_degree to stay finite")
-    if N is not None and N < 0:
-        raise ValueError("boundary must be non-negative")
-    if max_degree is not None and max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
+    for name, bound in (("boundary", N), ("max_degree", max_degree)):
+        if bound is not None:
+            _check_nonnegative(name, bound)
     check_level(k)
     _check_window(r)
     limit = min(bound for bound in (N, max_degree) if bound is not None)
@@ -381,8 +384,7 @@ def config_sum(
 def weighted_config_sum(k: int, l: int, a0: int, a1: int, N: int) -> QPolynomial:
     """Exact energy polynomial over boundary-N configurations of weight <= l with a_0 = a0, a_1 = a1."""
     check_level(k, l)
-    if N < 0:
-        raise ValueError("boundary must be non-negative")
+    _check_nonnegative("boundary", N)
     # At l = k the cap never binds (L is two 3-windows), so the transfer runs on the smaller uncapped states.
     result = _column_transfer(k, 3, {0: a0, 1: a1}, N, None, l if l < k else None)
     if _debug_enabled():

@@ -13,7 +13,7 @@ import sys
 from . import identities
 from .bijection import RiggedPartition, iota, kappa
 from .characters import chi_closed, config_sum
-from .configuration import Configuration
+from .configuration import Configuration, _check_nonnegative
 from .moves import left_move, lowest_particle, highest_particle, passing_history, right_move
 
 
@@ -58,8 +58,7 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[object, str, int]:
         lines = [f"{kind}@{pos}  {c.to_text()}" for kind, pos, c in nodes] + [f"result  {result.to_text()}"]
         return value, "\n".join(lines), 0
     steps = args.right if direction == "right" else args.left
-    if steps < 0:
-        raise ValueError(f"--{direction} must be non-negative")
+    _check_nonnegative(f"--{direction}", steps)
     move, sight = (right_move, highest_particle) if direction == "right" else (left_move, lowest_particle)
     chain = [cfg]
     for _ in range(steps):

@@ -46,10 +46,10 @@ class AdmissibilityError(ValueError):
 
 def check_level(k: int, l: int | None = None) -> None:
     """Validate a level ``k`` and an optional weight cap ``l``, raising ValueError on nonsense."""
-    if not 1 <= k <= MAX_LEVEL:
-        raise ValueError(f"level k must be in 1..{MAX_LEVEL}, got {k}")
-    if l is not None and not 0 <= l <= k:
-        raise ValueError(f"weight cap must satisfy 0 <= l <= k, got l={l} at k={k}")
+    if type(k) is not int or not 1 <= k <= MAX_LEVEL:
+        raise ValueError(f"level k must be in 1..{MAX_LEVEL}, got {k!r}")
+    if l is not None and (type(l) is not int or not 0 <= l <= k):
+        raise ValueError(f"weight cap must satisfy 0 <= l <= k, got l={l!r} at k={k}")
 
 
 def _check_ints(name: str, *values: object) -> None:
@@ -59,6 +59,13 @@ def _check_ints(name: str, *values: object) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_nonnegative(name: str, value: object) -> None:
+    """Raise ValueError unless ``value`` is a plain int (``_check_ints``) and at least 0."""
+    _check_ints(name, value)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
+
+
 def _json_as(value: object, kind: type, what: str) -> object:
     """``value`` if it is a JSON object (``kind=dict``) or array (``kind=list``), else a ValueError naming ``what``."""
     if type(value) is not kind:
@@ -66,13 +73,12 @@ def _json_as(value: object, kind: type, what: str) -> object:
     return value
 
 
-def _json_fields(data: object, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    """``data`` if it is a JSON object with every ``required`` key and no key outside ``required`` and ``optional``."""
+def _json_fields(data: object, what: str, required: tuple[str, ...]) -> dict:
+    """``data`` if it is a JSON object with exactly the ``required`` keys."""
     _json_as(data, dict, what)
-    known = required + optional
     for key in data:
-        if key not in known:
-            raise ValueError(f"unknown key {key!r} in {what}, expected only {', '.join(map(repr, known))}")
+        if key not in required:
+            raise ValueError(f"unknown key {key!r} in {what}, expected only {', '.join(map(repr, required))}")
     for key in required:
         if key not in data:
             raise ValueError(f"{what} needs the key {key!r}")
@@ -220,12 +226,6 @@ class Configuration:
     def to_json_dict(self) -> dict:
         return {"offset": self.offset, "counts": list(self.counts)}
 
-    @classmethod
-    def from_json_dict(cls, data: object) -> "Configuration":
-        """Parse ``{"offset": o, "counts": [c0, ...]}`` (o defaults to 0); o and every c must be JSON integers."""
-        data = _json_fields(data, "configuration", ("counts",), ("offset",))
-        return cls(data.get("offset", 0), tuple(_json_as(data["counts"], list, "counts")))
-
     def __str__(self) -> str:
         return self.to_text()
 
@@ -316,6 +316,9 @@ def enumerate_configurations(
     """
     check_level(k, max_weight)
     _check_window(r)
+    for name, value in (("N", N), ("a0", a0), ("a1", a1), ("max_energy", max_energy)):
+        if value is not None:
+            _check_ints(name, value)
     if max_weight is not None and r == 2:
         raise ValueError("a weight cap needs window size r = 3")
     if N is None and max_energy is None:

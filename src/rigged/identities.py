@@ -27,7 +27,7 @@ from .characters import (
     rigged_sum,
     weighted_config_sum,
 )
-from .configuration import ZERO, Configuration, check_level, enumerate_configurations, weight
+from .configuration import ZERO, Configuration, _check_ints, _check_nonnegative, check_level, enumerate_configurations, weight
 from .moves import (
     InternalCheckError,
     _debug_enabled,
@@ -43,18 +43,17 @@ from .qseries import QPolynomial, _over_one_minus
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of one identity or property check."""
+    """Outcome of one identity or property check: it passes exactly when it carries no mismatch witness."""
 
     name: str
     parameters: dict
-    passed: bool
     lhs: str | None = None
     rhs: str | None = None
     first_mismatch: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.first_mismatch is None):
-            raise ValueError("a report passes exactly when it carries no mismatch witness")
+    @property
+    def passed(self) -> bool:
+        return self.first_mismatch is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -132,8 +131,7 @@ def _poly_mismatch(lhs: QPolynomial, rhs: QPolynomial) -> str | None:
 
 
 def _poly_report(name: str, parameters: dict, lhs: QPolynomial, rhs: QPolynomial) -> VerifyReport:
-    witness = _poly_mismatch(lhs, rhs)
-    return VerifyReport(name, parameters, witness is None, str(lhs), str(rhs), witness)
+    return VerifyReport(name, parameters, str(lhs), str(rhs), first_mismatch=_poly_mismatch(lhs, rhs))
 
 
 def _set_mismatch(lhs: set, rhs: set) -> str | None:
@@ -190,9 +188,7 @@ def verify_roundtrip(k: int, N: int) -> VerifyReport:
     if witness is None:
         predicate = set(enumerate_rigged(k, k, N))
         witness = _set_mismatch(image, predicate)
-    return VerifyReport(
-        "roundtrip", {"k": k, "N": N, "configurations": count}, witness is None, None, None, witness
-    )
+    return VerifyReport("roundtrip", {"k": k, "N": N, "configurations": count}, first_mismatch=witness)
 
 
 def _gordon_rhs(k: int, max_degree: int, window: int) -> QPolynomial:
@@ -268,7 +264,7 @@ def verify_polynomial_identity(k: int, l: int, a: int, b: int, N: int) -> Verify
     params = {"k": k, "l": l, "a": a, "b": b, "N": N}
     split = _poly_mismatch(rhs, _chi_combination_cases(chi, a, b))
     if split is not None:
-        return VerifyReport("polynomial", params, False, str(lhs), str(rhs), f"case split disagrees, {split}")
+        return VerifyReport("polynomial", params, str(lhs), str(rhs), first_mismatch=f"case split disagrees, {split}")
     return _poly_report("polynomial", params, lhs, rhs)
 
 
@@ -292,7 +288,7 @@ def verify_init(k: int, l: int, a: int, b: int, N: int) -> VerifyReport:
             if (member(rp, inside, k) and not any(member(rp, s, k) for s in outside)) != (rp in image):
                 witness = f"{rp}: difference form disagrees with the image"
                 break
-    return VerifyReport("init-image", params, witness is None, None, None, witness)
+    return VerifyReport("init-image", params, first_mismatch=witness)
 
 
 def verify_init_cover(k: int, l: int, N: int) -> VerifyReport:
@@ -311,16 +307,13 @@ def verify_init_cover(k: int, l: int, N: int) -> VerifyReport:
         if rp not in images[hits[0]]:
             witness = f"{rp} claimed by {hits[0]} but not in that image"
             break
-    return VerifyReport(
-        "init-cover", {"k": k, "l": l, "N": N, "pairs": len(pairs)}, witness is None, None, None, witness
-    )
+    return VerifyReport("init-cover", {"k": k, "l": l, "N": N, "pairs": len(pairs)}, first_mismatch=witness)
 
 
 def verify_boundary(k: int, l: int, N: int) -> VerifyReport:
     """Boundary confinement corresponds exactly to the rigging ceilings."""
     check_level(k, l)
-    if N < 0:
-        raise ValueError("boundary must be non-negative")
+    _check_nonnegative("boundary", N)
     witness = None
     checked = 0
     debug = _debug_enabled()
@@ -331,9 +324,7 @@ def verify_boundary(k: int, l: int, N: int) -> VerifyReport:
         if inside != fits:
             witness = f"{cfg}: support inside boundary {inside} but ceilings {fits}"
             break
-    return VerifyReport(
-        "boundary", {"k": k, "l": l, "N": N, "configurations": checked}, witness is None, None, None, witness
-    )
+    return VerifyReport("boundary", {"k": k, "l": l, "N": N, "configurations": checked}, first_mismatch=witness)
 
 
 def verify_recursion(l: int, k: int, N: int) -> VerifyReport:
@@ -388,9 +379,7 @@ def verify_recursion(l: int, k: int, N: int) -> VerifyReport:
             if lhs != (hits == 1):
                 witness = f"{rp}: recursion disagrees at (a,b)=({a},{b})"
                 break
-    return VerifyReport(
-        "recursion", {"l": l, "k": k, "N": N, "universe": len(universe)}, witness is None, None, None, witness
-    )
+    return VerifyReport("recursion", {"l": l, "k": k, "N": N, "universe": len(universe)}, first_mismatch=witness)
 
 
 def verify_shift(k: int, l: int, samples: Iterable[Configuration]) -> VerifyReport:
@@ -420,9 +409,7 @@ def verify_shift(k: int, l: int, samples: Iterable[Configuration]) -> VerifyRepo
             if lhs != rhs:
                 witness = f"{a}: passing does not commute with the right move"
                 break
-    return VerifyReport(
-        "shift", {"k": k, "l": l, "samples": checked}, witness is None, None, None, witness
-    )
+    return VerifyReport("shift", {"k": k, "l": l, "samples": checked}, first_mismatch=witness)
 
 
 def verify_fermionic_floor(k: int, l: int, N: int) -> VerifyReport:
@@ -439,14 +426,14 @@ def verify_fermionic_floor(k: int, l: int, N: int) -> VerifyReport:
             if mismatch is not None:
                 witness = f"(a,b)=({a},{b}): {mismatch}"
                 break
-    return VerifyReport("fermionic-floor", {"k": k, "l": l, "N": N}, witness is None, None, None, witness)
+    return VerifyReport("fermionic-floor", {"k": k, "l": l, "N": N}, first_mismatch=witness)
 
 
 def shift_sample_space(k: int, l: int, width: int) -> list[Configuration]:
     """All positively supported admissible configurations of weight < l within the width."""
-    if width < 0:
-        raise ValueError("width must be non-negative")
+    _check_nonnegative("width", width)
     check_level(k)
+    _check_ints("weight bound", l)
     if l < 1:  # no configuration has a negative weight
         return []
     return list(enumerate_configurations(k, 3, width - 1, max_weight=min(l - 1, k)))
@@ -495,11 +482,12 @@ def verify_golden() -> VerifyReport:
             witness = f"passing nodes diverge: {[(kd, p, str(c)) for kd, p, c in nodes]}"
         elif result != Configuration(2, (1, 0, 2)):
             witness = f"passing result is {result}"
-    return VerifyReport("golden", {}, witness is None, None, None, witness)
+    return VerifyReport("golden", {}, first_mismatch=witness)
 
 
 def verify_all(k_max: int = 3, n_max: int = 6, max_degree: int = 20) -> list[VerifyReport]:
     """The full verification grid; defaults match the acceptance grid."""
+    _check_ints("verify_all argument", k_max, n_max, max_degree)
     if k_max < 1:
         raise ValueError(f"level cap k must be at least 1, got {k_max}")
     reports: list[VerifyReport] = []

@@ -89,6 +89,8 @@ from .configuration import (
     ZERO,
     AdmissibilityError,
     Configuration,
+    _check_ints,
+    _check_nonnegative,
     _window_maxima,
     check_level,
     weight,
@@ -376,6 +378,7 @@ def move_cth(a: Configuration, k: int, l: int, c: int, side: str = "right") -> C
     Only safe inside the composite orders that the move calculus permits; the
     result is checked and an out-of-order call surfaces as a MoveError.
     """
+    _check_ints("particle index", c)
     if c < 1:
         raise MoveError(f"particle index must be positive, got {c}")
     positions = particle_positions(a, k, l, side)
@@ -399,6 +402,7 @@ def move_all(a: Configuration, k: int, l: int, side: str = "right", times: int =
     transfers in the same sweep, so they are computed once per sweep.
     """
     _require_weight_at_most(a, k, l)
+    _check_nonnegative("times", times)
     step = _side_step(side)
     sc = _Scratch(a)
     vals = sc.vals
@@ -597,6 +601,7 @@ def build_free_configuration(l: int, energies: list[int], k: int) -> Configurati
     check_level(k, l)
     if l < 1:
         raise ValueError("free particles need positive weight")
+    _check_ints("energy", *energies)
     gap = phase(k, l, l)
     for d, d_next in zip(energies, energies[1:]):
         if d - d_next < gap:
@@ -690,6 +695,7 @@ def left_sweeps(b: Configuration, k: int, l: int, times: int, expected: int | No
     ``expected``, when given, is the number of particles every sweep must sight.
     """
     _require_weight_at_most(b, k, l)
+    _check_nonnegative("times", times)
     sc = _Scratch(b)
     _settle(sc, k, l, times, expected, _debug_enabled())
     return sc.to_configuration()

@@ -14,13 +14,12 @@ every coefficient, so sums, shifts and products run as bigint arithmetic.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat, zip_longest
 from operator import sub
 
-from .configuration import _check_ints, _json_as, _json_fields, check_level
+from .configuration import _check_ints, check_level
 from .phases import _gordon_form, _quadratic_form
 
 
@@ -62,14 +61,6 @@ class QPolynomial:
     @classmethod
     def zero(cls, order: int | None = None) -> "QPolynomial":
         return cls((), order)
-
-    @classmethod
-    def one(cls, order: int | None = None) -> "QPolynomial":
-        return cls((1,), order)
-
-    @classmethod
-    def q_power(cls, degree: int, order: int | None = None) -> "QPolynomial":
-        return cls.from_dict({degree: 1}, order)
 
     # -- queries --------------------------------------------------------------
 
@@ -159,25 +150,8 @@ class QPolynomial:
     def to_json_dict(self) -> dict:
         return {"coeffs": {str(d): str(c) for d, c in self.terms}, "order": self.order}
 
-    @classmethod
-    def from_json_dict(cls, data: object) -> "QPolynomial":
-        """Parse what ``to_json_dict`` writes, ``order`` optional; degrees and coefficients are ints or decimal strings."""
-        data = _json_fields(data, "polynomial", ("coeffs",), ("order",))
-        coeffs = _json_as(data["coeffs"], dict, "coeffs")
-        coeffs = {_json_int(d, "degree"): _json_int(c, "coefficient") for d, c in coeffs.items()}
-        order = data.get("order")
-        if order is not None and type(order) is not int:
-            raise ValueError(f"order must be an integer or null, got {order!r}")
-        return cls.from_dict(coeffs, order)
-
     def __str__(self) -> str:
         return self.to_text()
-
-
-def _json_int(value: object, name: str) -> int:
-    if type(value) is int or (type(value) is str and re.fullmatch(r"-?[0-9]+", value)):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _times_one_minus(c: list[int], a: int) -> None:

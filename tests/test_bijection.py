@@ -91,7 +91,7 @@ class TestRiggedPartition:
         assert part.min_rigging(2) == 5
         assert part.min_rigging(4) is None
         assert part.drop_weight(2) == rp((3, 1), (4, 0))
-        assert len(EMPTY) == 0 and EMPTY.is_empty
+        assert len(EMPTY) == 0 and EMPTY.parts == ()
 
     def test_of_needs_equal_lengths(self):
         assert RiggedPartition.of((2, 1), (0, 0)) == rp((2, 1), (0, 0))

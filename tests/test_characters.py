@@ -1,5 +1,6 @@
 import itertools
 import operator
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -86,6 +87,51 @@ def test_public_validation_errors(call, message):
         call()
 
 
+# Every integer argument of the public entries: (id, the call with v in that argument, whether a negative v is rejected).
+INTEGER_ARGUMENTS = [
+    ("floor_for a", lambda v: floor_for(v, 0, 2, 2), False),
+    ("floor_for b", lambda v: floor_for(0, v, 2, 2), False),
+    ("floor_for l", lambda v: floor_for(0, 0, v, 2), False),
+    ("floor_for k", lambda v: floor_for(0, 0, 1, v), False),
+    ("initial_columns_set boundary", lambda v: initial_columns_set(0, 0, 2, 2, boundary=v), False),
+    ("RestrictedSet boundary", lambda v: RestrictedSet(RiggingFloor((0, 0)), (), 2, v), False),
+    ("satisfies_boundary k", lambda v: satisfies_boundary(rp((1,), (0,)), v, 2), False),
+    ("satisfies_boundary N", lambda v: satisfies_boundary(rp((1,), (0,)), 2, v), False),
+    ("member k", lambda v: member(rp((1,), (0,)), initial_columns_set(0, 0, 1, 2), v), False),
+    ("member_floor_difference a", lambda v: member_floor_difference(rp((1,), (0,)), v, 0, 2, 2), False),
+    ("member_floor_difference N", lambda v: member_floor_difference(rp((1,), (0,)), 1, 0, 2, v), False),
+    ("enumerate_rigged k", lambda v: list(enumerate_rigged(v, 1, 2)), False),
+    ("enumerate_rigged l", lambda v: list(enumerate_rigged(2, v, 2)), False),
+    ("enumerate_rigged boundary", lambda v: list(enumerate_rigged(2, 2, v)), True),
+    ("rigged_sum k", lambda v: rigged_sum(v, initial_columns_set(0, 0, 1, 2, boundary=2)), False),
+    ("chi_closed k", lambda v: chi_closed(v, 1, 0, 0, 2), False),
+    ("chi_closed l", lambda v: chi_closed(2, v, 0, 0, 2), False),
+    ("chi_closed a", lambda v: chi_closed(2, 2, v, 0, 2), False),
+    ("chi_closed b", lambda v: chi_closed(2, 2, 0, v, 2), False),
+    ("chi_closed N", lambda v: chi_closed(2, 2, 0, 0, v), True),
+    ("config_sum k", lambda v: config_sum(v, 3, N=2), False),
+    ("config_sum a0", lambda v: config_sum(2, 3, a0=v, N=2), False),
+    ("config_sum a1", lambda v: config_sum(2, 3, a1=v, N=2), False),
+    ("config_sum N", lambda v: config_sum(2, 3, N=v), True),
+    ("config_sum max_degree", lambda v: config_sum(2, 3, max_degree=v), True),
+    ("weighted_config_sum k", lambda v: weighted_config_sum(v, 1, 0, 0, 2), False),
+    ("weighted_config_sum l", lambda v: weighted_config_sum(2, v, 0, 0, 2), False),
+    ("weighted_config_sum a0", lambda v: weighted_config_sum(2, 2, v, 0, 2), False),
+    ("weighted_config_sum a1", lambda v: weighted_config_sum(2, 2, 0, v, 2), False),
+    ("weighted_config_sum N", lambda v: weighted_config_sum(2, 2, 0, 0, v), True),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [pytest.param(call, v, id=f"{name}={v!r}") for name, call, count in INTEGER_ARGUMENTS for v in (2.0, True, -1)[: 2 + count]],
+)
+def test_integer_arguments_checked(call, value):
+    # A float or bool is never truncated: 2.0 and True would pass every range check as 2 and 1.
+    with pytest.raises(ValueError, match="must be non-negative" if value == -1 else rf"got (l=)?{value!r}\b"):
+        call(value)
+
+
 class TestMembership:
     def test_floor_and_bump(self):
         one_zero = initial_columns_set(1, 0, 1, 1)
@@ -154,7 +200,7 @@ class TestChiClosed:
 
     def test_zero_boundary(self):
         for k, l in ((1, 1), (2, 1), (2, 2), (3, 2)):
-            assert chi_closed(k, l, 0, 0, 0) == QPolynomial.one()
+            assert chi_closed(k, l, 0, 0, 0) == QPolynomial((1,))
 
     def test_minus_one_convention(self):
         assert chi_closed(2, 2, -1, 1, 4).is_zero
@@ -179,7 +225,7 @@ class TestConfigSum:
 
     def test_zero_boundary_with_pins(self):
         for k in (1, 2, 3):
-            assert config_sum(k, 3, a0=0, a1=0, N=0) == QPolynomial.one()
+            assert config_sum(k, 3, a0=0, a1=0, N=0) == QPolynomial((1,))
 
     def test_needs_bound(self):
         with pytest.raises(ValueError):
@@ -278,10 +324,10 @@ def box_binomial(rows, max_part):
     binomial code is involved.  With rows > 0, a negative ``max_part`` gives zero.
     """
     if rows == 0:
-        return QPolynomial.one()
+        return QPolynomial((1,))
     total = QPolynomial.zero()
     for first in range(max_part + 1):
-        total = total + QPolynomial.q_power(first) * box_binomial(rows - 1, first)
+        total = total + QPolynomial.from_dict({first: 1}) * box_binomial(rows - 1, first)
     return total
 
 
@@ -298,7 +344,7 @@ def fermionic_reference(k, floor_values, N, weight_cap):
     ]
     total = Counter()
     for m in itertools.product(*(range(b + 1) for b in bounds)):
-        product = QPolynomial.one()
+        product = QPolynomial((1,))
         for j in range(1, k + 1):
             if m[j - 1]:
                 vacancy = (
@@ -510,7 +556,7 @@ class TestRiggedSum:
         )
 
     def test_floor_above_ceiling(self):
-        assert rigged_sum(2, RestrictedSet(RiggingFloor((9, 9)), (), 2, 3)) == QPolynomial.one()
+        assert rigged_sum(2, RestrictedSet(RiggingFloor((9, 9)), (), 2, 3)) == QPolynomial((1,))
 
     def test_needs_boundary(self):
         with pytest.raises(ValueError):

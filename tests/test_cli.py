@@ -325,6 +325,10 @@ class TestVerify:
             "662b3b047172c20f861566bc1bc4701ca8a4e773868b560e5125030b4201acb0"
         )
 
+    def test_all_json_digest_under_debug(self, capsys, rigged_debug):
+        # Every double computation re-checks the whole default grid, and the output stays the same bytes.
+        self.test_all_json_digest(capsys)
+
     def test_missing_k(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "gordon"])

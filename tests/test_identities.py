@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rigged import identities
@@ -7,7 +9,9 @@ from rigged.identities import (
     GOLDEN_CHAIN,
     VerifyReport,
     shift_sample_space,
+    verify_all,
     verify_boundary,
+    verify_fermionic_floor,
     verify_golden,
     verify_gordon,
     verify_gordon_r2,
@@ -26,15 +30,55 @@ def cfg(*counts, offset=0):
     return Configuration(offset, counts)
 
 
-class TestReport:
-    def test_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            VerifyReport("x", {}, True, None, None, "oops")
-        with pytest.raises(ValueError):
-            VerifyReport("x", {}, False, None, None, None)
+# Every integer argument of the public entries: (id, the call with v in that argument, whether a negative v is rejected).
+INTEGER_ARGUMENTS = [
+    ("verify_roundtrip k", lambda v: verify_roundtrip(v, 2), False),
+    ("verify_roundtrip N", lambda v: verify_roundtrip(1, v), False),
+    ("verify_gordon k", lambda v: verify_gordon(v, 4), False),
+    ("verify_gordon max_degree", lambda v: verify_gordon(1, v), True),
+    ("verify_gordon_r2 k", lambda v: verify_gordon_r2(v, 4), False),
+    ("verify_gordon_r2 max_degree", lambda v: verify_gordon_r2(1, v), True),
+    ("verify_polynomial_identity k", lambda v: verify_polynomial_identity(v, 1, 0, 0, 2), False),
+    ("verify_polynomial_identity l", lambda v: verify_polynomial_identity(2, v, 0, 0, 2), False),
+    ("verify_polynomial_identity a", lambda v: verify_polynomial_identity(2, 2, v, 0, 2), False),
+    ("verify_polynomial_identity b", lambda v: verify_polynomial_identity(2, 2, 0, v, 2), False),
+    ("verify_polynomial_identity N", lambda v: verify_polynomial_identity(2, 2, 0, 0, v), False),
+    ("verify_init k", lambda v: verify_init(v, 1, 0, 0, 2), False),
+    ("verify_init l", lambda v: verify_init(2, v, 0, 0, 2), False),
+    ("verify_init a", lambda v: verify_init(2, 2, v, 0, 2), False),
+    ("verify_init b", lambda v: verify_init(2, 2, 0, v, 2), False),
+    ("verify_init N", lambda v: verify_init(2, 2, 0, 0, v), False),
+    ("verify_init_cover N", lambda v: verify_init_cover(2, 2, v), False),
+    ("verify_boundary k", lambda v: verify_boundary(v, 1, 2), False),
+    ("verify_boundary l", lambda v: verify_boundary(2, v, 2), False),
+    ("verify_boundary N", lambda v: verify_boundary(2, 2, v), True),
+    ("verify_recursion l", lambda v: verify_recursion(v, 2, 2), False),
+    ("verify_recursion N", lambda v: verify_recursion(2, 2, v), False),
+    ("verify_shift k", lambda v: verify_shift(v, 2, [ZERO]), False),
+    ("verify_shift l", lambda v: verify_shift(3, v, [ZERO]), False),
+    ("verify_fermionic_floor N", lambda v: verify_fermionic_floor(2, 2, v), False),
+    ("shift_sample_space k", lambda v: shift_sample_space(v, 2, 3), False),
+    ("shift_sample_space l", lambda v: shift_sample_space(3, v, 3), False),
+    ("shift_sample_space width", lambda v: shift_sample_space(3, 2, v), True),
+    ("verify_all k_max", lambda v: verify_all(v), False),
+    ("verify_all n_max", lambda v: verify_all(1, v), False),
+    ("verify_all max_degree", lambda v: verify_all(1, 2, v), False),
+]
 
+
+@pytest.mark.parametrize(
+    "call, value",
+    [pytest.param(call, v, id=f"{name}={v!r}") for name, call, count in INTEGER_ARGUMENTS for v in (2.0, True, -1)[: 2 + count]],
+)
+def test_integer_arguments_checked(call, value):
+    # A float or bool is never truncated: 2.0 and True would pass every range check as 2 and 1.
+    with pytest.raises(ValueError, match="must be non-negative" if value == -1 else rf"got (l=)?{value!r}\b"):
+        call(value)
+
+
+class TestReport:
     def test_json(self):
-        report = VerifyReport("x", {"k": 1}, True)
+        report = VerifyReport("x", {"k": 1})
         data = report.to_json_dict()
         assert data["passed"] and data["parameters"] == {"k": 1}
 
@@ -194,7 +238,7 @@ class TestPolynomialIdentity:
         honest = identities._chi_combination_cases
 
         def skewed(chi, a, b):
-            return honest(chi, a, b) + QPolynomial.q_power(2)
+            return honest(chi, a, b) + QPolynomial.from_dict({2: 1})
 
         monkeypatch.setattr(identities, "_chi_combination_cases", skewed)
         report = verify_polynomial_identity(2, 2, 1, 0, 5)

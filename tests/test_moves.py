@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from rigged import moves
@@ -290,6 +292,42 @@ def test_sweeps_and_free_particle_validate_like_move_all(a, k, l):
 def test_public_validation_errors(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+# Every integer argument of the public entries: (id, the call with v in that argument, whether a negative v is rejected).
+INTEGER_ARGUMENTS = [
+    *(
+        (f"{fn.__name__} {arg}", call, False)
+        for fn in (
+            highest_particle, lowest_particle, right_move, left_move, particle_positions,
+            free_particle, separate_highest, passing_history, pass_particle,
+        )
+        for arg, call in (
+            ("k", lambda v, fn=fn: fn(cfg(1, 1), v, 2)),
+            ("l", lambda v, fn=fn: fn(cfg(1, 1), 3, v)),
+        )
+    ),
+    ("move_cth k", lambda v: move_cth(cfg(3, 0, 0, 1), v, 3, 1), False),
+    ("move_cth l", lambda v: move_cth(cfg(3, 0, 0, 1), 3, v, 1), False),
+    ("move_cth c", lambda v: move_cth(cfg(3, 0, 0, 1), 3, 3, v), False),
+    ("move_all times", lambda v: move_all(cfg(3, 0, 0, 1), 3, 3, "left", v), True),
+    ("left_sweeps k", lambda v: left_sweeps(cfg(3, 0, 0, 1), v, 3, 1), False),
+    ("left_sweeps l", lambda v: left_sweeps(cfg(3, 0, 0, 1), 3, v, 1), False),
+    ("left_sweeps times", lambda v: left_sweeps(cfg(3, 0, 0, 1), 3, 3, v), True),
+    ("build_free_configuration l", lambda v: build_free_configuration(v, [2], 3), False),
+    ("build_free_configuration energy", lambda v: build_free_configuration(1, [v], 3), False),
+    ("build_free_configuration k", lambda v: build_free_configuration(1, [2], v), False),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [pytest.param(call, v, id=f"{name}={v!r}") for name, call, count in INTEGER_ARGUMENTS for v in (2.0, True, -1)[: 2 + count]],
+)
+def test_integer_arguments_checked(call, value):
+    # A float or bool is never truncated: 2.0 and True would pass every range check as 2 and 1.
+    with pytest.raises(ValueError, match="must be non-negative" if value == -1 else rf"got (l=)?{value!r}\b"):
+        call(value)
 
 
 class TestMoveCth:

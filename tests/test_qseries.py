@@ -94,53 +94,13 @@ class TestArithmetic:
         assert poly({1: -1, 4: 3}).to_text() == "-q + 3*q^4"
         assert QPolynomial.zero().to_text() == "0"
 
-    def test_json_roundtrip(self):
-        p = poly({0: 1, 2: 10**30}, order=5)
-        assert QPolynomial.from_json_dict(p.to_json_dict()) == p
-
-    def test_json_accepts_plain_ints(self):
-        assert QPolynomial.from_json_dict({"coeffs": {"0": 1, "2": "-3"}, "order": 4}) == poly({0: 1, 2: -3}, order=4)
-
-    @pytest.mark.parametrize(
-        "data",
-        [
-            {"coeffs": {"0": 1.5}},
-            {"coeffs": {"0": True}},
-            {"coeffs": {"0": "1.5"}},
-            {"coeffs": {"0": " 1"}},
-            {"coeffs": {"0": "1_0"}},
-            {"coeffs": {"x": "1"}},
-            {"coeffs": {"1.0": "1"}},
-            {"coeffs": {}, "order": 1.5},
-            {"coeffs": {}, "order": True},
-            {"coeffs": {}, "order": "3"},
-        ],
-    )
-    def test_json_rejects_non_integers(self, data):
-        with pytest.raises(ValueError, match="must be an integer"):
-            QPolynomial.from_json_dict(data)
-
-    @pytest.mark.parametrize(
-        "data, message",
-        [
-            (None, "polynomial must be a JSON object"),
-            ([], "polynomial must be a JSON object"),
-            ({"order": 3}, "polynomial needs the key 'coeffs'"),
-            ({"coeffs": {}, "ordr": 3}, "unknown key 'ordr' in polynomial"),
-            ({"coeffs": [1, 2]}, "coeffs must be a JSON object"),
-        ],
-    )
-    def test_json_rejects_other_shapes(self, data, message):
-        with pytest.raises(ValueError) as raised:
-            QPolynomial.from_json_dict(data)
-        assert message in str(raised.value)
-
-    def test_json_order_defaults_to_none(self):
-        assert QPolynomial.from_json_dict({"coeffs": {"1": "2"}}) == poly({1: 2})
+    def test_to_json_dict_literal(self):
+        p = poly({0: 1, 2: -3, 4: 10**30}, order=4)
+        assert p.to_json_dict() == {"coeffs": {"0": "1", "2": "-3", "4": str(10**30)}, "order": 4}
 
     @pytest.mark.parametrize("scalar", [0.5, True])
     def test_scalars_must_be_integers(self, scalar):
-        one = QPolynomial.one()
+        one = QPolynomial((1,))
         for combine in (
             lambda: one + scalar,
             lambda: scalar + one,
@@ -227,14 +187,14 @@ def test_exact_division_by_one_minus_q_power(x, i):
         return QPolynomial(tuple(c))
 
     p = poly(x[0])
-    assert divided(p * (1 - QPolynomial.q_power(i))) == p
+    assert divided(p * (1 - QPolynomial.from_dict({i: 1}))) == p
     # p is a multiple of 1 - q^i iff its coefficients sum to zero in every
     # residue class of the degree mod i.
     if any(sum(c for d, c in x[0].items() if d % i == res) for res in range(i)):
         with pytest.raises(ArithmeticError):
             divided(p)
     else:
-        assert divided(p) * (1 - QPolynomial.q_power(i)) == p
+        assert divided(p) * (1 - QPolynomial.from_dict({i: 1})) == p
 
 
 coefficient_lists = st.lists(st.integers(-4, 4), max_size=12)
@@ -247,7 +207,7 @@ def test_slice_loops_match_convolution(coeffs, a):
     c = list(coeffs)
     _times_one_minus(c, a)
     assert len(c) == len(coeffs) + a
-    assert QPolynomial(tuple(c)) == QPolynomial(tuple(coeffs)) * (1 - QPolynomial.q_power(a))
+    assert QPolynomial(tuple(c)) == QPolynomial(tuple(coeffs)) * (1 - QPolynomial.from_dict({a: 1}))
     _over_one_minus(c, a, exact=True)
     assert c == coeffs
     order = len(coeffs) - 1
@@ -298,7 +258,7 @@ class TestPacking:
 
 class TestQBinomial:
     def test_examples(self):
-        assert q_binomial(5, 0) == QPolynomial.one()
+        assert q_binomial(5, 0) == QPolynomial((1,))
         assert q_binomial(2, 1) == poly({0: 1, 1: 1})
         assert q_binomial(4, 2) == poly({0: 1, 1: 1, 2: 2, 3: 1, 4: 1})
         assert q_binomial(1, 2).is_zero
@@ -338,7 +298,7 @@ def test_public_validation_errors(call, message):
 
 class TestInvPochhammer:
     def test_examples(self):
-        assert inv_pochhammer(0, 9) == QPolynomial.one(order=9)
+        assert inv_pochhammer(0, 9) == QPolynomial((1,), 9)
         assert inv_pochhammer(1, 3) == poly({0: 1, 1: 1, 2: 1, 3: 1}, order=3)
         four = inv_pochhammer(2, 4)
         assert [four[j] for j in range(5)] == [1, 1, 2, 2, 3]
