@@ -162,27 +162,21 @@ def member(rp: RiggedPartition, rset: RestrictedSet, k: int) -> bool:
 
 
 def _floor_difference_sets(a: int, b: int, k: int, N: int | None) -> tuple[RestrictedSet | None, tuple[RestrictedSet, ...]]:
-    """The sets of ``member_floor_difference``: floor(a, b) (None when empty) and the nonempty ones it loses."""
+    """floor(a, b), None when empty, and the nonempty sets it loses: initial columns as a difference of floors.
+
+    For a + b <= k and cap l = k, the family with columns (a, b) equals floor(a, b) minus the union of
+    floor(a - 1, b + 2) and floor(a, b - 1); a negative index means the empty family, and b + 2 wraps to
+    k - a + 1 when a + b = k.
+    """
 
     def floor_set(x: int, y: int) -> RestrictedSet:
         return RestrictedSet(floor_for(x, k - x if x + y == k + 1 else y, k, k), (), k, N)
 
     if a + b > k:
-        raise ValueError(f"member_floor_difference needs a + b <= k, got a={a}, b={b}, k={k}")
+        raise ValueError(f"the difference-of-floors form needs a + b <= k, got a={a}, b={b}, k={k}")
     if a < 0 or b < 0:
         return None, ()
     return floor_set(a, b), tuple(floor_set(x, y) for x, y in ((a - 1, b + 2), (a, b - 1)) if x >= 0 and y >= 0)
-
-
-def member_floor_difference(rp: RiggedPartition, a: int, b: int, k: int, N: int | None) -> bool:
-    """Initial-column membership in pure difference-of-floors form (cap l = k).
-
-    For a + b <= k, the family with columns (a, b) equals floor(a, b) minus
-    the union of floor(a - 1, b + 2) and floor(a, b - 1); a negative index
-    means the empty family, and b + 2 wraps to k - a + 1 when a + b = k.
-    """
-    inside, outside = _floor_difference_sets(a, b, k, N)
-    return inside is not None and member(rp, inside, k) and not any(member(rp, s, k) for s in outside)
 
 
 def _feasible(k: int, l: int, N: int, floor: tuple[int, ...]) -> Iterator[tuple[list[int], list[int], int]]:

@@ -14,13 +14,13 @@ need: the largest S (which is also the largest 2-column sum), the largest
 3-column sum and the largest L.  Admissibility compares one of the first two
 with k; the weight is max(S_max, L_max - k, 0).
 
-Enumeration fills one mutable row of columns 0..limit left to right, where
-the limit is the smaller of the boundary N and the energy cap.  Each column
-takes the values ``_next_column`` allows, capped by the energy left.  Descent
-stops once one unit in the next column costs more than the energy left,
-since every later column is then zero.  The descent tracks the row's lowest
-and highest nonzero columns, so each leaf copies just that stretch into one
-canonical configuration, in lexicographic order of (a_0, a_1, ...).  The character
+Enumeration backtracks over one mutable row of columns 0..limit, the limit
+being the smaller of the boundary N and the energy cap, with a stack of
+iterators over the values ``_next_column`` allows each column, capped by the
+energy left (Knuth, TAOCP 4B, 7.2.2, Algorithm B).  A row ends once one unit
+in the next column costs more than the energy left.  A leaf and
+``_next_column`` read only columns on the stack, so a pop resets nothing.
+Leaves come in lexicographic order of (a_0, a_1, ...).  The character
 identities count configurations with a column transfer matrix over the same
 window rules (``characters.config_sum``); this enumeration is its
 brute-force oracle, and under RIGGED_DEBUG=1 it recounts every sum.
@@ -119,14 +119,6 @@ class Configuration:
         self._trim(offset, counts)
         return self
 
-    @classmethod
-    def _canonical(cls, offset: int, counts: tuple[int, ...]) -> "Configuration":
-        """Internal constructor for counts already canonical: non-negative ints, nonzero at both ends."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "counts", counts)
-        return self
-
     def _trim(self, offset: int, counts: tuple[int, ...]) -> None:
         lo, hi = 0, len(counts)
         while lo < hi and counts[lo] == 0:
@@ -155,18 +147,13 @@ class Configuration:
         return self.offset + len(self.counts) - 1 if self.counts else None
 
     def get(self, column: int) -> int:
+        _check_ints("column", column)
         j = column - self.offset
         if 0 <= j < len(self.counts):
             return self.counts[j]
         return 0
 
     __getitem__ = get
-
-    def support(self) -> Iterator[tuple[int, int]]:
-        """Yield (column, count) for every occupied column, ascending."""
-        for j, c in enumerate(self.counts):
-            if c:
-                yield self.offset + j, c
 
     def energy(self) -> int:
         """Sum of column * occupation over the support."""
@@ -185,24 +172,7 @@ class Configuration:
     def shifted(self, delta: int) -> "Configuration":
         """Translate every column by ``delta``."""
         _check_ints("shift", delta)
-        if self.is_zero:
-            return self
         return Configuration._trusted(self.offset + delta, self.counts)
-
-    def superposed(self, other: "Configuration") -> "Configuration":
-        """Column-wise sum of two sequences."""
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + len(self.counts), other.offset + len(other.counts)) - 1
-        vals = [0] * (hi - lo + 1)
-        for i, c in self.support():
-            vals[i - lo] += c
-        for i, c in other.support():
-            vals[i - lo] += c
-        return Configuration._trusted(lo, tuple(vals))
 
     # -- serialization ----------------------------------------------------
 
@@ -332,23 +302,23 @@ def enumerate_configurations(
     # Column i lives at row[i + 3], behind three zero columns.
     row = [0] * (limit + 4)
     l = max_weight if max_weight is not None and max_weight < k else None
-
-    def fill(i: int, budget: int, first: int, last: int) -> Iterator[Configuration]:
-        # ``first`` and ``last`` are the lowest and highest nonzero columns
-        # before i, -1 while there is none.  Past the limit, or at a column
-        # dearer than the budget left, every remaining column is zero.  That
-        # column is never a pinned one: column 0 is free, so column 1 sees the
-        # whole cap, and a zero cap means limit 0.
-        if i > limit or budget < i:
-            yield ZERO if last < 0 else Configuration._canonical(first, tuple(row[first + 3 : last + 4]))
-            return
-        for v in _next_column(k, r, l, row[i : i + 3], budget // i if i else k, pins.get(i)):
-            row[i + 3] = v
-            if v:
-                yield from fill(i + 1, budget - i * v, i if last < 0 else first, i)
+    # The stack: per column, an iterator over the values it may still take.  left[i] is the energy left
+    # before column i; without an energy cap, the largest energy a row can carry never binds.
+    columns = [iter(_next_column(k, r, l, row[:3], k, pins.get(0)))]
+    left = [max_energy if max_energy is not None else k * limit * (limit + 1) // 2] + [0] * (limit + 1)
+    while columns:
+        i = len(columns)
+        for v in columns[-1]:
+            row[i + 2] = v
+            left[i] = left[i - 1] - (i - 1) * v
+            # Past the limit, or at a column dearer than the energy left, every
+            # remaining column is zero.  That column is never a pinned one:
+            # column 0 is free, so column 1 sees the whole cap, and a zero cap
+            # means limit 0.
+            if i > limit or left[i] < i:
+                yield Configuration._trusted(0, tuple(row[3 : i + 3]))
             else:
-                yield from fill(i + 1, budget, first, last)
-        row[i + 3] = 0
-
-    # Without an energy cap, the largest energy a row can carry never binds.
-    yield from fill(0, max_energy if max_energy is not None else k * limit * (limit + 1) // 2, -1, -1)
+                columns.append(iter(_next_column(k, r, l, row[i : i + 3], left[i] // i, pins.get(i))))
+                break
+        else:
+            columns.pop()

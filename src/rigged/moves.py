@@ -42,13 +42,17 @@ for their whole run:
   The pass cuts nothing: a cut at c zeroes columns c and c + 1, which of the
   later windows only c + 1 and c + 2 read, so it reads them there as zero.
   It moves each sighting c when found, as no later window reads columns c
-  and c + 1 unmasked.  Isolation (below) is judged on the columns before the
-  sweep, and a sighting p can be isolated only if the one before lies below
-  p - 4: with columns p - 3 to p - 1 empty, window p - 3 or p - 2 sights
-  nothing, window p - 1 only with l units in column p, which leaves window p
-  nothing to sight, and window p - 4 only with l units in column p - 4, which
-  window p - 5 sights first.  RIGGED_DEBUG=1 compares each sweep with a full
-  cut-scan made before it.
+  and c + 1 unmasked, save column j - 1 after a jump to window j, read as
+  it stands.  Below c = j - 2 no cut masks it.  At c = j - 2 it is one unit
+  below its value before the sweep and columns j to j + 2 have not moved,
+  so L at j is at most k + l - 1; S does not read it, and isolation is not
+  judged there, as c >= j - 4.  Isolation (below) is judged on the columns
+  before the sweep, and a sighting p can be isolated only if the one before
+  lies below p - 4: with columns p - 3 to p - 1 empty, window p - 3 or p - 2
+  sights nothing, window p - 1 only with l units in column p, which leaves
+  window p nothing to sight, and window p - 4 only with l units in column
+  p - 4, which window p - 5 sights first.  RIGGED_DEBUG=1 compares each
+  sweep with a full cut-scan made before it.
 - Passing a heavy probe down through a lighter configuration from far above,
   one unit left move in place per step; only a move at the buffer's low
   margin goes through ``bump``, which grows the buffer.
@@ -261,15 +265,15 @@ def _sweep(vals: list[int], last: Iterable[int], l: int, kl: int, lo: int) -> tu
     """One left sweep in place over the windows q - 2, q - 1 and q of each q >= 3 of ascending ``last``.
 
     Returns the indices ``_cut_scan`` of those windows would sight, each moved left when sighted, and whether
-    each was isolated (module docstring).  ``a``, ``b``, ``x`` and ``y`` hold the masked columns j - 1 to j + 2
-    of window j; ``lo`` names columns in errors.
+    each was isolated (module docstring).  ``a``, ``b``, ``x`` and ``y`` hold the columns j - 1 to j + 2 of
+    window j, masked as the cut-scan reads them but for ``a`` after a jump; ``lo`` names columns in errors.
     """
     found, isolated = [], True
     c = j = -9  # the last sighting and the next window to read
     for q in last:
-        if j < q - 2:  # a jump, so no sighting at j - 1 and none but one at j - 2 masks a column
+        if j < q - 2:  # a jump, so no sighting at j - 1, and column j - 1 is read as it stands
             j = q - 2
-            a, b, x = (0 if c == j - 2 else vals[j - 1]), vals[j], vals[j + 1]
+            a, b, x = vals[j - 1], vals[j], vals[j + 1]
         while j <= q:
             y = vals[j + 2]
             s = b + x
@@ -424,8 +428,6 @@ def free_particle(a: Configuration, k: int, l: int) -> FreeParticle | None:
     above its two columns.
     """
     _require_weight_at_most(a, k, l)
-    if a.is_zero:
-        return None
     sc = _Scratch(a)
     top = len(sc.vals) - sc.MARGIN - 1
     found = _sight(sc.vals, l, k + l, top, -1)
@@ -608,10 +610,10 @@ def build_free_configuration(l: int, energies: list[int], k: int) -> Configurati
             raise ValueError(
                 f"free-particle energies must descend by at least {gap}, got {d} then {d_next}"
             )
-    result = ZERO
+    sc = _Scratch(ZERO)
     for d in energies:
-        result = result.superposed(Configuration._trusted(*_free_columns(d, l)))
-    return result
+        sc.place(d, l)
+    return sc.to_configuration()
 
 
 def _fall(vals: list[int], l: int, found: list[int], energies: list[int], left: int) -> int:
@@ -689,15 +691,12 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
         left -= 1
 
 
-def left_sweeps(b: Configuration, k: int, l: int, times: int, expected: int | None = None) -> Configuration:
-    """Apply ``times`` full bottom-up left sweeps to the weight-l particles of ``b`` (see ``_settle``).
-
-    ``expected``, when given, is the number of particles every sweep must sight.
-    """
+def left_sweeps(b: Configuration, k: int, l: int, times: int) -> Configuration:
+    """Apply ``times`` full bottom-up left sweeps to the weight-l particles of ``b`` (see ``_settle``)."""
     _require_weight_at_most(b, k, l)
     _check_nonnegative("times", times)
     sc = _Scratch(b)
-    _settle(sc, k, l, times, expected, _debug_enabled())
+    _settle(sc, k, l, times, None, _debug_enabled())
     return sc.to_configuration()
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
-from .configuration import check_level
+from .configuration import _check_ints, check_level
 
 
 @lru_cache(maxsize=None)
@@ -28,6 +28,7 @@ def _table(k: int) -> tuple[tuple[int, ...], ...]:
 def phase(k: int, l: int, lp: int) -> int:
     """Energy shift A(l, l') at level k."""
     check_level(k)
+    _check_ints("weight", l, lp)
     if not (1 <= l <= k and 1 <= lp <= k):
         raise ValueError(f"weights must lie in 1..k={k}, got ({l}, {lp})")
     return _table(k)[l][lp]
@@ -57,6 +58,7 @@ def _quadratic_form(k: int, m: Sequence[int]) -> int:
 
 def gordon_phase(l: int, lp: int) -> int:
     """Energy shift G(l, l') = 2 min(l, l') for the window-2 theory."""
+    _check_ints("weight", l, lp)
     if l < 1 or lp < 1:
         raise ValueError(f"weights must be positive, got ({l}, {lp})")
     return 2 * min(l, lp)

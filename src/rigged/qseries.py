@@ -200,13 +200,14 @@ def _unpack(x: int, bits: int, order: int | None = None) -> QPolynomial:
     return QPolynomial(tuple(int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)), order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def q_binomial(m: int, n: int) -> QPolynomial:
     """Gaussian binomial [m choose n]; zero outside 0 <= n <= m.
 
     Built on one running list by n slice passes of each kind, with every
     division checked to be exact (``_times_binomial``).
     """
+    _check_ints("binomial argument", m, n)  # the cache is typed, so a float or bool never hits an int entry
     if n < 0 or n > m:
         return QPolynomial.zero()
     c = [1]
@@ -225,6 +226,7 @@ def _packed_binomial(p: int, m: int, bits: int) -> int:
 
 def inv_pochhammer(m: int, order: int) -> QPolynomial:
     """The series 1 / product_{i<=m} (1 - q^i), truncated at ``order``."""
+    _check_ints("inv_pochhammer argument", m, order)
     if m < 0:
         raise ValueError("need a non-negative number of factors")
     if order < 0:
@@ -244,6 +246,7 @@ def quadratic_form_Q(m: tuple[int, ...], k: int) -> int:
     check_level(k)
     if len(m) != k:
         raise ValueError(f"multiplicity vector must have length k={k}, got {len(m)}")
+    _check_ints("multiplicity", *m)
     if any(v < 0 for v in m):
         raise ValueError(f"multiplicities must be non-negative, got {m}")
     return _quadratic_form(k, (0, *m))
@@ -251,6 +254,7 @@ def quadratic_form_Q(m: tuple[int, ...], k: int) -> int:
 
 def gordon_quadratic_form(m: tuple[int, ...]) -> int:
     """Ground-state energy for the window-2 theory: half of (G m, m)."""
+    _check_ints("multiplicity", *m)
     if any(v < 0 for v in m):
         raise ValueError(f"multiplicities must be non-negative, got {m}")
     return _gordon_form((0, *m))

@@ -20,7 +20,6 @@ from rigged.characters import (
     floor_for,
     initial_columns_set,
     member,
-    member_floor_difference,
     rigged_sum,
     satisfies_boundary,
     weighted_config_sum,
@@ -98,8 +97,6 @@ INTEGER_ARGUMENTS = [
     ("satisfies_boundary k", lambda v: satisfies_boundary(rp((1,), (0,)), v, 2), False),
     ("satisfies_boundary N", lambda v: satisfies_boundary(rp((1,), (0,)), 2, v), False),
     ("member k", lambda v: member(rp((1,), (0,)), initial_columns_set(0, 0, 1, 2), v), False),
-    ("member_floor_difference a", lambda v: member_floor_difference(rp((1,), (0,)), v, 0, 2, 2), False),
-    ("member_floor_difference N", lambda v: member_floor_difference(rp((1,), (0,)), 1, 0, 2, v), False),
     ("enumerate_rigged k", lambda v: list(enumerate_rigged(v, 1, 2)), False),
     ("enumerate_rigged l", lambda v: list(enumerate_rigged(2, v, 2)), False),
     ("enumerate_rigged boundary", lambda v: list(enumerate_rigged(2, 2, v)), True),
@@ -305,9 +302,10 @@ class TestColumnTransfer:
                         got = config_sum(k, r, a0=a0, a1=a1, N=N, max_degree=max_degree)
                         assert got == expected, (N, max_degree, a0, a1)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_weighted_sum_matches_product_oracle(self, k):
-        for N in range(6):
+        # At k = 5 a cap l < k needs the 3-window term of the capped ``_next_column``, as at (k, l) = (4, 3).
+        for N in range(6 if k < 5 else 3):
             groups = product_rows(k, 3, N)
             for l in range(k + 1):
                 for a0 in range(-1, k + 2):
@@ -686,9 +684,14 @@ class TestSetAlgebra:
         for part in self.grid(k, l, N):
             assert member(part, nested, k) == member(part, single, k)
 
+    def in_difference_form(self, part, sets, k):
+        """Membership by the sets of ``_floor_difference_sets``, as ``verify_init`` reads them."""
+        inside, outside = sets
+        return inside is not None and member(part, inside, k) and not any(member(part, s, k) for s in outside)
+
     def test_difference_form_matches_hoisted_sets(self):
-        # The floor sets built once per report give the public predicate, which
-        # must agree with sets built afresh per partition, wrap and empty indices included.
+        # The floor sets built once per report must agree with sets built
+        # afresh per partition, wrap and empty indices included.
         def in_floor_set(part, x, y, k, N):
             if x < 0 or y < 0:
                 return False
@@ -700,23 +703,20 @@ class TestSetAlgebra:
                 family = self.grid(k, k, N)
                 for a in range(-1, k + 1):
                     for b in range(-1, k + 1 - max(a, 0)):
-                        inside, outside = characters._floor_difference_sets(a, b, k, N)
+                        sets = characters._floor_difference_sets(a, b, k, N)
                         for part in family:
                             direct = (
                                 in_floor_set(part, a, b, k, N)
                                 and not in_floor_set(part, a - 1, b + 2, k, N)
                                 and not in_floor_set(part, a, b - 1, k, N)
                             )
-                            hoisted = inside is not None and member(part, inside, k)
-                            hoisted = hoisted and not any(member(part, s, k) for s in outside)
-                            assert member_floor_difference(part, a, b, k, N) == hoisted == direct, (k, N, a, b, part)
+                            assert self.in_difference_form(part, sets, k) == direct, (k, N, a, b, part)
 
     def test_difference_form_rejects_a_plus_b_above_k(self):
         # At a + b = k + 1 the first subtracted set would need floor(a - 1, b + 2),
         # whose column sum k + 2 no wrap brings back into range.
-        for part in self.grid(2, 2, 3):
-            with pytest.raises(ValueError, match=r"member_floor_difference needs a \+ b <= k, got a=1, b=2, k=2"):
-                member_floor_difference(part, 1, 2, 2, 3)
+        with pytest.raises(ValueError, match=r"the difference-of-floors form needs a \+ b <= k, got a=1, b=2, k=2"):
+            characters._floor_difference_sets(1, 2, 2, 3)
 
     def test_difference_form_matches_bump_form(self):
         for k in (1, 2):
@@ -724,7 +724,6 @@ class TestSetAlgebra:
                 for a in range(k + 1):
                     for b in range(k + 1 - a):
                         rset = initial_columns_set(a, b, k, k, boundary=N)
+                        sets = characters._floor_difference_sets(a, b, k, N)
                         for part in self.grid(k, k, N):
-                            assert member(part, rset, k) == member_floor_difference(
-                                part, a, b, k, N
-                            )
+                            assert member(part, rset, k) == self.in_difference_form(part, sets, k), (k, N, a, b, part)

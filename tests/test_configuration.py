@@ -143,6 +143,14 @@ class TestFunctionals:
         assert l_functional(ZERO, -3) == 0
         assert l_functional(cfg(1, 1, 1, 1), 1) == 6
 
+    @pytest.mark.parametrize("column", [5.5, 0.5, 2.0, True])
+    def test_column_must_be_an_integer(self, column):
+        # A float column is never read: outside the stored window it once read as zero.
+        a = cfg(1, 1)
+        for read in (a.get, a.__getitem__, lambda j: s_functional(a, j), lambda j: l_functional(a, j)):
+            with pytest.raises(ValueError, match="column must be an integer"):
+                read(column)
+
     def test_energy_and_length(self):
         assert cfg(3, 0, 0, 1).energy() == 3
         assert ZERO.energy() == 0
@@ -283,9 +291,13 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_configurations(1, 3, None))
 
-    @pytest.mark.parametrize("k,r", [(k, r) for k in (1, 2, 3) for r in (2, 3)])
+    @pytest.mark.parametrize("k,r", [(k, r) for k in (1, 2, 3) for r in (2, 3)] + [(4, 3)])
     def test_matches_product_oracle(self, k, r):
-        """Full yielded list, order included, against a filtered itertools.product."""
+        """Full yielded list, order included, against a filtered itertools.product.
+
+        Up to k = 3 a cap l < k makes the S and L bounds imply the 3-window bound; k = 4 runs at small sizes
+        so that the 3-window term of the capped ``_next_column`` is needed too.
+        """
 
         @lru_cache(maxsize=None)
         def rows(limit: int, max_energy: int | None) -> list[tuple[Configuration, int, int]]:
@@ -309,8 +321,9 @@ class TestEnumeration:
             return found
 
         caps = (None, *range(k + 1)) if r == 3 else (None,)
-        for N in (None, *range(6)):
-            for max_energy in (None, -1, *range(13)):
+        sizes, energies = (range(6), range(13)) if k < 4 else (range(4), range(8))
+        for N in (None, *sizes):
+            for max_energy in (None, -1, *energies):
                 if N is None and max_energy is None:
                     continue
                 limit = min(b for b in (N, max_energy) if b is not None)

@@ -278,7 +278,7 @@ def reference_sweeps(b: Configuration, k: int, l: int, times: int, m: int) -> Co
 @settings(max_examples=150, deadline=None)
 def test_left_sweeps_match_full_scans(case):
     k, l, m, t, b = case
-    assert left_sweeps(b, k, l, t, expected=m) == reference_sweeps(b, k, l, t, m)
+    assert left_sweeps(b, k, l, t) == reference_sweeps(b, k, l, t, m)
 
 
 @given(st.one_of(admissible(), gapped()), st.integers(1, 12))
@@ -339,7 +339,7 @@ def test_left_sweeps_match_reference_without_debug(case, times):
     m = len(reference_scan(cols, k, l))
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("RIGGED_DEBUG", raising=False)
-        swept = left_sweeps(a, k, l, times, expected=m)
+        swept = left_sweeps(a, k, l, times)
     assert swept == reference_sweeps(a, k, l, times, m)
 
 

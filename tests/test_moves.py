@@ -140,8 +140,7 @@ class TestPositions:
     def test_left_sweeps_match_move_all(self):
         for k, l in ((2, 2), (3, 3)):
             for a in weight_classes(k, 5, l):
-                m = len(particle_positions(a, k, l))
-                assert left_sweeps(a, k, l, 2, expected=m) == move_all(a, k, l, "left", 2)
+                assert left_sweeps(a, k, l, 2) == move_all(a, k, l, "left", 2)
 
     def test_sweep_leaving_the_class_detected(self, monkeypatch):
         # A scan that sights only the lowest unit of (1,0,0,1): moving it
@@ -181,9 +180,9 @@ class TestLocalRescan:
         # no longer reads.
         monkeypatch.setattr(moves, "_sweep", sweep_without(-1))
         b = cfg(1, 0, 0, 0, 0, 0, 0, 2)
-        assert left_sweeps(b, 3, 2, 6, expected=1) == cfg(1, 0, 0, 0, 2)
+        assert left_sweeps(b, 3, 2, 6) == cfg(1, 0, 0, 0, 2)
         with pytest.raises(InternalCheckError, match="full scan"):
-            left_sweeps(b, 3, 2, 7, expected=1)
+            left_sweeps(b, 3, 2, 7)
 
     def test_dropped_window_two_below_detected(self, rigged_debug, monkeypatch):
         # At k = 2 the first sweep sights the weight-2 particle of
@@ -191,9 +190,9 @@ class TestLocalRescan:
         # full scan sights it by L at column 1, two windows lower.
         monkeypatch.setattr(moves, "_sweep", sweep_without(-2))
         b = cfg(1, 0, 1, 0, 1, 1)
-        assert left_sweeps(b, 2, 2, 1, expected=1) == cfg(1, 0, 1, 1, 0, 1)
+        assert left_sweeps(b, 2, 2, 1) == cfg(1, 0, 1, 1, 0, 1)
         with pytest.raises(InternalCheckError, match="full scan"):
-            left_sweeps(b, 2, 2, 2, expected=1)
+            left_sweeps(b, 2, 2, 2)
 
     def test_dropped_sighting_window_detected(self, rigged_debug, monkeypatch):
         # At k = 3 the first sweep sights the weight-2 particle of 0:2,0,1 by
@@ -201,9 +200,9 @@ class TestLocalRescan:
         # by S at column -1 again.
         monkeypatch.setattr(moves, "_sweep", sweep_without(0))
         b = cfg(2, 0, 1)
-        assert left_sweeps(b, 3, 2, 1, expected=1) == cfg(1, 1, 0, 1, offset=-1)
+        assert left_sweeps(b, 3, 2, 1) == cfg(1, 1, 0, 1, offset=-1)
         with pytest.raises(InternalCheckError, match="full scan"):
-            left_sweeps(b, 3, 2, 2, expected=1)
+            left_sweeps(b, 3, 2, 2)
 
 
 class TestFreeFlight:
@@ -215,7 +214,7 @@ class TestFreeFlight:
 
     def test_jumps_match_single_moves(self, rigged_debug):
         for times in range(12):
-            assert left_sweeps(self.FALLING, 3, 2, times, expected=1) == move_all(self.FALLING, 3, 2, "left", times)
+            assert left_sweeps(self.FALLING, 3, 2, times) == move_all(self.FALLING, 3, 2, "left", times)
         sep = separate_highest(self.RISING, 3, 2)
         cur = self.RISING
         for _ in range(sep.steps):
@@ -229,7 +228,7 @@ class TestFreeFlight:
         columns = moves._free_columns
         monkeypatch.setattr(moves, "_free_columns", lambda e, l: columns(e - 1, l))
         with pytest.raises(InternalCheckError, match="free fall of 6 sweeps"):
-            left_sweeps(self.FALLING, 3, 2, 6, expected=1)
+            left_sweeps(self.FALLING, 3, 2, 6)
 
     def test_overlong_rise_detected(self, rigged_debug, monkeypatch):
         # The rising particle lands one right move higher than counted.
@@ -496,10 +495,13 @@ class TestFaultPaths:
             moves._peel(cfg(3, 0, 0, 1), 3)
 
     def test_sweep_count_checked(self):
+        # ``_drop_groups`` passes ``_settle`` the number of particles each sweep must sight.
         b = cfg(1, 0, 0, 0, 0, 0, 0, 2)
-        assert left_sweeps(b, 3, 2, 3, expected=1) == left_sweeps(b, 3, 2, 3)
+        sc = moves._Scratch(b)
+        moves._settle(sc, 3, 2, 3, 1, False)
+        assert sc.to_configuration() == left_sweeps(b, 3, 2, 3)
         with pytest.raises(InternalCheckError, match="expected 2 weight-2 particles during sweep, found 1"):
-            left_sweeps(b, 3, 2, 3, expected=2)
+            moves._settle(moves._Scratch(b), 3, 2, 3, 2, False)
 
     def test_sweep_moves_from_empty_column(self):
         # Outside the weight-2 class (S = 3 at column 2), 0:1,0,3 at k=3 has L = 5 at column 0, so the sweep
@@ -660,7 +662,7 @@ class TestPassing:
         for k, l, lp in ((4, 3, 2), (4, 3, 1), (5, 4, 3), (3, 3, 1)):
             for c_light in range(1, lp + 1):
                 light = build_free_configuration(lp, [c_light], k)
-                start = light.superposed(Configuration(12, (l,)))
+                start = Configuration(0, tuple(light.get(j) for j in range(12)) + (l,))  # l units at column 12
                 cur = start
                 for _ in range(l * 20):
                     cur = left_move(cur, k, l)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigged.bijection import e0, multiplicities
-from rigged.phases import gordon_phase
+from rigged.phases import gordon_phase, phase
 from rigged.qseries import (
     QPolynomial,
     _over_one_minus,
@@ -294,6 +294,37 @@ class TestQBinomial:
 def test_public_validation_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# Every integer argument of the public entries of ``qseries`` and ``phases``: (id, the call with v in that argument).
+INTEGER_ARGUMENTS = [
+    ("q_binomial m", lambda v: q_binomial(v, 1)),
+    ("q_binomial n", lambda v: q_binomial(3, v)),
+    ("inv_pochhammer m", lambda v: inv_pochhammer(v, 3)),
+    ("inv_pochhammer order", lambda v: inv_pochhammer(2, v)),
+    ("quadratic_form_Q m", lambda v: quadratic_form_Q((1, v), 2)),
+    ("gordon_quadratic_form m", lambda v: gordon_quadratic_form((v, 1))),
+    ("phase l", lambda v: phase(3, v, 1)),
+    ("phase l'", lambda v: phase(3, 1, v)),
+    ("gordon_phase l", lambda v: gordon_phase(v, 1)),
+    ("gordon_phase l'", lambda v: gordon_phase(1, v)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value", [pytest.param(call, v, id=f"{name}={v!r}") for name, call in INTEGER_ARGUMENTS for v in (2.0, True, 2.5)]
+)
+def test_integer_arguments_checked(call, value):
+    # A float or bool is never truncated: 2.0 and True would pass every range check as 2 and 1.
+    with pytest.raises(ValueError, match=rf"must be an integer, got {value!r}\b"):
+        call(value)
+
+
+def test_q_binomial_cache_is_typed():
+    # 2.0 == 2 and both hash alike, so an untyped cache would hand back the int entry.
+    assert q_binomial(2, 1) == poly({0: 1, 1: 1})
+    with pytest.raises(ValueError, match="binomial argument must be an integer, got 2.0"):
+        q_binomial(2.0, 1)
 
 
 class TestInvPochhammer:

@@ -68,11 +68,35 @@ MUTANTS = (
         ("tests/test_move_oracle.py::test_sweep_matches_cut_scan_and_moves",),
     ),
     Mutant(
-        "_sweep drops the j - 2 mask after a jump: window c + 2 reads column c + 1 as before the move",
+        "_sweep reads column j - 1 as empty after a jump",
         "src/rigged/moves.py",
-        "a, b, x = (0 if c == j - 2 else vals[j - 1]), vals[j], vals[j + 1]",
-        "a, b, x = (vals[j - 1] + 1 if c == j - 2 else vals[j - 1]), vals[j], vals[j + 1]",
+        "a, b, x = vals[j - 1], vals[j], vals[j + 1]",
+        "a, b, x = 0, vals[j], vals[j + 1]",
         ("tests/test_move_oracle.py::test_sweep_matches_cut_scan_and_moves",),
+    ),
+    Mutant(
+        "enumerate_configurations ends a row at a column that costs exactly the energy left",
+        "src/rigged/configuration.py",
+        "if i > limit or left[i] < i:",
+        "if i > limit or left[i] <= i:",
+        ("tests/test_configuration.py::TestEnumeration::test_matches_product_oracle",),
+    ),
+    Mutant(
+        "_next_column under a weight cap drops the 3-window bound",
+        "src/rigged/configuration.py",
+        "top = min(top, k - y - z, l - z, k + l - x - 2 * y - 2 * z)",
+        "top = min(top, l - z, k + l - x - 2 * y - 2 * z)",
+        (
+            "tests/test_configuration.py::TestEnumeration::test_matches_product_oracle[4-3]",
+            "tests/test_characters.py::TestColumnTransfer::test_weighted_sum_matches_product_oracle[5]",
+        ),
+    ),
+    Mutant(
+        "gordon_phase takes twice the larger weight",
+        "src/rigged/phases.py",
+        "return 2 * min(l, lp)",
+        "return 2 * max(l, lp)",
+        ("tests/test_qseries.py::TestQuadraticForm::test_gordon_form_matches_pairwise_interaction",),
     ),
 )
 
