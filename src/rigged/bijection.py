@@ -29,7 +29,7 @@ class RiggingError(ValueError):
     """A rigged partition violates its ordering constraints."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiggedPartition:
     """Particle content with riggings: ((weight, rigging), ...) sorted as stored.
 

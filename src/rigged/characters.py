@@ -52,7 +52,7 @@ from .phases import _load, _table, _vacancies
 from .qseries import QPolynomial, _packed_binomial, _slot_bits, _times_binomial, _unpack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiggingFloor:
     """Minimum rigging per weight: values[w-1] applies to weight-w parts."""
 
@@ -70,7 +70,7 @@ class RiggingFloor:
         return tuple(v + 1 if w + 1 in raised else v for w, v in enumerate(self.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestrictedSet:
     """A floor with bump sets and an optional boundary, capped at weight ``l``."""
 
@@ -161,12 +161,12 @@ def member(rp: RiggedPartition, rset: RestrictedSet, k: int) -> bool:
     return rset.boundary is None or _fits_ceilings(rp, k, rset.boundary)
 
 
-def _floor_difference_sets(a: int, b: int, k: int, N: int | None) -> tuple[RestrictedSet | None, tuple[RestrictedSet, ...]]:
-    """floor(a, b), None when empty, and the nonempty sets it loses: initial columns as a difference of floors.
+def _floor_difference_sets(a: int, b: int, k: int, N: int | None) -> tuple[RestrictedSet, tuple[RestrictedSet, ...]]:
+    """floor(a, b) and the nonempty sets it loses: initial columns as a difference of floors.
 
     For a + b <= k and cap l = k, the family with columns (a, b) equals floor(a, b) minus the union of
-    floor(a - 1, b + 2) and floor(a, b - 1); a negative index means the empty family, and b + 2 wraps to
-    k - a + 1 when a + b = k.
+    floor(a - 1, b + 2) and floor(a, b - 1); a negative index there means the empty family, and b + 2 wraps
+    to k - a + 1 when a + b = k.  A negative a or b is rejected by ``floor_for``.
     """
 
     def floor_set(x: int, y: int) -> RestrictedSet:
@@ -174,8 +174,6 @@ def _floor_difference_sets(a: int, b: int, k: int, N: int | None) -> tuple[Restr
 
     if a + b > k:
         raise ValueError(f"the difference-of-floors form needs a + b <= k, got a={a}, b={b}, k={k}")
-    if a < 0 or b < 0:
-        return None, ()
     return floor_set(a, b), tuple(floor_set(x, y) for x, y in ((a - 1, b + 2), (a, b - 1)) if x >= 0 and y >= 0)
 
 

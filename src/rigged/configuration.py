@@ -91,7 +91,7 @@ def _check_window(r: int) -> None:
         raise ValueError(f"window size r must be 2 or 3, got {r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """A finitely supported column-occupancy sequence.
 

@@ -41,7 +41,7 @@ from .phases import _load, _rise, phase
 from .qseries import QPolynomial, _over_one_minus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyReport:
     """Outcome of one identity or property check: it passes exactly when it carries no mismatch witness."""
 
@@ -214,7 +214,7 @@ def _gordon_rhs(k: int, max_degree: int, window: int) -> QPolynomial:
         m[j] = 0
 
     rec(1, 0, [1] + [0] * max_degree)
-    return QPolynomial(tuple(total), max_degree)
+    return QPolynomial._trusted(tuple(total), max_degree)
 
 
 def verify_gordon(k: int, max_degree: int) -> VerifyReport:

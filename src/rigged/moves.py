@@ -114,7 +114,7 @@ def _debug_enabled() -> bool:
     return os.environ.get("RIGGED_DEBUG", "") == "1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParticleSighting:
     """Column where a weight-l particle is detected, and by which functional."""
 
@@ -123,7 +123,7 @@ class ParticleSighting:
     weight: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeParticle:
     """A weight-l particle occupying two adjacent columns with nothing above."""
 
@@ -141,7 +141,7 @@ class FreeParticle:
         return j * c + (j + 1) * (l - c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Separation:
     """Outcome of floating the highest particle free by right moves."""
 

@@ -42,12 +42,25 @@ class QPolynomial:
     order: int | None = None
 
     def __post_init__(self) -> None:
-        c = self.coeffs
-        n = len(c) if self.order is None else max(0, min(len(c), self.order + 1))
-        while n and not c[n - 1]:
+        coeffs = tuple(self.coeffs)
+        _check_ints("coefficient", *coeffs)
+        if self.order is not None:
+            _check_ints("order", self.order)
+        self._trim(coeffs, self.order)
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...], order: int | None = None) -> "QPolynomial":
+        """Internal constructor for an int tuple and an int or None order: only trims."""
+        self = object.__new__(cls)
+        self._trim(coeffs, order)
+        return self
+
+    def _trim(self, coeffs: tuple[int, ...], order: int | None) -> None:
+        n = len(coeffs) if order is None else max(0, min(len(coeffs), order + 1))
+        while n and not coeffs[n - 1]:
             n -= 1
-        if n < len(c) or type(c) is not tuple:
-            object.__setattr__(self, "coeffs", tuple(c[:n]))
+        object.__setattr__(self, "coeffs", coeffs[:n])
+        object.__setattr__(self, "order", order)
 
     # -- constructors -------------------------------------------------------
 
@@ -94,17 +107,17 @@ class QPolynomial:
         if isinstance(value, QPolynomial):
             return value
         _check_ints("coefficient", value)
-        return QPolynomial((value,))
+        return QPolynomial._trusted((value,))
 
     def __add__(self, other: "QPolynomial | int") -> "QPolynomial":
         other = self._coerce(other)
         summed = tuple(x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0))
-        return QPolynomial(summed, _min_order(self.order, other.order))
+        return QPolynomial._trusted(summed, _min_order(self.order, other.order))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPolynomial":
-        return QPolynomial(tuple(-c for c in self.coeffs), self.order)
+        return QPolynomial._trusted(tuple(-c for c in self.coeffs), self.order)
 
     def __sub__(self, other: "QPolynomial | int") -> "QPolynomial":
         return self + (-self._coerce(other))
@@ -123,7 +136,7 @@ class QPolynomial:
             if c1:
                 for d, c2 in enumerate(b[: top + 1 - d1], d1):
                     acc[d] += c1 * c2
-        return QPolynomial(tuple(acc), order)
+        return QPolynomial._trusted(tuple(acc), order)
 
     __rmul__ = __mul__
 
@@ -197,7 +210,7 @@ def _unpack(x: int, bits: int, order: int | None = None) -> QPolynomial:
     """The inverse of ``_pack``: slot d of ``x`` is the coefficient of q^d, dropped above ``order``."""
     size = bits // 8
     raw = x.to_bytes(-(-x.bit_length() // bits) * size, "little")
-    return QPolynomial(tuple(int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)), order)
+    return QPolynomial._trusted(tuple(int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)), order)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -212,7 +225,7 @@ def q_binomial(m: int, n: int) -> QPolynomial:
         return QPolynomial.zero()
     c = [1]
     _times_binomial(c, m - n, n)
-    return QPolynomial(tuple(c))
+    return QPolynomial._trusted(tuple(c))
 
 
 def _packed_binomial(p: int, m: int, bits: int) -> int:
@@ -234,7 +247,7 @@ def inv_pochhammer(m: int, order: int) -> QPolynomial:
     c = [1] + [0] * order
     for i in range(1, m + 1):
         _over_one_minus(c, i, exact=False)
-    return QPolynomial(tuple(c), order)
+    return QPolynomial._trusted(tuple(c), order)
 
 
 def quadratic_form_Q(m: tuple[int, ...], k: int) -> int:

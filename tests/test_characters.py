@@ -687,7 +687,7 @@ class TestSetAlgebra:
     def in_difference_form(self, part, sets, k):
         """Membership by the sets of ``_floor_difference_sets``, as ``verify_init`` reads them."""
         inside, outside = sets
-        return inside is not None and member(part, inside, k) and not any(member(part, s, k) for s in outside)
+        return member(part, inside, k) and not any(member(part, s, k) for s in outside)
 
     def test_difference_form_matches_hoisted_sets(self):
         # The floor sets built once per report must agree with sets built
@@ -701,8 +701,8 @@ class TestSetAlgebra:
         for k in (1, 2, 3):
             for N in range(7):
                 family = self.grid(k, k, N)
-                for a in range(-1, k + 1):
-                    for b in range(-1, k + 1 - max(a, 0)):
+                for a in range(k + 1):
+                    for b in range(k + 1 - a):
                         sets = characters._floor_difference_sets(a, b, k, N)
                         for part in family:
                             direct = (
@@ -717,6 +717,12 @@ class TestSetAlgebra:
         # whose column sum k + 2 no wrap brings back into range.
         with pytest.raises(ValueError, match=r"the difference-of-floors form needs a \+ b <= k, got a=1, b=2, k=2"):
             characters._floor_difference_sets(1, 2, 2, 3)
+
+    @pytest.mark.parametrize("a, b", [(-1, 1), (1, -1)])
+    def test_difference_form_rejects_a_negative_column(self, a, b):
+        # Only the subtracted sets may index below zero, meaning the empty family; a and b are columns.
+        with pytest.raises(ValueError, match=rf"need 0 <= a, 0 <= b, a \+ b <= l, got a={a}, b={b}, l=2"):
+            characters._floor_difference_sets(a, b, 2, 3)
 
     def test_difference_form_matches_bump_form(self):
         for k in (1, 2):

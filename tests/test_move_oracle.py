@@ -6,7 +6,7 @@ code with ``rigged.moves``.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rigged import identities, moves
@@ -307,6 +307,8 @@ def reference_isolated(cols: list[int], l: int, positions: list[int]) -> bool:
 
 
 @given(st.one_of(admissible(), gapped(), settling().map(lambda case: (case[0], case[4]))), st.integers(0, 12))
+@example((1, Configuration(0, (1, 0, 0, 0, 1))), 0)  # sightings four windows apart: the upper one is not isolated
+@example((3, Configuration(0, (1, 0, 2, 0, 1, 2))), 1)  # the second sweep jumps to a window whose column j - 1 is occupied
 @settings(max_examples=200, deadline=None)
 def test_sweep_matches_cut_scan_and_moves(case, times):
     # Each pass of ``moves._sweep`` reads masked columns instead of cutting

@@ -614,8 +614,10 @@ class TestPassing:
                     assert passing_history(b, k, l) == (moved, result.shifted(d)), (k, l, a)
 
     def test_negative_column_detected(self, monkeypatch):
-        # A forged sighting at column 3, above the content and below the probe, moves a unit out of empty column 4.
-        monkeypatch.setattr(moves, "_sight", lambda vals, l, kl, j, step: (7, True))
+        # One forged sighting at column 3, above the content and below the probe, moves a unit out of empty
+        # column 4.  Every later sighting is honest, so the fault must be caught on that first move.
+        honest, forged = moves._sight, iter([(7, True)])
+        monkeypatch.setattr(moves, "_sight", lambda *args: next(forged, None) or honest(*args))
         with pytest.raises(InternalCheckError, match="column 4 driven negative"):
             pass_particle(cfg(1, 1, 1), 4, 3)
 

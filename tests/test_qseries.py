@@ -296,7 +296,7 @@ def test_public_validation_errors(call, message):
         call()
 
 
-# Every integer argument of the public entries of ``qseries`` and ``phases``: (id, the call with v in that argument).
+# Every integer argument of the public entries of ``qseries`` and ``phases``, the constructor's included: (id, the call with v in that argument).
 INTEGER_ARGUMENTS = [
     ("q_binomial m", lambda v: q_binomial(v, 1)),
     ("q_binomial n", lambda v: q_binomial(3, v)),
@@ -308,6 +308,8 @@ INTEGER_ARGUMENTS = [
     ("phase l'", lambda v: phase(3, 1, v)),
     ("gordon_phase l", lambda v: gordon_phase(v, 1)),
     ("gordon_phase l'", lambda v: gordon_phase(1, v)),
+    ("QPolynomial coefficient", lambda v: QPolynomial((1, v))),
+    ("QPolynomial order", lambda v: QPolynomial((1, 2), v)),
 ]
 
 

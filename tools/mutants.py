@@ -75,6 +75,23 @@ MUTANTS = (
         ("tests/test_move_oracle.py::test_sweep_matches_cut_scan_and_moves",),
     ),
     Mutant(
+        "_sweep starts each window run at q - 1 after a jump",
+        "src/rigged/moves.py",
+        "            j = q - 2\n",
+        "            j = q - 1\n",
+        (
+            "tests/test_move_oracle.py::test_sweep_matches_cut_scan_and_moves",
+            "tests/test_move_oracle.py::test_kappa_inverts_iota",
+        ),
+    ),
+    Mutant(
+        "_descend lets a column reach -1 before it raises",
+        "src/rigged/moves.py",
+        "if vals[i + 1] < 0:",
+        "if vals[i + 1] < -1:",
+        ("tests/test_moves.py::TestPassing::test_negative_column_detected",),
+    ),
+    Mutant(
         "enumerate_configurations ends a row at a column that costs exactly the energy left",
         "src/rigged/configuration.py",
         "if i > limit or left[i] < i:",
