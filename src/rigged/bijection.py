@@ -92,15 +92,18 @@ class RiggedPartition:
         return len(self.parts)
 
     def multiplicity(self, w: int) -> int:
+        _check_ints("weight", w)
         return sum(1 for wi, _ in self.parts if wi == w)
 
     def min_rigging(self, w: int) -> int | None:
         """Smallest rigging among weight-w parts, or None when there are none."""
+        _check_ints("weight", w)
         matching = [r for wi, r in self.parts if wi == w]
         return min(matching) if matching else None
 
     def drop_weight(self, w: int) -> "RiggedPartition":
         """The partition with every weight-w part removed."""
+        _check_ints("weight", w)
         return RiggedPartition(tuple(p for p in self.parts if p[0] != w))
 
     def to_json_dict(self) -> dict:
@@ -130,6 +133,7 @@ EMPTY = RiggedPartition()
 def multiplicities(weights: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Vector (m_1, ..., m_k) counting parts of each weight."""
     check_level(k)
+    _check_ints("weight", *weights)
     m = [0] * k
     for w in weights:
         if not 1 <= w <= k:
@@ -153,6 +157,7 @@ def e0(weights: tuple[int, ...], k: int) -> int:
 
 def e1(riggings: tuple[int, ...]) -> int:
     """Free part of the energy: the sum of riggings."""
+    _check_ints("rigging", *riggings)
     return sum(riggings)
 
 

@@ -44,11 +44,11 @@ from dataclasses import dataclass, field
 from operator import sub
 from typing import Iterable, Iterator
 
-from .bijection import RiggedPartition, RiggingError, _counts, e0, e1
+from .bijection import RiggedPartition, RiggingError, _counts
 from .configuration import Configuration, _check_ints, _check_nonnegative, _check_window, _next_column, check_level
 from .configuration import enumerate_configurations, weight as config_weight
 from .moves import InternalCheckError, _debug_enabled
-from .phases import _load, _table, _vacancies
+from .phases import _load, _quadratic_form, _table, _vacancies
 from .qseries import QPolynomial, _packed_binomial, _slot_bits, _times_binomial, _unpack
 
 
@@ -247,7 +247,7 @@ def rigged_sum(k: int, rset: RestrictedSet) -> QPolynomial:
     if rset.boundary is None:
         raise ValueError("rigged_sum needs a boundary to be a finite sum")
     family = (rp for rp in enumerate_rigged(k, rset.l, rset.boundary, rset.floor) if member(rp, rset, k))
-    return QPolynomial.from_dict(Counter(e0(rp.weights, k) + e1(rp.riggings) for rp in family))
+    return QPolynomial.from_dict(Counter(_quadratic_form(k, _counts(rp.parts, k)) + sum(rp.riggings) for rp in family))
 
 
 def _fermionic_sum(k: int, floor_values: tuple[int, ...], N: int, weight_cap: int) -> QPolynomial:

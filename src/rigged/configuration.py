@@ -87,6 +87,7 @@ def _json_fields(data: object, what: str, required: tuple[str, ...]) -> dict:
 
 def _check_window(r: int) -> None:
     """Raise ValueError unless the window size ``r`` is 2 or 3."""
+    _check_ints("window size r", r)
     if r not in (2, 3):
         raise ValueError(f"window size r must be 2 or 3, got {r}")
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable
 
-from .bijection import EMPTY, RiggedPartition, _counts, _surpluses, e0, e1, kappa
+from .bijection import EMPTY, RiggedPartition, _counts, _surpluses, kappa
 from .characters import (
     RestrictedSet,
     _fits_ceilings,
@@ -37,7 +37,7 @@ from .moves import (
     passing_history,
     right_move,
 )
-from .phases import _load, _rise, phase
+from .phases import _load, _quadratic_form, _rise, phase
 from .qseries import QPolynomial, _over_one_minus
 
 
@@ -173,9 +173,9 @@ def verify_roundtrip(k: int, N: int) -> VerifyReport:
         weights = rp.weights
         base = ground.get(weights)
         if base is None:
-            base = ground[weights] = e0(weights, k)
+            base = ground[weights] = _quadratic_form(k, _counts(rp.parts, k))
         energy = a.energy()
-        if energy != base + e1(riggings):
+        if energy != base + sum(riggings):
             witness = f"{a}: energy {energy} != E0+E1 of {rp}"
             break
         if a.length() != sum(weights):

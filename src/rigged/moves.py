@@ -11,14 +11,14 @@ All moves run on one substrate, the padded mutable column buffer
 ``_Scratch``, which no other module touches: the maps call ``_peel``,
 ``_detach`` and ``_drop_groups``.  Moves locate particles with list scans.
 ``_sight`` walks the windows up or down from a given index to the nearest
-sighting.  ``_cut_scan`` scans given windows in order and cuts each sighted
-particle off a copy by zeroing its two columns, so each sighting locates the
-next particle: every window it reads afterwards lies on the near side of the
-cut.  A single move copies a configuration into a buffer, sights the end
-particle and bumps two columns.  The long-running procedures keep one buffer
-for their whole run:
+sighting.  ``_cut_scan`` repeats ``_sight`` over every window and cuts each
+sighted particle off a copy by zeroing its two columns, so each sighting
+locates the next particle: every window it reads afterwards lies on the near
+side of the cut.  A single move copies a configuration into a buffer, sights
+the end particle and bumps two columns.  The long-running procedures keep one
+buffer for their whole run:
 
-- Floating the highest particle free by right moves (``_float_free``).
+- Floating the highest particle free by right moves (``_float_off``).
   A unit moved from column i to i + 1 raises only the windows that weigh
   column i + 1 above column i: the 3-window and S at i + 1 and L at i + 1
   and i + 2.  Every other window loses value or keeps it, so re-checking
@@ -75,7 +75,7 @@ column gap then only depends on the residue of the energies mod l, so a
 pair clear for every residue (energy gap at least 5l - 1) never constrains
 the fall, and any other pair can fall until the upper energy is a multiple
 of l.  ``_settle`` jumps when every sighting of a sweep is isolated, and
-``_float_free`` jumps when the particle it is floating is isolated below
+``_float_off`` jumps when the particle it is floating is isolated below
 lighter content.  RIGGED_DEBUG=1 compares every jump with the same moves made
 one at a time by ``move_all`` and ``right_move``, which scan every window.
 
@@ -212,9 +212,9 @@ class _Scratch:
 def _sight(vals: list[int], l: int, kl: int, j: int, step: int) -> tuple[int, bool] | None:
     """Nearest window from index ``j`` on, walking by ``step``, where S = l or L = kl.
 
-    ``j`` must be a window index, 1 <= j <= len(vals) - 3.  Returns (index, S
-    attained), or None past the end of ``vals`` or for ``l = 0``.  S is tested
-    first, so S counts as attained when both are.
+    ``j`` must be a window index, 1 <= j <= len(vals) - 3, or where the walk
+    stops (0 down, len(vals) - 2 up).  Returns (index, S attained), or None
+    past the end of ``vals`` or for ``l = 0``.  S is tested first, so S counts as attained when both are.
     """
     if l:
         stop = 0 if step < 0 else len(vals) - 2
@@ -244,27 +244,26 @@ def _stepped_weight(vals: list[int], k: int, l: int, top: int) -> tuple[int, tup
             raise InternalCheckError(f"no particle sighted in a nonzero buffer below index {top + 1}")
 
 
-def _cut_scan(vals: list[int], windows: Iterable[int], l: int, kl: int) -> list[int]:
-    """Indices of ``windows``, scanned in order, that sight a particle once the earlier ones are cut off.
+def _cut_scan(vals: list[int], l: int, kl: int, step: int) -> list[int]:
+    """Windows, walked down (``step=-1``) or up (``step=+1``), that sight a particle once the earlier ones are cut off.
 
     Each sighting cuts its particle off a copy of ``vals`` by zeroing its two
-    columns.  ``l = 0`` sights nothing.
+    columns, and the next ``_sight`` starts one window on.  ``l = 0`` sights
+    nothing.
     """
-    if not l:
-        return []
-    vals, found = vals[:], []
-    for j in windows:
-        s = vals[j] + vals[j + 1]
-        if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
-            found.append(j)
-            vals[j] = vals[j + 1] = 0
+    vals, found, j = vals[:], [], len(vals) - 3 if step < 0 else 1
+    while (hit := _sight(vals, l, kl, j, step)) is not None:
+        j = hit[0]
+        found.append(j)
+        vals[j] = vals[j + 1] = 0
+        j += step
     return found
 
 
 def _sweep(vals: list[int], last: Iterable[int], l: int, kl: int, lo: int) -> tuple[list[int], bool]:
     """One left sweep in place over the windows q - 2, q - 1 and q of each q >= 3 of ascending ``last``.
 
-    Returns the indices ``_cut_scan`` of those windows would sight, each moved left when sighted, and whether
+    Returns the indices a cut-scan of those windows would sight, each moved left when sighted, and whether
     each was isolated (module docstring).  ``a``, ``b``, ``x`` and ``y`` hold the columns j - 1 to j + 2 of
     window j, masked as the cut-scan reads them but for ``a`` after a jump; ``lo`` names columns in errors.
     """
@@ -290,11 +289,6 @@ def _sweep(vals: list[int], last: Iterable[int], l: int, kl: int, lo: int) -> tu
             a, b, x = b, x, y
             j += 1
     return found, isolated
-
-
-def _every_window(vals: list[int], step: int) -> range:
-    """Every window index of ``vals``, descending (``step=-1``) or ascending (``step=+1``)."""
-    return range(len(vals) - 3, 0, -1) if step < 0 else range(1, len(vals) - 2)
 
 
 def _side_step(side: str) -> int:
@@ -373,7 +367,7 @@ def particle_positions(a: Configuration, k: int, l: int, side: str = "right") ->
     _require_weight_at_most(a, k, l)
     step = _side_step(side)
     sc = _Scratch(a)
-    return [sc.lo + j for j in _cut_scan(sc.vals, _every_window(sc.vals, step), l, k + l)]
+    return [sc.lo + j for j in _cut_scan(sc.vals, l, k + l, step)]
 
 
 def move_cth(a: Configuration, k: int, l: int, c: int, side: str = "right") -> Configuration:
@@ -411,7 +405,7 @@ def move_all(a: Configuration, k: int, l: int, side: str = "right", times: int =
     sc = _Scratch(a)
     vals = sc.vals
     for _ in range(times):
-        positions = [sc.lo + j for j in _cut_scan(vals, _every_window(vals, step), l, k + l)]
+        positions = [sc.lo + j for j in _cut_scan(vals, l, k + l, step)]
         if not positions:
             break
         for p in positions:
@@ -427,42 +421,59 @@ def free_particle(a: Configuration, k: int, l: int) -> FreeParticle | None:
     Free means: located by S with a nonzero upper column and nothing anywhere
     above its two columns.
     """
-    _require_weight_at_most(a, k, l)
+    p = highest_particle(a, k, l)
+    c = 0 if p is None or p.kind == "L" or a.support_max > p.position + 1 else a.get(p.position)
+    return FreeParticle(p.position, c, l) if c else None
+
+
+def separate_highest(a: Configuration, k: int, l: int) -> Separation:
+    """Right-move until the highest weight-l particle floats free, then detach it.
+
+    Returns the move count t, the free particle, the surplus d - t (already
+    stable at the first free moment), and the remainder with the particle's
+    two columns and everything above them dropped.
+    """
+    if a.is_zero:
+        raise MoveError("the zero configuration holds no particle to separate")
+    _require_weight_exact(a, k, l)
     sc = _Scratch(a)
-    top = len(sc.vals) - sc.MARGIN - 1
-    found = _sight(sc.vals, l, k + l, top, -1)
-    if found is None:
-        return None
-    i, by_s = found
-    c = sc.vals[i]
-    return FreeParticle(sc.lo + i, c, l) if by_s and c and top <= i + 1 else None
+    _, s, i = _float_off(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, _debug_enabled())
+    fp = FreeParticle(sc.lo + i, sc.vals[i], l)
+    return Separation(fp.energy - s, fp, s, sc.to_configuration(hi=fp.position - 1))
 
 
-def _float_free(sc: _Scratch, k: int, l: int, top: int, length: int, energy: int, origin: Configuration, debug: bool,
-                found: tuple[int, bool] | None) -> tuple[int, int]:
-    """Right-move the highest weight-l particle in place until it floats free, replaying each jump under ``debug``.
+def _float_off(
+    sc: _Scratch, k: int, l: int, top: int, length: int, energy: int, origin: Configuration, debug: bool
+) -> tuple[int, int, int]:
+    """(weight, surplus, index i) of the highest particle of ``sc``, floated free by right moves to i and i + 1 in place.
 
-    ``top`` is the buffer index of the highest occupied column, ``found`` the
-    downward ``_sight`` of the particle from there, the buffer has weight
-    exactly l, and ``length`` and ``energy`` are the buffer's.  Returns the
-    move count and the index of the free particle's lower column.  Each move
-    re-checks the four windows it raises, then walks down as ``_sight`` does.
-    An isolated particle below lighter content rises to four columns below it
-    in one step (module docstring).  ``origin`` names the input in errors.
+    The nonzero buffer holds its content from index ``MARGIN`` to ``top`` and weighs at most ``l``, from which
+    ``_stepped_weight`` steps down to the weight and sights the particle (RIGGED_DEBUG=1 recomputes the weight).
+    ``length`` and ``energy`` are the buffer's; the surplus is the free particle's energy less the moves.  Each
+    move re-checks the four windows it raises, then walks down as ``_sight`` does.  An isolated particle below
+    lighter content rises to four columns below it in one step, replayed move by move under ``debug`` (module
+    docstring).  ``origin`` names the input in errors.
     """
     vals = sc.vals
+    l, found = _stepped_weight(vals, k, l, top)
+    if debug:
+        s_max, _, l_max = _window_maxima(vals[sc.MARGIN - 2 : top + 3])
+        if max(s_max, l_max - k) != l:
+            raise InternalCheckError(
+                f"remainder weight {max(s_max, l_max - k)} disagrees with the stepped weight {l}, from {origin}"
+            )
     # Energy rises by one per move but stays below length * (c + 2), c the
     # column of ``top``, while the support cannot outgrow the free position,
     # so this cap is unreachable except through a bug.
     cap = length * (sc.lo + top + 2) - energy + 2
     kl = k + l
-    i, by_s = found or (0, False)  # window 0 is never read: index 0 stands for no sighting
+    i, by_s = found
     t = 0
     while True:
-        if not i:
+        if not i:  # window 0 is never read: the walk ends there when it sights nothing
             raise InternalCheckError(f"weight fell below l={l} after {t} right moves from {origin}")
         if by_s and vals[i] and top <= i + 1:
-            return t, i
+            return l, l * (sc.lo + i) + vals[i + 1] - t, i
         rise = 0
         if by_s and not (vals[i - 1] or vals[i + 2] or vals[i - 2] or vals[i + 3] or vals[i - 3] or vals[i + 4]):
             # Isolated below lighter content at column n: rise until the
@@ -517,42 +528,6 @@ def _float_free(sc: _Scratch, k: int, l: int, top: int, length: int, energy: int
             b, x, y = a, b, x
             j -= 1
         i, by_s = j, s == l
-
-
-def separate_highest(a: Configuration, k: int, l: int) -> Separation:
-    """Right-move until the highest weight-l particle floats free, then detach it.
-
-    Returns the move count t, the free particle, the surplus d - t (already
-    stable at the first free moment), and the remainder with the particle's
-    two columns and everything above them dropped.
-    """
-    if a.is_zero:
-        raise MoveError("the zero configuration holds no particle to separate")
-    _require_weight_exact(a, k, l)
-    sc = _Scratch(a)
-    top = len(sc.vals) - sc.MARGIN - 1
-    t, i = _float_free(sc, k, l, top, a.length(), a.energy(), a, _debug_enabled(), _sight(sc.vals, l, k + l, top, -1))
-    fp = FreeParticle(sc.lo + i, sc.vals[i], l)
-    return Separation(t, fp, fp.energy - t, sc.to_configuration(hi=fp.position - 1))
-
-
-def _float_off(
-    sc: _Scratch, k: int, l: int, top: int, length: int, energy: int, origin: Configuration, debug: bool
-) -> tuple[int, int, int]:
-    """(weight, surplus, index i) of the highest particle of ``sc``, floated free to indices i and i + 1 in place.
-
-    The nonzero buffer holds its content from index ``MARGIN`` to ``top`` and weighs at most ``l``, from which
-    ``_stepped_weight`` steps down (RIGGED_DEBUG=1 recomputes the weight).  The surplus is the energy less the moves.
-    """
-    l, found = _stepped_weight(sc.vals, k, l, top)
-    if debug:
-        s_max, _, l_max = _window_maxima(sc.vals[sc.MARGIN - 2 : top + 3])
-        if max(s_max, l_max - k) != l:
-            raise InternalCheckError(
-                f"remainder weight {max(s_max, l_max - k)} disagrees with the stepped weight {l}, from {origin}"
-            )
-    t, i = _float_free(sc, k, l, top, length, energy, origin, debug, found)
-    return l, l * (sc.lo + i) + sc.vals[i + 1] - t, i
 
 
 def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
@@ -652,7 +627,7 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
     vals, m, kl = sc.vals, sc.MARGIN, k + l
     found, left = range(start + 2, len(vals) - 2), times
     while left > 0:
-        full = _cut_scan(vals, _every_window(vals, +1), l, kl) if debug else None
+        full = _cut_scan(vals, l, kl, +1) if debug else None
         found, isolated = _sweep(vals, found, l, kl, sc.lo)
         if full is not None and full != found:
             raise InternalCheckError(

@@ -66,6 +66,7 @@ class QPolynomial:
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int], order: int | None = None) -> "QPolynomial":
+        _check_ints("degree", *coeffs)
         if coeffs and min(coeffs) < 0:
             raise ValueError(f"negative degree {min(coeffs)}")
         top = max(coeffs, default=-1) if order is None else min(max(coeffs, default=-1), order)
@@ -78,6 +79,7 @@ class QPolynomial:
     # -- queries --------------------------------------------------------------
 
     def coefficient(self, degree: int) -> int:
+        _check_ints("degree", degree)
         return self.coeffs[degree] if 0 <= degree < len(self.coeffs) else 0
 
     __getitem__ = coefficient

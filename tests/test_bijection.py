@@ -117,6 +117,30 @@ class TestRiggedPartition:
                 RiggedPartition.from_json_dict({"parts": [part]})
 
 
+# Every integer argument of the public entries: (id, the call with v in that argument).
+INTEGER_ARGUMENTS = [
+    ("multiplicities weights", lambda v: multiplicities((v, 2), 3)),
+    ("multiplicities k", lambda v: multiplicities((1,), v)),
+    ("e0 weights", lambda v: e0((v, 1), 3)),
+    ("e0 k", lambda v: e0((1,), v)),
+    ("e1 riggings", lambda v: e1((v, 2))),
+    ("iota k", lambda v: iota(cfg(1, 1), v)),
+    ("kappa k", lambda v: kappa(rp((1,), (0,)), v)),
+    ("RiggedPartition.multiplicity w", lambda v: rp((2, 1), (0, 0)).multiplicity(v)),
+    ("RiggedPartition.min_rigging w", lambda v: rp((2, 1), (0, 0)).min_rigging(v)),
+    ("RiggedPartition.drop_weight w", lambda v: rp((2, 1), (0, 0)).drop_weight(v)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value", [pytest.param(call, v, id=f"{name}={v!r}") for name, call in INTEGER_ARGUMENTS for v in (2.0, True, 1.5)]
+)
+def test_integer_arguments_checked(call, value):
+    # A float or bool is never truncated: 2.0 and True would pass every range check as 2 and 1.
+    with pytest.raises(ValueError, match=rf"got {value!r}\b"):
+        call(value)
+
+
 class TestEnergySplit:
     def test_examples(self):
         assert e0((3, 1), 3) == 3

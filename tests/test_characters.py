@@ -107,6 +107,7 @@ INTEGER_ARGUMENTS = [
     ("chi_closed b", lambda v: chi_closed(2, 2, 0, v, 2), False),
     ("chi_closed N", lambda v: chi_closed(2, 2, 0, 0, v), True),
     ("config_sum k", lambda v: config_sum(v, 3, N=2), False),
+    ("config_sum r", lambda v: config_sum(2, v, N=2), False),
     ("config_sum a0", lambda v: config_sum(2, 3, a0=v, N=2), False),
     ("config_sum a1", lambda v: config_sum(2, 3, a1=v, N=2), False),
     ("config_sum N", lambda v: config_sum(2, 3, N=v), True),

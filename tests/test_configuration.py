@@ -58,6 +58,8 @@ INTEGER_ARGUMENTS = [
     ("check_level l", lambda v: check_level(3, v), False),
     ("weight k", lambda v: weight(cfg(1, 1), v), False),
     ("is_admissible k", lambda v: is_admissible(cfg(1, 1), v), False),
+    ("is_admissible r", lambda v: is_admissible(cfg(1, 1), 3, v), False),
+    ("enumerate r", lambda v: list(enumerate_configurations(2, v, 2)), False),
     ("enumerate k", lambda v: list(enumerate_configurations(v, 3, 2)), False),
     ("enumerate N", lambda v: list(enumerate_configurations(2, 3, v)), False),
     ("enumerate a0", lambda v: list(enumerate_configurations(2, 3, 2, a0=v)), False),

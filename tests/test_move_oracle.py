@@ -370,6 +370,7 @@ def falling(draw):
 
 
 @given(falling())
+@example((6, [1] + [0] * 11 + [6, 0, 0, 0, 2, 4] + [0] * 4, [72, 100], 5))  # a pair 5l - 2 apart is not clear for every residue
 @settings(max_examples=150, deadline=None)
 def test_fall_keeps_three_zero_columns(case):
     # The fall length is the largest d (at most ``left``) such that after

@@ -146,7 +146,7 @@ class TestPositions:
         # A scan that sights only the lowest unit of (1,0,0,1): moving it
         # right at k=1 puts two units in one 3-window; the sweep's check
         # reports it as an internal fault.
-        monkeypatch.setattr(moves, "_cut_scan", lambda vals, windows, l, kl: [vals.index(1)])
+        monkeypatch.setattr(moves, "_cut_scan", lambda vals, l, kl, step: [vals.index(1)])
         with pytest.raises(InternalCheckError, match="sweep left the admissible class"):
             move_all(cfg(1, 0, 0, 1), 1, 1, "right")
 
@@ -154,11 +154,16 @@ class TestPositions:
 def sweep_without(offset):
     """A faulty ``_sweep`` that reads the windows q - 2, q - 1 and q of each q of ``last`` except q + ``offset``.
 
-    It sights by ``_cut_scan`` and moves and tests isolation as the honest sweep does.
+    It sights as a cut-scan of those windows does, and moves and tests isolation as the honest sweep does.
     """
 
     def sweep(vals, last, l, kl, lo):
-        found = moves._cut_scan(vals, sorted({q + d for q in last for d in (-2, -1, 0) if d != offset}), l, kl)
+        cut, found = vals[:], []
+        for j in sorted({q + d for q in last for d in (-2, -1, 0) if d != offset}):
+            s = cut[j] + cut[j + 1]
+            if s == l or 2 * s + cut[j - 1] + cut[j + 2] == kl:
+                found.append(j)
+                cut[j] = cut[j + 1] = 0
         isolated = all(vals[p] + vals[p + 1] == l and not any(vals[p - 3 : p] + vals[p + 2 : p + 5]) for p in found)
         for p in found:
             vals[p] += 1
@@ -258,11 +263,14 @@ class TestSteppedWeight:
             moves._stepped_weight([0] * 9, 3, 3, 4)
 
     def test_wrong_step_detected_under_debug(self, rigged_debug, monkeypatch):
-        # Never stepping down keeps weight 3 for the weight-1 remainder of 0:3,0,0,1.
+        # Never stepping down keeps weight 3 for 3:1, the weight-1 remainder of 0:3,0,0,1, and sights nothing
+        # there: the debug weight check must fire before the float unpacks the missing sighting.
         sight = moves._sight
         monkeypatch.setattr(moves, "_stepped_weight", lambda vals, k, l, top: (l, sight(vals, l, k + l, top + 1, -1)))
+        a = cfg(1, offset=3)
+        sc = moves._Scratch(a)
         with pytest.raises(InternalCheckError, match="remainder weight 1 disagrees with the stepped weight 3"):
-            moves._peel(cfg(3, 0, 0, 1), 3)
+            moves._float_off(sc, 3, 3, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, moves._debug_enabled())
 
 
 @pytest.mark.parametrize(
@@ -414,12 +422,14 @@ class TestSeparation:
         with pytest.raises(InternalCheckError, match="admissible class"):
             separate_highest(cfg(1, 0, 0, 1), 1, 1)
 
-    def test_recheck_raises_exactly_when_the_move_leaves_the_class(self):
+    def test_recheck_raises_exactly_when_the_move_leaves_the_class(self, monkeypatch):
         # The per-move re-check reads only the four windows a unit right move
         # raises.  A float handed a sighting at one occupied column, and an
         # energy that leaves it a cap of 0 moves, re-checks one move of that
         # unit and stops; it must raise on exactly the moves that a full
         # window pass rejects.
+        handed = {}
+        monkeypatch.setattr(moves, "_stepped_weight", lambda vals, k, l, top: (l, (handed["i"], False)))
         leaving = 0
         for k in range(1, 5):
             for l in range(1, k + 1):
@@ -431,8 +441,9 @@ class TestSeparation:
                         top = len(sc.vals) - sc.MARGIN - 1
                         # The cap is length * (column of top + 2) - energy + 2.
                         energy = a.length() * (sc.lo + top + 2) + 2
+                        handed["i"] = i
                         with pytest.raises(InternalCheckError) as err:
-                            moves._float_free(sc, k, l, top, a.length(), energy, a, False, (i, False))
+                            moves._float_off(sc, k, l, top, a.length(), energy, a, False)
                         if "left the weight" in str(err.value):
                             assert moves._leaves_class(sc.vals, k, l), (k, l, a, i)
                             leaving += 1
@@ -462,7 +473,8 @@ class TestFaultPaths:
             right_move(cfg(1, 0, 0, 1), 1, 1)
 
     def test_float_loses_its_particle(self, monkeypatch):
-        monkeypatch.setattr(moves, "_sight", lambda vals, l, kl, j, step: None)
+        # Index 0 is where the float's downward walk ends when it sights nothing.
+        monkeypatch.setattr(moves, "_stepped_weight", lambda vals, k, l, top: (l, (0, False)))
         with pytest.raises(InternalCheckError, match="weight fell below l=1 after 0 right moves from 0:1,0,0,1"):
             separate_highest(cfg(1, 0, 0, 1), 1, 1)
 
@@ -478,19 +490,19 @@ class TestFaultPaths:
         sc = moves._Scratch(a)
         top = len(sc.vals) - sc.MARGIN - 1
         with pytest.raises(InternalCheckError, match="no free particle after 7 right moves from 0:2,0,0,0,0,0,0,0,1"):
-            moves._float_free(sc, 3, 2, top, a.length(), a.energy() + 17, a, False, moves._sight(sc.vals, 2, 5, top, -1))
+            moves._float_off(sc, 3, 2, top, a.length(), a.energy() + 17, a, False)
 
     def test_running_energy_checked_under_debug(self, rigged_debug, monkeypatch):
         # One move too many counted for the first particle leaves the running energy one above the remainder's, 0.
-        honest = moves._float_free
+        honest = moves._float_off
         calls = []
 
-        def miscounting(sc, k, l, top, length, energy, origin, debug, found):
-            t, i = honest(sc, k, l, top, length, energy, origin, debug, found)
+        def miscounting(sc, k, l, top, length, energy, origin, debug):
+            l, s, i = honest(sc, k, l, top, length, energy, origin, debug)
             calls.append(l)
-            return t + (len(calls) == 1), i
+            return l, s - (len(calls) == 1), i
 
-        monkeypatch.setattr(moves, "_float_free", miscounting)
+        monkeypatch.setattr(moves, "_float_off", miscounting)
         with pytest.raises(InternalCheckError, match="running length 1 and energy 1 disagree with the buffer"):
             moves._peel(cfg(3, 0, 0, 1), 3)
 

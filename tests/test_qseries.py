@@ -310,6 +310,8 @@ INTEGER_ARGUMENTS = [
     ("gordon_phase l'", lambda v: gordon_phase(1, v)),
     ("QPolynomial coefficient", lambda v: QPolynomial((1, v))),
     ("QPolynomial order", lambda v: QPolynomial((1, 2), v)),
+    ("QPolynomial.from_dict degree", lambda v: QPolynomial.from_dict({v: 3})),
+    ("QPolynomial.coefficient degree", lambda v: QPolynomial((1, 2)).coefficient(v)),
 ]
 
 

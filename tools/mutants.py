@@ -92,6 +92,44 @@ MUTANTS = (
         ("tests/test_moves.py::TestPassing::test_negative_column_detected",),
     ),
     Mutant(
+        "_cut_scan stops cutting its copy",
+        "src/rigged/moves.py",
+        "        found.append(j)\n        vals[j] = vals[j + 1] = 0\n",
+        "        found.append(j)\n",
+        (
+            "tests/test_moves.py::TestPositions::test_examples",
+            "tests/test_move_oracle.py::test_single_moves_match_reference",
+        ),
+    ),
+    Mutant(
+        "_float_off's per-move re-check drops S",
+        "src/rigged/moves.py",
+        "b + c > l or ",
+        "",
+        ("tests/test_moves.py::TestSeparation::test_recheck_raises_exactly_when_the_move_leaves_the_class",),
+    ),
+    Mutant(
+        "_float_off's isolated rise overshoots by one column",
+        "src/rigged/moves.py",
+        "rise = l * (n - 4) - e",
+        "rise = l * (n - 3) - e",
+        ("tests/test_moves.py::TestFreeFlight::test_overlong_rise_detected",),
+    ),
+    Mutant(
+        "_fall treats a pair 5l - 2 apart as clear for every residue",
+        "src/rigged/moves.py",
+        "< 5 * l - 1:",
+        "< 5 * l - 2:",
+        ("tests/test_move_oracle.py::test_fall_keeps_three_zero_columns",),
+    ),
+    Mutant(
+        "_fall lets a particle land one column low",
+        "src/rigged/moves.py",
+        "max((e - d) // l - 3, 0)",
+        "max((e - d) // l - 2, 0)",
+        ("tests/test_moves.py::TestLocalRescan::test_dropped_window_detected",),
+    ),
+    Mutant(
         "enumerate_configurations ends a row at a column that costs exactly the energy left",
         "src/rigged/configuration.py",
         "if i > limit or left[i] < i:",
@@ -106,6 +144,16 @@ MUTANTS = (
         (
             "tests/test_configuration.py::TestEnumeration::test_matches_product_oracle[4-3]",
             "tests/test_characters.py::TestColumnTransfer::test_weighted_sum_matches_product_oracle[5]",
+        ),
+    ),
+    Mutant(
+        "_fermionic_sum packs into slots 8 bits narrower",
+        "src/rigged/characters.py",
+        "    bits = _slot_bits(sum(math.prod(math.comb(p_j + m_j, m_j) for p_j, m_j in keys) for _, keys in terms))\n",
+        "    bits = max(_slot_bits(sum(math.prod(math.comb(p_j + m_j, m_j) for p_j, m_j in keys) for _, keys in terms)) - 8, 8)\n",
+        (
+            "tests/test_identities.py::TestBeyondTheGrid::test_every_polynomial_identity_at_level_five[2]",
+            "tests/test_characters.py::TestPackedKernels::test_fermionic_sum_matches_lists",
         ),
     ),
     Mutant(
