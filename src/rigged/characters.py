@@ -146,6 +146,11 @@ def satisfies_boundary(rp: RiggedPartition, k: int, N: int) -> bool:
 def member(rp: RiggedPartition, rset: RestrictedSet, k: int) -> bool:
     """Membership in a restricted family: cap, floor, bumps, boundary."""
     check_level(k, rset.l)
+    return _member(rp, rset, k)
+
+
+def _member(rp: RiggedPartition, rset: RestrictedSet, k: int) -> bool:
+    """``member`` for a level ``k`` already checked against ``rset.l``."""
     if rp.parts and rp.parts[0][0] > rset.l:
         return False
     values = rset.floor.values
@@ -246,7 +251,7 @@ def rigged_sum(k: int, rset: RestrictedSet) -> QPolynomial:
     """Degree generating function of a restricted family, by brute enumeration."""
     if rset.boundary is None:
         raise ValueError("rigged_sum needs a boundary to be a finite sum")
-    family = (rp for rp in enumerate_rigged(k, rset.l, rset.boundary, rset.floor) if member(rp, rset, k))
+    family = (rp for rp in enumerate_rigged(k, rset.l, rset.boundary, rset.floor) if _member(rp, rset, k))
     return QPolynomial.from_dict(Counter(_quadratic_form(k, _counts(rp.parts, k)) + sum(rp.riggings) for rp in family))
 
 

@@ -18,12 +18,12 @@ from .characters import (
     RestrictedSet,
     _fits_ceilings,
     _floor_difference_sets,
+    _member,
     chi_closed,
     config_sum,
     enumerate_rigged,
     floor_for,
     initial_columns_set,
-    member,
     rigged_sum,
     weighted_config_sum,
 )
@@ -278,14 +278,14 @@ def verify_init(k: int, l: int, a: int, b: int, N: int) -> VerifyReport:
     check_level(k, l)
     image = _init_image(k, l, a, b, N, _debug_enabled())
     rset = initial_columns_set(a, b, l, k, boundary=N)
-    predicate = {rp for rp in enumerate_rigged(k, l, N, rset.floor) if member(rp, rset, k)}
+    predicate = {rp for rp in enumerate_rigged(k, l, N, rset.floor) if _member(rp, rset, k)}
     witness = _set_mismatch(image, predicate)
     params = {"k": k, "l": l, "a": a, "b": b, "N": N, "size": len(image)}
     if witness is None and l == k:
         # Outside floor(a, b) both sides are empty: the image equals the predicate set, which lies inside it.
         inside, outside = _floor_difference_sets(a, b, k, N)
         for rp in enumerate_rigged(k, l, N, inside.floor):
-            if (member(rp, inside, k) and not any(member(rp, s, k) for s in outside)) != (rp in image):
+            if (_member(rp, inside, k) and not any(_member(rp, s, k) for s in outside)) != (rp in image):
                 witness = f"{rp}: difference form disagrees with the image"
                 break
     return VerifyReport("init-image", params, first_mismatch=witness)
@@ -300,7 +300,7 @@ def verify_init_cover(k: int, l: int, N: int) -> VerifyReport:
     images = {(a, b): _init_image(k, l, a, b, N, debug) for a, b in pairs}
     witness = None
     for rp in enumerate_rigged(k, l, N):
-        hits = [(a, b) for a, b in pairs if member(rp, sets[(a, b)], k)]
+        hits = [(a, b) for a, b in pairs if _member(rp, sets[(a, b)], k)]
         if len(hits) != 1:
             witness = f"{rp} lies in {len(hits)} families: {hits}"
             break
@@ -357,21 +357,21 @@ def verify_recursion(l: int, k: int, N: int) -> VerifyReport:
         m_l = rp.multiplicity(l)
         low = rp.min_rigging(l)
         for (a, b), rset in level_sets.items():
-            lhs = member(rp, rset, k)
+            lhs = _member(rp, rset, k)
             if a + b < l:
                 pin = 2 * l - 2 * a - b
                 hits = 0
-                if member(bar, sub_sets[(a, b)], k) and (m_l == 0 or (low is not None and low >= pin)):
+                if _member(bar, sub_sets[(a, b)], k) and (m_l == 0 or (low is not None and low >= pin)):
                     hits += 1
                 for c in range(b):
-                    if member(bar, sub_sets[(a, c)], k) and m_l >= 1 and low == pin:
+                    if _member(bar, sub_sets[(a, c)], k) and m_l >= 1 and low == pin:
                         hits += 1
             else:
                 pin = l - a
                 hits = 0
                 for c in range(a + 1):
                     for d in range(l - c):
-                        if member(bar, sub_sets[(c, d)], k) and m_l >= 1 and low == pin:
+                        if _member(bar, sub_sets[(c, d)], k) and m_l >= 1 and low == pin:
                             hits += 1
             if hits > 1:
                 witness = f"{rp}: recursion terms overlap at (a,b)=({a},{b})"

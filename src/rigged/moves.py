@@ -18,11 +18,12 @@ side of the cut.  A single move copies a configuration into a buffer, sights
 the end particle and bumps two columns.  The long-running procedures keep one
 buffer for their whole run:
 
-- Floating the highest particle free by right moves (``_float_off``).
-  A unit moved from column i to i + 1 raises only the windows that weigh
-  column i + 1 above column i: the 3-window and S at i + 1 and L at i + 1
-  and i + 2.  Every other window loses value or keeps it, so re-checking
-  these four is as strong as re-checking everything, and the inline walk to
+- Floating the highest particle free by right moves (``_float_off``), one
+  run of them (below) per sighting.  A unit moved from column i to i + 1
+  raises only the windows that weigh column i + 1 above column i: the
+  3-window and S at i + 1 and L at i + 1 and i + 2.  Every other window
+  loses value or keeps it, so re-checking these four after the run is as
+  strong as re-checking everything after every move, and the inline walk to
   the next sighting starts just above them.  The forward map peels every
   particle off one buffer this way: once a particle is free, zeroing its two
   columns leaves the remainder in place.  The remainder weighs at most the
@@ -46,16 +47,35 @@ buffer for their whole run:
   it stands.  Below c = j - 2 no cut masks it.  At c = j - 2 it is one unit
   below its value before the sweep and columns j to j + 2 have not moved,
   so L at j is at most k + l - 1; S does not read it, and isolation is not
-  judged there, as c >= j - 4.  Isolation (below) is judged on the columns
-  before the sweep, and a sighting p can be isolated only if the one before
-  lies below p - 4: with columns p - 3 to p - 1 empty, window p - 3 or p - 2
-  sights nothing, window p - 1 only with l units in column p, which leaves
-  window p nothing to sight, and window p - 4 only with l units in column
-  p - 4, which window p - 5 sights first.  RIGGED_DEBUG=1 compares each
-  sweep with a full cut-scan made before it.
+  judged there, as c >= j - 4.  After a sweep that sights a single
+  particle each later sweep is the one left move at its lowest sighting, so
+  the sweeps that keep that sighting are one run (below).  Isolation (below)
+  is judged on the columns before the sweep, and a sighting p can be
+  isolated only if the one before lies below p - 4: with columns p - 3 to
+  p - 1 empty, window p - 3 or p - 2 sights nothing, window p - 1 only with
+  l units in column p, which leaves window p nothing to sight, and window
+  p - 4 only with l units in column p - 4, which window p - 5 sights first.
+  RIGGED_DEBUG=1 compares each sweep with a full cut-scan made before it.
 - Passing a heavy probe down through a lighter configuration from far above,
-  one unit left move in place per step; only a move at the buffer's low
-  margin goes through ``bump``, which grows the buffer.
+  one run of left moves (below) in place per sighting; only a move at the
+  buffer's low margin goes through ``bump``, which grows the buffer, one at
+  a time.
+
+Runs.  A unit right move at window i keeps S and L at i and raises S and L
+at i + 1 and L at i + 2 by one each; every other S and L falls or stays.  A
+left move is the mirror image, at i - 1 and i - 2.  Each kernel moves at the
+sighting nearest the end the unit moves towards, so no window on that side
+of i sights, and only the raised ones can start to.  The next move is
+therefore again at i until one of the three raised sums reaches its bound or
+the column the unit leaves (i for a right move, i + 1 for a left one) runs
+out: q = min(units left there, l - S, k + l - L, k + l - L') moves, read
+once from the windows the move raises (``_run_length``).  Each kernel makes
+those q moves in one step.  The sums a run raises only rise during it, so
+one re-check at its end is as strong as one per move.  RIGGED_DEBUG=1
+replays every run one move at a time on a copy: the float's and the probe's
+as the unit moves they made before runs, each only once ``_sight`` from two
+windows on sights window i (``_unit_moves_agree``), and a lone particle's as
+sweeps by ``_sweep``, each compared with a full cut-scan.
 
 Free flight.  A weight-l particle is *isolated* when all l of its units lie
 in two adjacent columns with three zero columns on each side.  A window
@@ -228,6 +248,41 @@ def _sight(vals: list[int], l: int, kl: int, j: int, step: int) -> tuple[int, bo
     return None
 
 
+def _run_length(vals: list[int], i: int, step: int, l: int, kl: int) -> int:
+    """Unit moves at window ``i``, right (``step=-1``) or left (``step=+1``), that keep the sighting there.
+
+    Each raises S and L at i - step and L at i - 2 * step by one and takes one unit from column i (right) or
+    i + 1 (left), so the run lasts until one of those sums reaches its bound or that column runs out
+    (module docstring).
+    """
+    j, h = i - step, i - 2 * step
+    s = vals[j] + vals[j + 1]
+    # The least of the four, compared in line: a ``min`` call made the float's loop measurably slower.
+    q = vals[i + (step > 0)]
+    if l - s < q:
+        q = l - s
+    r = kl - vals[j - 1] - 2 * s - vals[j + 2]
+    if r < q:
+        q = r
+    r = kl - vals[h - 1] - 2 * (vals[h] + vals[h + 1]) - vals[h + 2]
+    return r if r < q else q
+
+
+def _unit_moves_agree(before: list[int], after: list[int], i: int, q: int, step: int, l: int, kl: int) -> bool:
+    """Whether q unit moves at window i, right (``step=-1``) or left (``step=+1``), take ``before`` to ``after``.
+
+    The run replayed one move at a time on ``before``, in place, as the kernels moved before runs: each move is
+    made only once ``_sight`` from two windows on, towards i, sights window i (RIGGED_DEBUG=1).
+    """
+    for _ in range(q):
+        found = _sight(before, l, kl, i - 2 * step, step)
+        if found is None or found[0] != i:
+            return False
+        before[i] += step
+        before[i + 1] -= step
+    return before == after
+
+
 def _stepped_weight(vals: list[int], k: int, l: int, top: int) -> tuple[int, tuple[int, bool]]:
     """Weight of the buffer ``vals``, nonzero with highest occupied index ``top``, given that it is at most ``l``.
 
@@ -288,6 +343,18 @@ def _sweep(vals: list[int], last: Iterable[int], l: int, kl: int, lo: int) -> tu
                 b = x = 0
             a, b, x = b, x, y
             j += 1
+    return found, isolated
+
+
+def _checked_sweep(vals: list[int], last: Iterable[int], l: int, kl: int, lo: int) -> tuple[list[int], bool]:
+    """``_sweep``, compared with a cut-scan of every window made before it (RIGGED_DEBUG=1)."""
+    full = _cut_scan(vals, l, kl, +1)
+    found, isolated = _sweep(vals, last, l, kl, lo)
+    if full != found:
+        raise InternalCheckError(
+            f"sweep sighted weight-{l} particles at {[lo + p for p in found]}, "
+            f"the full scan at {[lo + p for p in full]}"
+        )
     return found, isolated
 
 
@@ -450,9 +517,10 @@ def _float_off(
     The nonzero buffer holds its content from index ``MARGIN`` to ``top`` and weighs at most ``l``, from which
     ``_stepped_weight`` steps down to the weight and sights the particle (RIGGED_DEBUG=1 recomputes the weight).
     ``length`` and ``energy`` are the buffer's; the surplus is the free particle's energy less the moves.  Each
-    move re-checks the four windows it raises, then walks down as ``_sight`` does.  An isolated particle below
-    lighter content rises to four columns below it in one step, replayed move by move under ``debug`` (module
-    docstring).  ``origin`` names the input in errors.
+    run of moves at one sighting is one step, which re-checks the four windows it raises, then walks down as
+    ``_sight`` does.  An isolated particle below lighter content rises to four columns below it in one step.
+    Under ``debug`` both are replayed move by move, a rise by ``right_move`` (module docstring).  ``origin``
+    names the input in errors.
     """
     vals = sc.vals
     l, found = _stepped_weight(vals, k, l, top)
@@ -498,15 +566,21 @@ def _float_off(
             t += rise
             j = n - 2
         else:
-            vals[i] -= 1
-            vals[i + 1] += 1
-            if vals[i] < 0:
-                raise InternalCheckError(f"column {sc.lo + i} driven negative")
+            # The run of right moves at window i (module docstring), at least one so that a fault still moves
+            # and is caught; it can be longer only if column i holds more than one unit.
+            q = _run_length(vals, i, -1, l, kl) if vals[i] > 1 else 1
+            if q < 1:
+                q = 1
             if i + 1 > top:
                 top = i + 1
                 if top + sc.MARGIN >= len(vals):
                     vals.extend([0] * len(vals))
-            # Re-check the four windows the move raised (module docstring).  Windows
+            before = vals[:] if debug else None
+            vals[i] -= q
+            vals[i + 1] += q
+            if vals[i] < 0:
+                raise InternalCheckError(f"column {sc.lo + i} driven negative")
+            # Re-check the four windows the run raised (module docstring).  Windows
             # from i + 3 up read neither column and held no sighting before, so the
             # next walk starts at i + 2.
             b, c, d = vals[i + 1], vals[i + 2], vals[i + 3]
@@ -514,8 +588,12 @@ def _float_off(
                 raise InternalCheckError(
                     f"right move at column {sc.lo + i} left the weight-{l} admissible class, from {origin}"
                 )
+            if before is not None and not _unit_moves_agree(before, vals, i, q, -1, l, kl):
+                raise InternalCheckError(
+                    f"run of {q} right moves at column {sc.lo + i} disagrees with single moves, from {origin}"
+                )
+            t += q
             j = i + 2
-            t += 1
         if t > cap:
             raise InternalCheckError(f"no free particle after {cap} right moves from {origin}")
         # Walk down from window j, holding its columns j - 1 to j + 2 in a, b, x and y.
@@ -621,19 +699,16 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
 
     The first sweep reads the windows from index ``start`` up, none below which may sight a particle.  When
     every sighting of a sweep is isolated, the particles fall on by as many sweeps as keeps them isolated,
-    counting that one, in one step (module docstring).  With ``debug`` every sweep is compared with a
-    cut-scan of every window, and every fall with as many sweeps of ``move_all``.
+    counting that one, in one step; when a sweep sights a single particle, the sweeps after it that keep its
+    sighting are one run of left moves (module docstring).  With ``debug`` every sweep is compared with a
+    cut-scan of every window, every fall with as many sweeps of ``move_all``, and every run with as many
+    sweeps, each compared with a cut-scan.
     """
     vals, m, kl = sc.vals, sc.MARGIN, k + l
     found, left = range(start + 2, len(vals) - 2), times
+    sweep = _checked_sweep if debug else _sweep
     while left > 0:
-        full = _cut_scan(vals, l, kl, +1) if debug else None
-        found, isolated = _sweep(vals, found, l, kl, sc.lo)
-        if full is not None and full != found:
-            raise InternalCheckError(
-                f"sweep sighted weight-{l} particles at {[sc.lo + p for p in found]}, "
-                f"the full scan at {[sc.lo + p for p in full]}"
-            )
+        found, isolated = sweep(vals, found, l, kl, sc.lo)
         if expected is not None and len(found) != expected:
             raise InternalCheckError(
                 f"expected {expected} weight-{l} particles during sweep, found {len(found)}"
@@ -664,6 +739,23 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
                 left -= d
                 continue
         left -= 1
+        if len(found) == 1 and left:
+            # A lone particle: the next sweeps are left moves at its sighting q while they sight it there.
+            q = found[0]
+            r = min(_run_length(vals, q, +1, l, kl), left)
+            if r > 0:
+                before = vals[:] if debug else None
+                vals[q] += r
+                vals[q + 1] -= r
+                if before is not None:
+                    last = found
+                    for _ in range(r):
+                        last = _checked_sweep(before, last, l, kl, sc.lo)[0]
+                    if before != vals:
+                        raise InternalCheckError(
+                            f"run of {r} sweeps of the weight-{l} particle at {sc.lo + q} disagrees with single sweeps"
+                        )
+                left -= r
 
 
 def left_sweeps(b: Configuration, k: int, l: int, times: int) -> Configuration:
@@ -705,14 +797,17 @@ def _drop_groups(
 # -- passing a heavy probe ---------------------------------------------------
 
 
-def _descend(a: Configuration, k: int, l: int, probe_column: int, record: bool) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
-    """Drop a weight-l probe from ``probe_column`` through nonzero ``a`` by left moves.
+def _descend(
+    a: Configuration, k: int, l: int, probe_column: int, record: bool, debug: bool
+) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
+    """Drop a weight-l probe from ``probe_column`` through nonzero ``a`` by runs of left moves.
 
     Records a node the first time the probe's position reaches each column
     from top + 1 (``top`` is the highest column of ``a``) down, unless
     ``record`` is off; nodes above that depend on ``probe_column``.  Stops as
     soon as the probe sits fully below the rest with a two-column gap; what
-    lies above it then is the passed configuration.
+    lies above it then is the passed configuration.  Under ``debug`` each run
+    is replayed move by move (``_unit_moves_agree``).
     """
     top = a.support_max
     sc = _Scratch(a)
@@ -722,7 +817,8 @@ def _descend(a: Configuration, k: int, l: int, probe_column: int, record: bool) 
     last_pos: int | None = None
     min0 = min(0, a.support_min if not a.is_zero else 0)
     cap = l * (probe_column - min0 + 3 * (a.length() + 2) + 10) + 10
-    for _ in range(cap + 1):
+    moved = 0
+    while moved <= cap:
         found = _sight(vals, l, kl, 1 if last_pos is None else last_pos - 2 - sc.lo, +1)
         if found is None:
             raise InternalCheckError("probe vanished during descent")
@@ -741,11 +837,21 @@ def _descend(a: Configuration, k: int, l: int, probe_column: int, record: bool) 
                 nodes.append((kind, pos, sc.to_configuration()))
         if i < sc.MARGIN:
             sc.transfer(pos, +1)
+            moved += 1
             continue
-        vals[i] += 1
-        vals[i + 1] -= 1
+        # The run of left moves at window i, at least one so that a fault still moves and is caught; it can
+        # be longer only if column i + 1 holds more than one unit.
+        q = _run_length(vals, i, +1, l, kl) if vals[i + 1] > 1 else 1
+        if q < 1:
+            q = 1
+        before = vals[:] if debug else None
+        vals[i] += q
+        vals[i + 1] -= q
         if vals[i + 1] < 0:
             raise InternalCheckError(f"column {pos + 1} driven negative")
+        if before is not None and not _unit_moves_agree(before, vals, i, q, +1, l, kl):
+            raise InternalCheckError(f"run of {q} left moves at column {pos} disagrees with single moves")
+        moved += q
     raise InternalCheckError(f"probe failed to pass {a} within {cap} moves")
 
 
@@ -760,9 +866,9 @@ def _pass(a: Configuration, k: int, l: int, record: bool, debug: bool) -> tuple[
     if a.is_zero:
         return [], ZERO
     probe_column = max(3, a.support_max + 4)
-    nodes, result = _descend(a, k, l, probe_column, record)
+    nodes, result = _descend(a, k, l, probe_column, record, debug)
     if debug:
-        nodes2, result2 = _descend(a, k, l, probe_column + 1, record)
+        nodes2, result2 = _descend(a, k, l, probe_column + 1, record, debug)
         if result2 != result:
             raise InternalCheckError(f"passing result depends on the placement column: {result} vs {result2}")
         if nodes2 != nodes:

@@ -415,7 +415,7 @@ class TestWitnesses:
         assert report.passed is False and report.first_mismatch == "4:1: energy 4 != E0+E1 of ((1),(5))"
 
     def test_init_cover_overlap(self, monkeypatch):
-        monkeypatch.setattr(identities, "member", lambda rp, rset, k: True)
+        monkeypatch.setattr(identities, "_member", lambda rp, rset, k: True)
         report = verify_init_cover(2, 2, 3)
         assert report.passed is False
         assert report.first_mismatch == "() lies in 6 families: [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]"
@@ -433,7 +433,7 @@ class TestWitnesses:
         assert report.first_mismatch == "0:: support inside boundary True but ceilings False"
 
     def test_recursion_disagrees(self, monkeypatch):
-        monkeypatch.setattr(identities, "member", lambda rp, rset, k: True)
+        monkeypatch.setattr(identities, "_member", lambda rp, rset, k: True)
         report = verify_recursion(2, 2, 3)
         assert report.passed is False
         assert report.first_mismatch == "(): recursion disagrees at (a,b)=(0,2)"
@@ -442,7 +442,7 @@ class TestWitnesses:
         # One weight-2 part pinned at 2l - b = 3 for (a, b) = (0, 1), in every level-1 family:
         # both the floating and the pinned term of (0, 1) claim it.
         monkeypatch.setattr(identities, "enumerate_rigged", lambda k, l, N: iter([RiggedPartition.of((2,), (3,))]))
-        monkeypatch.setattr(identities, "member", lambda rp, rset, k: rset.l < 2)
+        monkeypatch.setattr(identities, "_member", lambda rp, rset, k: rset.l < 2)
         report = verify_recursion(2, 2, 3)
         assert report.passed is False
         assert report.first_mismatch == "((2),(3)): recursion terms overlap at (a,b)=(0,1)"

@@ -10,7 +10,10 @@ from rigged.configuration import ZERO, Configuration
 from rigged.identities import VerifyReport
 from rigged.moves import FreeParticle, ParticleSighting, Separation
 
-BUFFER_NAMES = {"_Scratch", "_settle", "_float_off", "_stepped_weight", "_sight", "_cut_scan", "_sweep", "_fall"}
+BUFFER_NAMES = {
+    "_Scratch", "_settle", "_float_off", "_stepped_weight", "_sight", "_cut_scan", "_sweep", "_checked_sweep", "_fall",
+    "_run_length", "_unit_moves_agree",
+}
 
 
 def names(tree: ast.AST) -> set[str]:

@@ -18,6 +18,8 @@ from rigged.moves import (
     left_sweeps,
     lowest_particle,
     particle_positions,
+    pass_particle,
+    passing_history,
     right_move,
     separate_highest,
 )
@@ -26,15 +28,30 @@ MAX_LEVEL, MAX_WIDTH, MAX_OFFSET = 8, 40, 10
 
 
 @st.composite
-def admissible(draw):
+def admissible(draw, min_level=1, max_level=MAX_LEVEL, max_width=MAX_WIDTH):
     """(k, configuration): a random nonzero (k, 3)-admissible configuration."""
-    k = draw(st.integers(1, MAX_LEVEL))
-    width = draw(st.integers(1, MAX_WIDTH))
+    k = draw(st.integers(min_level, max_level))
+    width = draw(st.integers(1, max_width))
     offset = draw(st.integers(-MAX_OFFSET, MAX_OFFSET))
     counts: list[int] = []
     for j in range(width):
         counts.append(draw(st.integers(1 if j == 0 else 0, k - sum(counts[-2:]))))
     return k, Configuration(offset, tuple(counts))
+
+
+def heavy():
+    """``admissible`` at levels 16 to 64 and widths up to 12, where a run of moves at one sighting is long."""
+    return admissible(min_level=16, max_level=64, max_width=12)
+
+
+# A lone weight-64 particle below, or above, dense lighter content that it crosses.
+RISING_64 = (64, Configuration(0, (64, 0, 0) + (20,) * 9))
+FALLING_64 = (64, Configuration(0, (20,) * 9 + (0, 0, 0, 64)))
+# A lone weight-8 particle above content at k = 11 whose L two windows below the particle's sighting ends some of
+# its runs of left moves before any other bound does.
+LONE_8 = (11, Configuration(0, (5, 2, 3, 3, 0, 0, 0, 8)))
+# At k = 6, the L two windows above the sighting ends a run of right moves before any other bound does.
+FAR_L_6 = (6, Configuration(0, (3, 2, 1, 2, 1, 3)))
 
 
 @st.composite
@@ -100,6 +117,29 @@ def reference_transfer(a: Configuration, column: int, side: str) -> Configuratio
     return Configuration(a.offset - pad, tuple(cols))
 
 
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(1, k), st.lists(st.integers(0, k), min_size=9, max_size=9), st.sampled_from([-1, 1])
+)))
+@example((2, 2, [0, 0, 0, 0, 0, 1, 0, 0, 0], 1))  # the column runs out first
+@settings(max_examples=300, deadline=None)
+def test_run_length_counts_single_moves(case):
+    # The run at window 4 of a plain list, made one unit move right (step -1) or left (step +1) at a time while
+    # the column it takes from is nonempty and the sums it raises stay below their bounds: S and L one window
+    # on, L two windows on.  Whether or not the list is admissible.
+    k, l, cols, step = case
+    vals, i, moved = cols[:], 4, 0
+    source, near, far = i + (step > 0), i - step, i - 2 * step
+
+    def big(w):
+        return vals[w - 1] + 2 * (vals[w] + vals[w + 1]) + vals[w + 2]
+
+    while vals[source] and vals[near] + vals[near + 1] < l and big(near) < k + l and big(far) < k + l:
+        vals[source] -= 1
+        vals[source - step] += 1
+        moved += 1
+    assert max(moves._run_length(cols, i, step, l, k + l), 0) == moved
+
+
 @st.composite
 def capped(draw):
     """(k, w, l, configuration): a case of ``admissible`` or ``gapped``, its weight w and a cap l in w..k."""
@@ -150,7 +190,9 @@ def reference_separation(a: Configuration, k: int, l: int):
         steps += 1
 
 
-@given(st.one_of(admissible(), gapped()))
+@given(st.one_of(admissible(), gapped(), heavy()))
+@example(RISING_64)
+@example(FAR_L_6)
 @settings(max_examples=120, deadline=None)
 def test_separation_matches_reference(case):
     # Every particle of the chain that iota reads, heaviest first.
@@ -166,7 +208,9 @@ def test_separation_matches_reference(case):
         cur = remainder
 
 
-@given(st.one_of(admissible(), gapped()))
+@given(st.one_of(admissible(), gapped(), heavy()))
+@example(RISING_64)
+@example(FALLING_64)
 @settings(max_examples=120, deadline=None)
 def test_kappa_inverts_iota(case):
     k, a = case
@@ -189,11 +233,64 @@ def reference_iota(a: Configuration, k: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-@given(st.one_of(admissible(), gapped()))
+@given(st.one_of(admissible(), gapped(), heavy()))
+@example(RISING_64)
+@example(FAR_L_6)
 @settings(max_examples=100, deadline=None)
 def test_iota_matches_reference(case):
     k, a = case
     assert iota(a, k).parts == reference_iota(a, k)
+
+
+def reference_passing(a: Configuration, k: int, l: int) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
+    """(nodes, result) of passing a weight-l probe down through ``a``, by the definition, one unit per step.
+
+    The probe starts as l units five columns above the top of ``a``.  Each step recomputes S and L over the
+    whole list and moves one unit left at the lowest sighting.  The first time the sighting reaches a column,
+    the pass stops if nothing lies below it, the two columns above the probe are empty and what lies above
+    them weighs less than l; otherwise, at column top + 1 or lower, it records (kind, column, configuration).
+    """
+    top = a.support_max
+    pad = 4
+    cols = [0] * pad + list(a.counts) + [0] * 4 + [l] + [0] * pad
+    base = a.offset - pad  # column of cols[0]
+    nodes, last = [], None
+    while True:
+        i, kind = next((i, "S" if s == l else "L") for i, s, big in _window_values(cols) if s == l or big == k + l)
+        if i != last:
+            last = i
+            rest = cols[i + 2 :]
+            if not any(cols[:i]) and not any(rest[:2]) and reference_weight([0] * 3 + rest + [0] * 3, k) < l:
+                return nodes, Configuration(base + i + 2, tuple(rest))
+            if base + i <= top + 1:
+                nodes.append((kind, base + i, Configuration(base, tuple(cols))))
+        cols[i] += 1
+        cols[i + 1] -= 1
+        assert cols[i + 1] >= 0
+        if i < 3:
+            cols[:0] = [0] * pad
+            base -= pad
+            last += pad
+
+
+@st.composite
+def passing(draw):
+    """(k, l, configuration): a case of ``admissible``, ``gapped`` or ``heavy`` of weight below k, and a probe weight above it."""
+    k, a = draw(st.one_of(admissible(), gapped(), heavy()))
+    w = reference_weight([0] * 3 + list(a.counts) + [0] * 3, k)
+    assume(w < k)
+    return k, draw(st.integers(w + 1, k)), a
+
+
+@given(passing())
+@example((64, 64, Configuration(0, (20,) * 9)))
+@example((LONE_8[0], 8, Configuration(0, LONE_8[1].counts[:4])))
+@settings(max_examples=120, deadline=None)
+def test_passing_matches_reference(case):
+    k, l, a = case
+    nodes, result = reference_passing(a, k, l)
+    assert passing_history(a, k, l) == (nodes, result)
+    assert pass_particle(a, k, l) == result
 
 
 def test_cached_iota_matches_iota():
@@ -331,7 +428,9 @@ def test_sweep_matches_cut_scan_and_moves(case, times):
         last = found
 
 
-@given(st.one_of(admissible(), gapped()), st.integers(0, 12))
+@given(st.one_of(admissible(), gapped(), heavy()), st.integers(0, 40))
+@example(FALLING_64, 260)  # about 250 sweeps carry the particle through the content
+@example(LONE_8, 30)
 @settings(max_examples=150, deadline=None)
 def test_left_sweeps_match_reference_without_debug(case, times):
     # Without RIGGED_DEBUG no full scan backs up the later sweeps, which read only windows near the last sightings.

@@ -243,6 +243,41 @@ class TestFreeFlight:
             separate_highest(self.RISING, 3, 2)
 
 
+class TestRuns:
+    """Faulty runs are caught: one move too long by the float's re-check or the debug replays, and a run at a
+    window that single moves would not sight by the debug replay."""
+
+    @pytest.fixture
+    def overlong(self, monkeypatch):
+        # One move more than ``_run_length`` allows, but never more than the column the run empties holds.
+        honest = moves._run_length
+        monkeypatch.setattr(
+            moves, "_run_length", lambda vals, i, step, l, kl: min(honest(vals, i, step, l, kl) + 1, vals[i + (step > 0)])
+        )
+
+    def test_float_recheck(self, overlong, monkeypatch):
+        # The weight-3 particle of 0:3,0,0,1 at k = 3 makes two right moves before L at column 1 reaches 6; a
+        # third puts four units in the 3-window at column 1.
+        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+        with pytest.raises(InternalCheckError, match="right move at column 0 left the weight-3 admissible class"):
+            separate_highest(cfg(3, 0, 0, 1), 3, 3)
+
+    def test_probe_run_replayed(self, overlong, rigged_debug):
+        with pytest.raises(InternalCheckError, match="run of 2 left moves at column 3 disagrees with single moves"):
+            pass_particle(cfg(1, 1, 1), 4, 3)
+
+    def test_lone_sweep_run_replayed(self, overlong, rigged_debug):
+        with pytest.raises(InternalCheckError, match="run of 2 sweeps of the weight-8 particle at 4 disagrees"):
+            left_sweeps(cfg(5, 2, 3, 3, 0, 0, 0, 8), 11, 8, 30)
+
+    def test_float_run_replayed(self, rigged_debug, monkeypatch):
+        # Handed the lower weight-1 particle of 2:1,0,0,1 at k = 2, the float moves its unit right within the
+        # class, but a single move would first sight window 4 by S, two columns up.
+        monkeypatch.setattr(moves, "_stepped_weight", lambda vals, k, l, top: (l, (4, True)))
+        with pytest.raises(InternalCheckError, match="run of 1 right moves at column 2 disagrees with single moves"):
+            separate_highest(cfg(1, 0, 0, 1, offset=2), 2, 1)
+
+
 class TestSteppedWeight:
     """The weight found by stepping down from any bound at or above it, as ``_peel`` and the cached forward map do."""
 
@@ -537,8 +572,8 @@ class TestFaultPaths:
         # Same result from either placement, but one node fewer from the odd one; without nodes no check fires.
         honest = moves._descend
 
-        def column_dependent(a, k, l, probe_column, record):
-            nodes, result = honest(a, k, l, probe_column, record)
+        def column_dependent(a, k, l, probe_column, record, debug):
+            nodes, result = honest(a, k, l, probe_column, record, debug)
             return nodes[: len(nodes) - probe_column % 2], result
 
         monkeypatch.setattr(moves, "_descend", column_dependent)
@@ -693,8 +728,8 @@ class TestPassingDebug(TestPassing):
     def test_redrop_disagreement_detected(self, monkeypatch):
         honest = moves._descend
 
-        def column_dependent(a, k, l, probe_column, record):
-            nodes, result = honest(a, k, l, probe_column, record)
+        def column_dependent(a, k, l, probe_column, record, debug):
+            nodes, result = honest(a, k, l, probe_column, record, debug)
             return nodes, result.shifted(probe_column % 2)
 
         monkeypatch.setattr(moves, "_descend", column_dependent)

@@ -109,6 +109,27 @@ MUTANTS = (
         ("tests/test_moves.py::TestSeparation::test_recheck_raises_exactly_when_the_move_leaves_the_class",),
     ),
     Mutant(
+        "_run_length drops the L bound two windows above a right run (the float's run passes i + 2)",
+        "src/rigged/moves.py",
+        "    r = kl - vals[h - 1] - 2 * (vals[h] + vals[h + 1]) - vals[h + 2]\n",
+        "    r = kl if step < 0 else kl - vals[h - 1] - 2 * (vals[h] + vals[h + 1]) - vals[h + 2]\n",
+        ("tests/test_move_oracle.py::test_separation_matches_reference",),
+    ),
+    Mutant(
+        "_run_length lets a left run empty column i + 1 and go on",
+        "src/rigged/moves.py",
+        "    q = vals[i + (step > 0)]\n",
+        "    q = kl if step > 0 else vals[i]\n",
+        ("tests/test_move_oracle.py::test_run_length_counts_single_moves",),
+    ),
+    Mutant(
+        "_run_length drops the L bound two windows below a left run (the lone-particle sweep run skips q - 2)",
+        "src/rigged/moves.py",
+        "    r = kl - vals[h - 1] - 2 * (vals[h] + vals[h + 1]) - vals[h + 2]\n",
+        "    r = kl if step > 0 else kl - vals[h - 1] - 2 * (vals[h] + vals[h + 1]) - vals[h + 2]\n",
+        ("tests/test_move_oracle.py::test_left_sweeps_match_reference_without_debug",),
+    ),
+    Mutant(
         "_float_off's isolated rise overshoots by one column",
         "src/rigged/moves.py",
         "rise = l * (n - 4) - e",
