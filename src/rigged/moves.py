@@ -29,33 +29,37 @@ buffer for their whole run:
   columns leaves the remainder in place.  The remainder weighs at most the
   peeled particle, so its weight steps down from there, one downward
   ``_sight`` per step, and the float starts at the first sighting.
-- Settling particles with full bottom-up left sweeps (``_settle``), each one
-  pass of ``_sweep``: the first over every window that may sight a particle,
-  each later one over only the windows q - 2, q - 1 and q of each sighting q
-  of the previous sweep.  That is exact.  Weight at most l means S <= l and
-  L <= k + l everywhere, and a cut only lowers window sums, so only a window
-  whose uncut S or L attains its bound can be sighted.  The left move at q
-  raises S and L at q - 1 and L at q - 2, keeps S and L at q and S at q +- 2,
-  and lowers S and L at q + 1 and L at q + 2 by one.  So no window w outside
-  every {q - 2, q - 1, q} rose, and a sum of w at its bound but unsighted was
-  masked by a cut at a sighting q' < w: it read column q' or q' + 1, so it is
-  S or L at q' + 1 or L at q' + 2, which the move at q' lowered.
-  The pass cuts nothing: a cut at c zeroes columns c and c + 1, which of the
-  later windows only c + 1 and c + 2 read, so it reads them there as zero.
-  It moves each sighting c when found, as no later window reads columns c
-  and c + 1 unmasked, save column j - 1 after a jump to window j, read as
-  it stands.  Below c = j - 2 no cut masks it.  At c = j - 2 it is one unit
-  below its value before the sweep and columns j to j + 2 have not moved,
-  so L at j is at most k + l - 1; S does not read it, and isolation is not
-  judged there, as c >= j - 4.  After a sweep that sights a single
-  particle each later sweep is the one left move at its lowest sighting, so
-  the sweeps that keep that sighting are one run (below).  Isolation (below)
-  is judged on the columns before the sweep, and a sighting p can be
-  isolated only if the one before lies below p - 4: with columns p - 3 to
-  p - 1 empty, window p - 3 or p - 2 sights nothing, window p - 1 only with
-  l units in column p, which leaves window p nothing to sight, and window
-  p - 4 only with l units in column p - 4, which window p - 5 sights first.
-  RIGGED_DEBUG=1 compares each sweep with a full cut-scan made before it.
+- Settling a group of weight-l particles as t full bottom-up left sweeps
+  would (``_settle``): each sweep cut-scans every window from below and
+  moves each sighted particle left once.  ``_settle`` moves the particles one
+  at a time instead, lowest first, each making all t of its moves before the
+  next one starts, after one cut-scan has located them.  While a particle
+  moves, the particles above it stay where they are, and the settled one
+  just below it is cut off at its last sighting c as the cut-scan cuts it:
+  columns c and c + 1 are zeroed in place, and restored once the particle
+  is done, and no window at or below c is read.  The particle is then alone.
+  A left move at its sighting q keeps S and L at q, raises only S and L at
+  q - 1 and L at q - 2, and lowers or keeps every other sum, so its next
+  sighting is the lowest window from q - 2 up, at most q.  Its moves are
+  runs and falls (below), and no bound of a window at or below c counts.
+  Why the order is right, as far as it is proven: in the sweeps, each
+  sighting of a particle lies at q - 2, q - 1 or q of its sighting q in the
+  sweep before, so sightings never rise.  The particle below, sighted at p
+  in sweep s, later moves only at or below p.  Those moves change no column
+  that the cut-scan reads above the cut at p, so that particle may make all
+  its moves first.  Two steps are not proven: that the particles above may
+  still stand where they started, and that the cut may stay at the last
+  sighting of the particle below instead of following its sightings.  Both
+  were checked against t sweeps for t in {1, 2, 4, 9, 17, 40} on every
+  configuration at its weight of support up to 12, 10, 9, 7, 6 and 5
+  columns at k = 1 to 6 (69,240 cases), and on 13,990 random drops of up to
+  five free particles onto lighter content at k <= 8, t <= 80.  Settling the
+  highest particle first fails on some of the same configurations.  Where
+  it is cheap the kernel checks the order as it goes: each particle must
+  still be the first sighting above the cut when it starts, and once all
+  have settled, nothing may be sighted above the last and the first must be
+  the lowest sighting.  RIGGED_DEBUG=1 replays every settle as t sweeps of
+  ``move_all``, each a cut-scan of every window.
 - Passing a heavy probe down through a lighter configuration from far above,
   one run of left moves (below) in place per sighting; only a move at the
   buffer's low margin goes through ``bump``, which grows the buffer, one at
@@ -69,13 +73,13 @@ of i sights, and only the raised ones can start to.  The next move is
 therefore again at i until one of the three raised sums reaches its bound or
 the column the unit leaves (i for a right move, i + 1 for a left one) runs
 out: q = min(units left there, l - S, k + l - L, k + l - L') moves, read
-once from the windows the move raises (``_run_length``).  Each kernel makes
-those q moves in one step.  The sums a run raises only rise during it, so
-one re-check at its end is as strong as one per move.  RIGGED_DEBUG=1
-replays every run one move at a time on a copy: the float's and the probe's
-as the unit moves they made before runs, each only once ``_sight`` from two
-windows on sights window i (``_unit_moves_agree``), and a lone particle's as
-sweeps by ``_sweep``, each compared with a full cut-scan.
+once from the windows the move raises (``_run_length``; ``_settle`` compares
+the same bounds in line).  Each kernel makes those q moves in one step.  The
+sums a run raises only rise during it, so one re-check at its end is as
+strong as one per move.  RIGGED_DEBUG=1 replays every run of the float and
+the probe one move at a time on a copy, as the unit moves they made before
+runs, each only once ``_sight`` from two windows on sights window i
+(``_unit_moves_agree``); a settle's runs are replayed with the whole settle.
 
 Free flight.  A weight-l particle is *isolated* when all l of its units lie
 in two adjacent columns with three zero columns on each side.  A window
@@ -89,15 +93,25 @@ of energy e - 1 or e + 1.  So while it stays isolated a run of moves is one
 arithmetic step.  It stays isolated as long as it keeps three zero columns
 from the nearest occupied column in the direction it moves: content it
 moves away from only falls further behind.  Content that never moves caps
-the run at the last energy keeping that clearance.  In a sweep the particle
-below may itself be an isolated particle falling at the same rate; their
-column gap then only depends on the residue of the energies mod l, so a
-pair clear for every residue (energy gap at least 5l - 1) never constrains
-the fall, and any other pair can fall until the upper energy is a multiple
-of l.  ``_settle`` jumps when every sighting of a sweep is isolated, and
-``_float_off`` jumps when the particle it is floating is isolated below
-lighter content.  RIGGED_DEBUG=1 compares every jump with the same moves made
-one at a time by ``move_all`` and ``right_move``, which scan every window.
+the run at the last energy keeping that clearance.  ``_float_off`` jumps
+when the particle it is floating is isolated below lighter content, and
+RIGGED_DEBUG=1 compares every such rise with the same moves made one at a
+time by ``right_move``, which scans every window.
+
+Falls.  A settling particle needs less: clearance below it only, and two
+zero columns instead of three.  Sighted by S at q, it holds all l units in
+columns q and q + 1.  Let columns q - 1 and q - 2 be empty, and let x be
+the nearest occupied column below them, with column c + 1 of the cut
+counted as occupied.  While its lower column stays at x + 3 or above, the
+particle moves as the free particle of its energy does.  Windows that read
+only columns at or below x are unchanged, so they sight nothing, as before.
+Windows that read only the particle and empty columns sight it where the
+free particle is sighted, and none lower.  Only window x + 1 reads both,
+and its L, a_x + a_(x+3), is below k + l: a_(x+3) <= l, and a_x = k would
+put S at x at k >= l, which weight at most l allows only as a sighting below
+the particle's.  Clearance above is not needed, because no window at or
+below the particle's sighting reads a column above it.  So ``_settle``
+makes the moves down to that clearance in one step.
 
 Input is validated once at entry.  Termination caps are generous
 over-estimates that only trip on internal bugs.
@@ -299,63 +313,23 @@ def _stepped_weight(vals: list[int], k: int, l: int, top: int) -> tuple[int, tup
             raise InternalCheckError(f"no particle sighted in a nonzero buffer below index {top + 1}")
 
 
-def _cut_scan(vals: list[int], l: int, kl: int, step: int) -> list[int]:
+def _cut_scan(vals: list[int], l: int, kl: int, step: int, j: int | None = None) -> list[int]:
     """Windows, walked down (``step=-1``) or up (``step=+1``), that sight a particle once the earlier ones are cut off.
 
-    Each sighting cuts its particle off a copy of ``vals`` by zeroing its two
+    The walk starts at window ``j``, by default the end it walks from.  Each
+    sighting cuts its particle off a copy of ``vals`` by zeroing its two
     columns, and the next ``_sight`` starts one window on.  ``l = 0`` sights
     nothing.
     """
-    vals, found, j = vals[:], [], len(vals) - 3 if step < 0 else 1
+    vals, found = vals[:], []
+    if j is None:
+        j = len(vals) - 3 if step < 0 else 1
     while (hit := _sight(vals, l, kl, j, step)) is not None:
         j = hit[0]
         found.append(j)
         vals[j] = vals[j + 1] = 0
         j += step
     return found
-
-
-def _sweep(vals: list[int], last: Iterable[int], l: int, kl: int, lo: int) -> tuple[list[int], bool]:
-    """One left sweep in place over the windows q - 2, q - 1 and q of each q >= 3 of ascending ``last``.
-
-    Returns the indices a cut-scan of those windows would sight, each moved left when sighted, and whether
-    each was isolated (module docstring).  ``a``, ``b``, ``x`` and ``y`` hold the columns j - 1 to j + 2 of
-    window j, masked as the cut-scan reads them but for ``a`` after a jump; ``lo`` names columns in errors.
-    """
-    found, isolated = [], True
-    c = j = -9  # the last sighting and the next window to read
-    for q in last:
-        if j < q - 2:  # a jump, so no sighting at j - 1, and column j - 1 is read as it stands
-            j = q - 2
-            a, b, x = vals[j - 1], vals[j], vals[j + 1]
-        while j <= q:
-            y = vals[j + 2]
-            s = b + x
-            if s == l or 2 * s + a + y == kl:
-                if isolated:
-                    isolated = c < j - 4 and s == l and not (a or y or vals[j - 2] or vals[j + 3] or vals[j - 3] or vals[j + 4])
-                if not x:
-                    raise InternalCheckError(f"column {lo + j + 1} driven negative")
-                vals[j] += 1
-                vals[j + 1] = x - 1
-                found.append(j)
-                c = j
-                b = x = 0
-            a, b, x = b, x, y
-            j += 1
-    return found, isolated
-
-
-def _checked_sweep(vals: list[int], last: Iterable[int], l: int, kl: int, lo: int) -> tuple[list[int], bool]:
-    """``_sweep``, compared with a cut-scan of every window made before it (RIGGED_DEBUG=1)."""
-    full = _cut_scan(vals, l, kl, +1)
-    found, isolated = _sweep(vals, last, l, kl, lo)
-    if full != found:
-        raise InternalCheckError(
-            f"sweep sighted weight-{l} particles at {[lo + p for p in found]}, "
-            f"the full scan at {[lo + p for p in full]}"
-        )
-    return found, isolated
 
 
 def _side_step(side: str) -> int:
@@ -669,93 +643,112 @@ def build_free_configuration(l: int, energies: list[int], k: int) -> Configurati
     return sc.to_configuration()
 
 
-def _fall(vals: list[int], l: int, found: list[int], energies: list[int], left: int) -> int:
-    """Sweeps, at most ``left``, that the isolated particles sighted at ``found`` fall freely.
-
-    ``energies`` are theirs in buffer indices, ascending like ``found``.  Each
-    particle must stay three zero columns above the nearest occupied column
-    below it (module docstring), so only columns down to where the particle
-    could land are read, and no column of a sighted particle: the particle
-    sighted below at q holds a unit in column q + 1 until its left move there,
-    so the read ends at q + 1, and the columns may hold this sweep's moves.
-    """
-    d = left
-    for n, (p, e) in enumerate(zip(found, energies)):
-        c, stop, below = p - 4, max((e - d) // l - 3, 0), found[n - 1] + 1 if n else -1
-        while c > below and c >= stop and not vals[c]:
-            c -= 1
-        if c < stop:
-            continue
-        if c == below:
-            if e - energies[n - 1] < 5 * l - 1:
-                d = min(d, e % l)
-        else:
-            d = min(d, e - l * (c + 4))
-    return d
-
-
 def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debug: bool, start: int = 1) -> None:
-    """Apply ``times`` full bottom-up left sweeps to the weight-l particles in ``sc``, in place (``_sweep``).
+    """Apply ``times`` full bottom-up left sweeps to the weight-l particles in ``sc``, in place, lowest particle first.
 
-    The first sweep reads the windows from index ``start`` up, none below which may sight a particle.  When
-    every sighting of a sweep is isolated, the particles fall on by as many sweeps as keeps them isolated,
-    counting that one, in one step; when a sweep sights a single particle, the sweeps after it that keep its
-    sighting are one run of left moves (module docstring).  With ``debug`` every sweep is compared with a
-    cut-scan of every window, every fall with as many sweeps of ``move_all``, and every run with as many
-    sweeps, each compared with a cut-scan.
+    A cut-scan of the windows from index ``start`` up, none below which may sight a particle, locates the
+    particles; ``expected``, if given, is how many it must find.  Each then makes all ``times`` of its left moves
+    with the one below cut off at its last sighting: a run of moves at one sighting or, once two zero columns
+    clear it below, a fall, in one step (module docstring).  Each must still be the first sighting above the cut
+    when it starts; once all have settled, nothing may be sighted above the last and the first must be the lowest
+    sighting.  With ``debug`` the result is compared with ``times`` sweeps of ``move_all``.
     """
+    if not times:
+        return
+    before = sc.to_configuration() if debug else None
     vals, m, kl = sc.vals, sc.MARGIN, k + l
-    found, left = range(start + 2, len(vals) - 2), times
-    sweep = _checked_sweep if debug else _sweep
-    while left > 0:
-        found, isolated = sweep(vals, found, l, kl, sc.lo)
-        if expected is not None and len(found) != expected:
-            raise InternalCheckError(
-                f"expected {expected} weight-{l} particles during sweep, found {len(found)}"
-            )
-        if found and found[0] < m:
-            pad = len(vals)
-            vals[:0] = [0] * pad
-            sc.lo -= pad
-            found = [p + pad for p in found]
-        if isolated:
-            # Each particle has made this sweep's move: its energy before the sweep is one more.
-            energies = [p * vals[p] + (p + 1) * vals[p + 1] + 1 for p in found]
-            d = _fall(vals, l, found, energies, left)
-            if d > 1:
-                before = sc.to_configuration() if debug else None
-                lo = sc.lo
-                for p in found:
-                    vals[p] = vals[p + 1] = 0
-                for e in energies:
-                    sc.place(e - d + l * lo, l)
-                if before is not None and move_all(before, k, l, "left", d - 1) != sc.to_configuration():
-                    raise InternalCheckError(
-                        f"free fall of {d} sweeps of weight-{l} particles at {[lo + p for p in found]} "
-                        "disagrees with single sweeps"
-                    )
-                # The last of the d sweeps sighted each particle at (e - d) // l.
-                found = [(e - d) // l + lo - sc.lo for e in energies]
-                left -= d
-                continue
-        left -= 1
-        if len(found) == 1 and left:
-            # A lone particle: the next sweeps are left moves at its sighting q while they sight it there.
-            q = found[0]
-            r = min(_run_length(vals, q, +1, l, kl), left)
-            if r > 0:
-                before = vals[:] if debug else None
-                vals[q] += r
-                vals[q + 1] -= r
-                if before is not None:
-                    last = found
-                    for _ in range(r):
-                        last = _checked_sweep(before, last, l, kl, sc.lo)[0]
-                    if before != vals:
-                        raise InternalCheckError(
-                            f"run of {r} sweeps of the weight-{l} particle at {sc.lo + q} disagrees with single sweeps"
-                        )
-                left -= r
+    found = [sc.lo + p for p in _cut_scan(vals, l, kl, +1, start)]
+    start += sc.lo
+    if expected is not None and len(found) != expected:
+        raise InternalCheckError(f"expected {expected} weight-{l} particles before settling, found {len(found)}")
+    c, cut = -2, (0, 0)  # the cut, index -2 while there is none, and its two columns
+    for col in found:
+        i, left = col - sc.lo, times
+        if c >= 0:
+            # The cut-scan before settling found this particle at i: it must still be the first sighting above the cut.
+            hit = _sight(vals, l, kl, c + 1, +1)
+            if hit is None or hit[0] != i:
+                raise InternalCheckError(
+                    f"weight-{l} particle at column {col} is not the first sighting above the one settled below it"
+                )
+        while True:
+            if i < m:
+                pad = len(vals)
+                vals[:0] = [0] * pad
+                sc.lo -= pad
+                i += pad
+                if c >= 0:
+                    c += pad
+            if not left:
+                break
+            s = vals[i] + vals[i + 1]
+            if s == l and not (vals[i - 1] or vals[i - 2]):
+                # Fall while the particle stays two zero columns above the nearest occupied column x below it, or
+                # above column c + 1 of the cut, reading columns only down to where it could land.
+                e = i * s + vals[i + 1]
+                stop = (e - left) // l - 2
+                x = i - 3 if i - 3 > c + 1 else c + 1
+                while x >= stop and x > c + 1 and not vals[x]:
+                    x -= 1
+                d = left if x < stop else min(left, e - l * (x + 3))
+                if d > 0:
+                    vals[i] = vals[i + 1] = 0
+                    j, counts = _free_columns(e - d, l)
+                    vals[j : j + len(counts)] = counts
+                    left -= d
+                    i = (e - d - 1) // l
+                    continue
+            # The run of left moves at window i: the least of the units in column i + 1 and the room left in S and L
+            # at i - 1 and L at i - 2, windows below the cut not counted, compared in line as ``_run_length`` does.
+            q = vals[i + 1]
+            if left < q:
+                q = left
+            if i - 1 > c:
+                s = vals[i - 1] + vals[i]
+                if l - s < q:
+                    q = l - s
+                r = kl - vals[i - 2] - 2 * s - vals[i + 1]
+                if r < q:
+                    q = r
+                if i - 2 > c:
+                    r = kl - vals[i - 3] - 2 * (vals[i - 2] + vals[i - 1]) - vals[i]
+                    if r < q:
+                        q = r
+            if q < 1:  # at least one, so that a fault still moves and is caught
+                q = 1
+            r = vals[i + 1] - q
+            if r < 0:
+                raise InternalCheckError(f"column {sc.lo + i + 1} driven negative")
+            vals[i] += q
+            vals[i + 1] = r
+            left -= q
+            # Window i still sights, and none below i - 2 can (module docstring).
+            j = i - 2 if i - 2 > c else c + 1
+            while j < i:
+                s = vals[j] + vals[j + 1]
+                if s == l or 2 * s + vals[j - 1] + vals[j + 2] == kl:
+                    break
+                j += 1
+            i = j
+        if c >= 0:
+            vals[c], vals[c + 1] = cut
+        else:
+            first = sc.lo + i
+        c, cut = i, (vals[i], vals[i + 1])
+        vals[c] = vals[c + 1] = 0
+    if c >= 0:
+        if _sight(vals, l, kl, c + 1, +1) is not None:
+            raise InternalCheckError(f"a weight-{l} particle is sighted above the last one settled")
+        vals[c], vals[c + 1] = cut
+        # Windows below both ``start`` and the first particle's last sighting less two read unmoved columns.
+        hit = _sight(vals, l, kl, max(1, min(start, first - 2) - sc.lo), +1)
+        if hit is None or hit[0] != first - sc.lo:
+            raise InternalCheckError(f"the first weight-{l} particle settled is not the lowest sighting")
+    if before is not None and move_all(before, k, l, "left", times) != sc.to_configuration():
+        raise InternalCheckError(
+            f"settling {len(found)} weight-{l} particles by {times} sweeps disagrees with full cut-scan sweeps, "
+            f"from {before}"
+        )
 
 
 def left_sweeps(b: Configuration, k: int, l: int, times: int) -> Configuration:
@@ -809,14 +802,13 @@ def _descend(
     lies above it then is the passed configuration.  Under ``debug`` each run
     is replayed move by move (``_unit_moves_agree``).
     """
-    top = a.support_max
+    top, low = a.support_max, a.support_min
     sc = _Scratch(a)
     sc.bump(probe_column, l)
     vals, kl = sc.vals, k + l
     nodes: list[tuple[str, int, Configuration]] = []
     last_pos: int | None = None
-    min0 = min(0, a.support_min if not a.is_zero else 0)
-    cap = l * (probe_column - min0 + 3 * (a.length() + 2) + 10) + 10
+    cap = l * (probe_column - low + 3 * (a.length() + 2) + 10) + 10
     moved = 0
     while moved <= cap:
         found = _sight(vals, l, kl, 1 if last_pos is None else last_pos - 2 - sc.lo, +1)
@@ -829,12 +821,14 @@ def _descend(
             # Stop once the probe is isolated: nothing below it, a two-column
             # gap above it, and everything above too light to interact.  The
             # isolated state is not part of the recorded history.
-            if not (any(vals[:i]) or vals[i + 2] or vals[i + 3]):
+            if not (low < pos or vals[i + 2] or vals[i + 3]):
                 rest = sc.to_configuration(lo=pos + 2)
                 if weight(rest, k) < l:
                     return nodes, rest
             if record and pos <= top + 1:
                 nodes.append((kind, pos, sc.to_configuration()))
+        if low > pos:  # a move at window i fills column i, the lowest a run can reach
+            low = pos
         if i < sc.MARGIN:
             sc.transfer(pos, +1)
             moved += 1
@@ -865,7 +859,7 @@ def _pass(a: Configuration, k: int, l: int, record: bool, debug: bool) -> tuple[
         raise AdmissibilityError(f"passing needs weight below l={l}, but {a} has weight {w}")
     if a.is_zero:
         return [], ZERO
-    probe_column = max(3, a.support_max + 4)
+    probe_column = a.support_max + 4
     nodes, result = _descend(a, k, l, probe_column, record, debug)
     if debug:
         nodes2, result2 = _descend(a, k, l, probe_column + 1, record, debug)

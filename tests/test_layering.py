@@ -11,8 +11,7 @@ from rigged.identities import VerifyReport
 from rigged.moves import FreeParticle, ParticleSighting, Separation
 
 BUFFER_NAMES = {
-    "_Scratch", "_settle", "_float_off", "_stepped_weight", "_sight", "_cut_scan", "_sweep", "_checked_sweep", "_fall",
-    "_run_length", "_unit_moves_agree",
+    "_Scratch", "_settle", "_float_off", "_stepped_weight", "_sight", "_cut_scan", "_run_length", "_unit_moves_agree",
 }
 
 

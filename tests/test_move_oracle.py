@@ -381,9 +381,9 @@ def test_left_sweeps_match_full_scans(case):
 @given(st.one_of(admissible(), gapped()), st.integers(1, 12))
 @settings(max_examples=150, deadline=None)
 def test_sightings_stay_within_two_windows_below(case, times):
-    # The locality rule ``moves._sweep`` rests on: after a full left sweep at
-    # the configuration's weight, every particle a full scan sights lies in
-    # window q - 2, q - 1 or q of some sighting q of that sweep.
+    # The locality the ``rigged.moves`` docstring's settling argument uses: after a full left sweep at the
+    # configuration's weight, every particle a full scan sights lies in window q - 2, q - 1 or q of some sighting q
+    # of that sweep.
     k, a = case
     pad = 2 * times + 4
     cols = [0] * pad + list(a.counts) + [0] * 4
@@ -398,34 +398,36 @@ def test_sightings_stay_within_two_windows_below(case, times):
         last = found
 
 
-def reference_isolated(cols: list[int], l: int, positions: list[int]) -> bool:
-    """Whether every sighting holds all l units in its two columns, with three zero columns on each side."""
-    return all(cols[p] + cols[p + 1] == l and not any(cols[p - 3 : p] + cols[p + 2 : p + 5]) for p in positions)
+def every_configuration(k: int, width: int):
+    """Every nonzero (k, 3)-admissible configuration at offset 0 with support at most ``width`` columns."""
+
+    def grow(counts):
+        if counts and counts[-1]:
+            yield Configuration(0, tuple(counts))
+        if len(counts) < width:
+            for c in range(0 if counts else 1, k - sum(counts[-2:]) + 1):
+                yield from grow(counts + [c])
+
+    yield from grow([])
 
 
-@given(st.one_of(admissible(), gapped(), settling().map(lambda case: (case[0], case[4]))), st.integers(0, 12))
-@example((1, Configuration(0, (1, 0, 0, 0, 1))), 0)  # sightings four windows apart: the upper one is not isolated
-@example((3, Configuration(0, (1, 0, 2, 0, 1, 2))), 1)  # the second sweep jumps to a window whose column j - 1 is occupied
-@settings(max_examples=200, deadline=None)
-def test_sweep_matches_cut_scan_and_moves(case, times):
-    # Each pass of ``moves._sweep`` reads masked columns instead of cutting
-    # and moves each sighting as it is found.  Over every window first, then
-    # over the windows q - 2, q - 1 and q of the last sweep's sightings q, it
-    # must sight what a full scan of a cut copy sights, leave the columns its
-    # moves leave, and flag the sweep isolated exactly when each sighting was.
-    k, a = case
-    pad = 2 * times + 4
-    cols = [0] * pad + list(a.counts) + [0] * 4
-    l = reference_weight(cols, k)
-    last = range(3, len(cols) - 2)
-    for _ in range(times + 1):
-        found = reference_scan(cols, k, l)
-        isolated = reference_isolated(cols, l, found)
-        vals = cols[:]
-        assert moves._sweep(vals, last, l, k + l, 0) == (found, isolated), (cols, list(last))
-        reference_left_moves(cols, found)
-        assert vals == cols
-        last = found
+# Two corner cases of sweeps, kept as inputs: sightings four windows apart, and a second sweep that sights window j
+# with column j - 1 occupied and no sighting at j - 1.
+SWEEP_EXAMPLES = ((1, Configuration(0, (1, 0, 0, 0, 1))), (3, Configuration(0, (1, 0, 2, 0, 1, 2))))
+
+
+def test_sweep_matches_cut_scan_and_moves(monkeypatch):
+    # ``left_sweeps`` settles one particle at a time, lowest first; ``times`` sweeps must leave what ``times`` full
+    # scans of a cut copy and their left moves leave, for every configuration of support at most 6 columns at
+    # k <= 3, at its weight.  Without RIGGED_DEBUG, so that no replay stands in for the comparison.
+    monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+    cases = [(k, a) for k in (1, 2, 3) for a in every_configuration(k, 6)] + list(SWEEP_EXAMPLES)
+    for k, a in cases:
+        cols = [0] * 3 + list(a.counts) + [0] * 3
+        l = reference_weight(cols, k)
+        m = len(reference_scan(cols, k, l))
+        for times in (1, 2, 4, 9, 17):
+            assert left_sweeps(a, k, l, times) == reference_sweeps(a, k, l, times, m), (k, a, times)
 
 
 @given(st.one_of(admissible(), gapped(), heavy()), st.integers(0, 40))
@@ -433,7 +435,7 @@ def test_sweep_matches_cut_scan_and_moves(case, times):
 @example(LONE_8, 30)
 @settings(max_examples=150, deadline=None)
 def test_left_sweeps_match_reference_without_debug(case, times):
-    # Without RIGGED_DEBUG no full scan backs up the later sweeps, which read only windows near the last sightings.
+    # Without RIGGED_DEBUG nothing replays the settle, which moves one particle at a time by runs and falls.
     k, a = case
     cols = [0] * 3 + list(a.counts) + [0] * 3
     l = reference_weight(cols, k)
@@ -446,57 +448,39 @@ def test_left_sweeps_match_reference_without_debug(case, times):
 
 @st.composite
 def falling(draw):
-    """(l, columns, energies, left): isolated weight-l particles above an optional static column."""
+    """(k, l, configuration, times): isolated weight-l particles above an optional static column, of weight l."""
     l = draw(st.integers(1, 6))
+    k = draw(st.integers(max(l, 3), 8))
     floor = draw(st.one_of(st.none(), st.integers(0, 8)))
     e = l * draw(st.integers(12, 20)) + draw(st.integers(0, l - 1))
     energies = [e]
     for _ in range(draw(st.integers(0, 3))):
         energies.append(energies[-1] + draw(st.integers(4 * l, 8 * l)))
-    cols = [0] * (energies[-1] // l + 6)
+    cols = [0] * (energies[-1] // l + 2)
     if floor is not None:
         cols[floor] = draw(st.integers(1, 3))
     for e in energies:
         j, rem = divmod(e, l)
         cols[j] += l - rem
         cols[j + 1] += rem
-    # As the sweep kernel tests it: the sighting's two columns hold the
-    # particle and the three columns on each side are empty.
+    # Each particle's two columns hold it, with three empty columns on each side.
     for e in energies:
         p = (e - 1) // l
-        assume(cols[p] + cols[p + 1] == l and not any(cols[p - 3 : p] + cols[p + 2 : p + 5]))
-    return l, cols, energies, draw(st.integers(2, energies[0]))
+        assume(cols[p] + cols[p + 1] == l and not any(cols[max(p - 3, 0) : p] + cols[p + 2 : p + 5]))
+    assume(reference_weight([0] * 3 + cols + [0] * 3, k) == l)
+    return k, l, Configuration(0, tuple(cols)), draw(st.integers(2, energies[0]))
 
 
 @given(falling())
-@example((6, [1] + [0] * 11 + [6, 0, 0, 0, 2, 4] + [0] * 4, [72, 100], 5))  # a pair 5l - 2 apart is not clear for every residue
+@example((6, 6, Configuration(0, (1,) + (0,) * 11 + (6, 0, 0, 0, 2, 4)), 5))  # a pair 5l - 2 apart
 @settings(max_examples=150, deadline=None)
 def test_fall_keeps_three_zero_columns(case):
-    # The fall length is the largest d (at most ``left``) such that after
-    # every s <= d sweeps each particle sits three zero columns above the
-    # nearest occupied column below it.
-    l, cols, energies, left = case
-    static = cols[:]
-    for e in energies:
-        j, rem = divmod(e, l)
-        static[j] -= l - rem
-        static[j + 1] -= rem
-
-    def clear(s):
-        now = static[:]
-        for e in energies:
-            j, rem = divmod(e - s, l)
-            now[j] += l - rem
-            now[j + 1] += rem
-        for e in energies:
-            lo = (e - s) // l
-            below = [i for i in range(lo) if now[i]]
-            if below and lo - below[-1] < 4:
-                return False
-        return True
-
-    d = 0
-    while d < left and clear(d + 1):
-        d += 1
-    found = [(e - 1) // l for e in energies]
-    assert moves._fall(cols, l, found, energies, left) == d
+    # Particles that start three zero columns clear fall in one step while two zero columns stay between each and
+    # the nearest occupied column below it, or the particle settled below it: ``times`` sweeps must still leave what
+    # full scans and their moves leave.
+    k, l, a, times = case
+    m = len(reference_scan([0] * 3 + list(a.counts) + [0] * 3, k, l))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("RIGGED_DEBUG", raising=False)
+        swept = left_sweeps(a, k, l, times)
+    assert swept == reference_sweeps(a, k, l, times, m)

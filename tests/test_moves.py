@@ -1,4 +1,6 @@
+import inspect
 import re
+import textwrap
 
 import pytest
 
@@ -151,69 +153,55 @@ class TestPositions:
             move_all(cfg(1, 0, 0, 1), 1, 1, "right")
 
 
-def sweep_without(offset):
-    """A faulty ``_sweep`` that reads the windows q - 2, q - 1 and q of each q of ``last`` except q + ``offset``.
+def faulty_settle(monkeypatch, *replacements):
+    """Install a copy of ``moves._settle`` compiled from its source with each (old, new) text replaced once.
 
-    It sights as a cut-scan of those windows does, and moves and tests isolation as the honest sweep does.
+    The copy runs in a copy of the module's namespace, so it calls the same helpers; ``left_sweeps`` and
+    ``_drop_groups`` find it through the module and run the fault in place of the kernel.
     """
-
-    def sweep(vals, last, l, kl, lo):
-        cut, found = vals[:], []
-        for j in sorted({q + d for q in last for d in (-2, -1, 0) if d != offset}):
-            s = cut[j] + cut[j + 1]
-            if s == l or 2 * s + cut[j - 1] + cut[j + 2] == kl:
-                found.append(j)
-                cut[j] = cut[j + 1] = 0
-        isolated = all(vals[p] + vals[p + 1] == l and not any(vals[p - 3 : p] + vals[p + 2 : p + 5]) for p in found)
-        for p in found:
-            vals[p] += 1
-            vals[p + 1] -= 1
-        return found, isolated
-
-    return sweep
+    source = textwrap.dedent(inspect.getsource(moves._settle))
+    for old, new in replacements:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    scope = dict(vars(moves))
+    exec(compile(source, moves.__file__, "exec"), scope)
+    monkeypatch.setattr(moves, "_settle", scope["_settle"])
 
 
 class TestLocalRescan:
-    """Each of the three windows a sweep reads per sighting is needed, and the debug full scan notices one missing."""
+    """Each of the windows q - 2, q - 1 and q that a settling particle may be sighted at after a run at q is needed,
+    and a check notices one missing."""
 
     def test_dropped_window_detected(self, rigged_debug, monkeypatch):
-        # Drop the window just below each sighting.  A weight-2 particle at
-        # column 7 falls freely for six sweeps, until it sits at column 4,
-        # three zero columns above a weight-1 particle at column 0; the last
-        # of those sweeps sighted it at 4.  The seventh sweep is an ordinary
-        # one: the full scan sights the particle at 3, which the faulty sweep
-        # no longer reads.
-        monkeypatch.setattr(moves, "_sweep", sweep_without(-1))
-        b = cfg(1, 0, 0, 0, 0, 0, 0, 2)
-        assert left_sweeps(b, 3, 2, 6) == cfg(1, 0, 0, 0, 2)
-        with pytest.raises(InternalCheckError, match="full scan"):
-            left_sweeps(b, 3, 2, 7)
+        # Window q - 1 never sights.  At k = 3 the weight-2 particle of 0:1,0,2 is sighted by S at column 1, and
+        # after its move, 0:1,1,1, by S at column 0, one window lower; the fault leaves its last sighting at 1.
+        faulty_settle(
+            monkeypatch, ("if s == l or 2 * s", "if j != i - 1 and (s == l or 2 * s"), (" == kl:\n", " == kl):\n")
+        )
+        with pytest.raises(InternalCheckError, match="the first weight-2 particle settled is not the lowest sighting"):
+            left_sweeps(cfg(1, 0, 2), 3, 2, 1)
 
     def test_dropped_window_two_below_detected(self, rigged_debug, monkeypatch):
-        # At k = 2 the first sweep sights the weight-2 particle of
-        # 0:1,0,1,0,1,1 by L at column 3.  After its move, 0:1,0,1,1,0,1, the
-        # full scan sights it by L at column 1, two windows lower.
-        monkeypatch.setattr(moves, "_sweep", sweep_without(-2))
-        b = cfg(1, 0, 1, 0, 1, 1)
-        assert left_sweeps(b, 2, 2, 1) == cfg(1, 0, 1, 1, 0, 1)
-        with pytest.raises(InternalCheckError, match="full scan"):
-            left_sweeps(b, 2, 2, 2)
+        # The re-sight starts at q - 1.  At k = 2 the weight-2 particle of 0:1,0,1,0,1,1 is sighted by L at
+        # column 3.  After its move, 0:1,0,1,1,0,1, the full scan sights it by L at column 1, two windows lower.
+        # The fault re-sights it at column 2.
+        faulty_settle(monkeypatch, ("j = i - 2 if i - 2 > c else c + 1", "j = i - 1 if i - 1 > c else c + 1"))
+        with pytest.raises(InternalCheckError, match="the first weight-2 particle settled is not the lowest sighting"):
+            left_sweeps(cfg(1, 0, 1, 0, 1, 1), 2, 2, 1)
 
     def test_dropped_sighting_window_detected(self, rigged_debug, monkeypatch):
-        # At k = 3 the first sweep sights the weight-2 particle of 0:2,0,1 by
-        # S at column -1.  After its move, -1:1,1,0,1, the full scan sights it
-        # by S at column -1 again.
-        monkeypatch.setattr(moves, "_sweep", sweep_without(0))
-        b = cfg(2, 0, 1)
-        assert left_sweeps(b, 3, 2, 1) == cfg(1, 1, 0, 1, offset=-1)
-        with pytest.raises(InternalCheckError, match="full scan"):
-            left_sweeps(b, 3, 2, 2)
+        # Window q is taken as the next sighting without being read, since a run at q keeps S and L there; the fault
+        # moves on to q + 1 instead.  At k = 4 the weight-3 particle of 0:1,0,3 is sighted by S at column 1, and
+        # after its move, 0:1,1,2, by S at column 1 again.
+        faulty_settle(monkeypatch, ("            i = j\n", "            i = j if j < i else i + 1\n"))
+        with pytest.raises(InternalCheckError, match="the first weight-3 particle settled is not the lowest sighting"):
+            left_sweeps(cfg(1, 0, 3), 4, 3, 1)
 
 
 class TestFreeFlight:
     # A weight-2 particle at column 7 above a weight-1 particle at column 0
-    # falls freely for six sweeps at k=3; a weight-2 particle at column 0
-    # below a weight-1 particle at column 8 rises freely by eight moves.
+    # falls freely by eight moves at k=3, to column 3; a weight-2 particle at
+    # column 0 below a weight-1 particle at column 8 rises freely by eight moves.
     FALLING = cfg(1, 0, 0, 0, 0, 0, 0, 2)
     RISING = cfg(2, 0, 0, 0, 0, 0, 0, 0, 1)
 
@@ -229,10 +217,10 @@ class TestFreeFlight:
         assert sep.remainder == cfg(1, offset=6)
 
     def test_overlong_fall_detected(self, rigged_debug, monkeypatch):
-        # Each particle of a fall lands one sweep lower than counted.
+        # The falling particle lands one move lower than counted.
         columns = moves._free_columns
         monkeypatch.setattr(moves, "_free_columns", lambda e, l: columns(e - 1, l))
-        with pytest.raises(InternalCheckError, match="free fall of 6 sweeps"):
+        with pytest.raises(InternalCheckError, match="settling 1 weight-2 particles by 6 sweeps disagrees"):
             left_sweeps(self.FALLING, 3, 2, 6)
 
     def test_overlong_rise_detected(self, rigged_debug, monkeypatch):
@@ -266,9 +254,16 @@ class TestRuns:
         with pytest.raises(InternalCheckError, match="run of 2 left moves at column 3 disagrees with single moves"):
             pass_particle(cfg(1, 1, 1), 4, 3)
 
-    def test_lone_sweep_run_replayed(self, overlong, rigged_debug):
-        with pytest.raises(InternalCheckError, match="run of 2 sweeps of the weight-8 particle at 4 disagrees"):
-            left_sweeps(cfg(5, 2, 3, 3, 0, 0, 0, 8), 11, 8, 30)
+    def test_lone_sweep_run_replayed(self, rigged_debug, monkeypatch):
+        # A settling particle's runs, one move too long but never past the column they empty or the moves left.  At
+        # k = 3 the weight-2 particle of 0:1,0,2 makes one move at column 1, and the fault a second one there.
+        faulty_settle(
+            monkeypatch, ("            if q < 1:", "            q = min(q + 1, vals[i + 1], left)\n            if q < 1:")
+        )
+        b = cfg(1, 0, 2)
+        assert left_sweeps(b, 3, 2, 1) == cfg(1, 1, 1)
+        with pytest.raises(InternalCheckError, match="settling 1 weight-2 particles by 2 sweeps disagrees"):
+            left_sweeps(b, 3, 2, 2)
 
     def test_float_run_replayed(self, rigged_debug, monkeypatch):
         # Handed the lower weight-1 particle of 2:1,0,0,1 at k = 2, the float moves its unit right within the
@@ -547,11 +542,21 @@ class TestFaultPaths:
         sc = moves._Scratch(b)
         moves._settle(sc, 3, 2, 3, 1, False)
         assert sc.to_configuration() == left_sweeps(b, 3, 2, 3)
-        with pytest.raises(InternalCheckError, match="expected 2 weight-2 particles during sweep, found 1"):
+        with pytest.raises(InternalCheckError, match="expected 2 weight-2 particles before settling, found 1"):
             moves._settle(moves._Scratch(b), 3, 2, 3, 2, False)
 
+    def test_settled_count_checked(self, monkeypatch):
+        # A fall that lands with one zero column below the particle instead of two: at k = 2 the weight-2 particle
+        # of 0:1,0,0,0,2 falls all four moves to 0:1,0,2, where L at column 0 sights the unit and the particle
+        # together, below the particle's last sighting at column 1.
+        faulty_settle(
+            monkeypatch, ("e - l * (x + 3)", "e - l * (x + 2)"), ("(e - left) // l - 2\n", "(e - left) // l - 1\n")
+        )
+        with pytest.raises(InternalCheckError, match="the first weight-2 particle settled is not the lowest sighting"):
+            moves._settle(moves._Scratch(cfg(1, 0, 0, 0, 2)), 2, 2, 4, 1, False)
+
     def test_sweep_moves_from_empty_column(self):
-        # Outside the weight-2 class (S = 3 at column 2), 0:1,0,3 at k=3 has L = 5 at column 0, so the sweep
+        # Outside the weight-2 class (S = 3 at column 2), 0:1,0,3 at k=3 has L = 5 at column 0, so the settle
         # sights column 0 and moves a unit out of the empty column 1.
         with pytest.raises(InternalCheckError, match="column 1 driven negative"):
             moves._settle(moves._Scratch(cfg(1, 0, 3)), 3, 2, 1, None, False)
@@ -659,6 +664,16 @@ class TestPassing:
                     nodes, result = passing_history(a, k, l)
                     moved = [(kind, pos + d, c.shifted(d)) for kind, pos, c in nodes]
                     assert passing_history(b, k, l) == (moved, result.shifted(d)), (k, l, a)
+
+    def test_result_at_far_offset_is_shifted(self):
+        # The probe drops four columns above the content wherever it lies, and the stop test keeps the lowest
+        # occupied column instead of reading every column below the probe.
+        for k, l, a in ((4, 3, cfg(1, 1, 1)), (5, 4, cfg(1, 2, 1, 1)), (3, 3, cfg(1, 0, 0, 1))):
+            d = -10**6
+            assert pass_particle(a.shifted(d), k, l) == pass_particle(a, k, l).shifted(d)
+            nodes, result = passing_history(a, k, l)
+            moved = [(kind, pos + d, c.shifted(d)) for kind, pos, c in nodes]
+            assert passing_history(a.shifted(d), k, l) == (moved, result.shifted(d))
 
     def test_negative_column_detected(self, monkeypatch):
         # One forged sighting at column 3, above the content and below the probe, moves a unit out of empty

@@ -61,28 +61,32 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "_sweep flags a sighting isolated with its predecessor four or fewer windows below",
+        "_settle re-sights a particle from q - 1 after a run at q",
         "src/rigged/moves.py",
-        "isolated = c < j - 4 and s == l and not (",
-        "isolated = s == l and not (",
+        "j = i - 2 if i - 2 > c else c + 1",
+        "j = i - 1 if i - 1 > c else c + 1",
         ("tests/test_move_oracle.py::test_sweep_matches_cut_scan_and_moves",),
     ),
     Mutant(
-        "_sweep reads column j - 1 as empty after a jump",
+        "_settle settles the highest particle first",
         "src/rigged/moves.py",
-        "a, b, x = vals[j - 1], vals[j], vals[j + 1]",
-        "a, b, x = 0, vals[j], vals[j + 1]",
+        "    for col in found:\n",
+        "    for col in reversed(found):\n",
         ("tests/test_move_oracle.py::test_sweep_matches_cut_scan_and_moves",),
     ),
     Mutant(
-        "_sweep starts each window run at q - 1 after a jump",
+        "_settle lands a fall one zero column above the content below instead of two",
         "src/rigged/moves.py",
-        "            j = q - 2\n",
-        "            j = q - 1\n",
-        (
-            "tests/test_move_oracle.py::test_sweep_matches_cut_scan_and_moves",
-            "tests/test_move_oracle.py::test_kappa_inverts_iota",
-        ),
+        "min(left, e - l * (x + 3))",
+        "min(left, e - l * (x + 2))",
+        ("tests/test_move_oracle.py::test_sweep_matches_cut_scan_and_moves",),
+    ),
+    Mutant(
+        "_settle's run drops the L bound two windows below",
+        "src/rigged/moves.py",
+        "                if i - 2 > c:\n",
+        "                if False:\n",
+        ("tests/test_move_oracle.py::test_left_sweeps_match_reference_without_debug",),
     ),
     Mutant(
         "_descend lets a column reach -1 before it raises",
@@ -123,11 +127,11 @@ MUTANTS = (
         ("tests/test_move_oracle.py::test_run_length_counts_single_moves",),
     ),
     Mutant(
-        "_run_length drops the L bound two windows below a left run (the lone-particle sweep run skips q - 2)",
+        "_run_length drops the L bound two windows below a left run (the probe's run skips q - 2)",
         "src/rigged/moves.py",
         "    r = kl - vals[h - 1] - 2 * (vals[h] + vals[h + 1]) - vals[h + 2]\n",
         "    r = kl if step > 0 else kl - vals[h - 1] - 2 * (vals[h] + vals[h + 1]) - vals[h + 2]\n",
-        ("tests/test_move_oracle.py::test_left_sweeps_match_reference_without_debug",),
+        ("tests/test_move_oracle.py::test_passing_matches_reference",),
     ),
     Mutant(
         "_float_off's isolated rise overshoots by one column",
@@ -135,20 +139,6 @@ MUTANTS = (
         "rise = l * (n - 4) - e",
         "rise = l * (n - 3) - e",
         ("tests/test_moves.py::TestFreeFlight::test_overlong_rise_detected",),
-    ),
-    Mutant(
-        "_fall treats a pair 5l - 2 apart as clear for every residue",
-        "src/rigged/moves.py",
-        "< 5 * l - 1:",
-        "< 5 * l - 2:",
-        ("tests/test_move_oracle.py::test_fall_keeps_three_zero_columns",),
-    ),
-    Mutant(
-        "_fall lets a particle land one column low",
-        "src/rigged/moves.py",
-        "max((e - d) // l - 3, 0)",
-        "max((e - d) // l - 2, 0)",
-        ("tests/test_moves.py::TestLocalRescan::test_dropped_window_detected",),
     ),
     Mutant(
         "enumerate_configurations ends a row at a column that costs exactly the energy left",
