@@ -13,7 +13,7 @@ from functools import lru_cache
 from operator import add
 from typing import Callable, Iterable
 
-from .bijection import EMPTY, RiggedPartition, _counts, _surpluses, kappa
+from .bijection import EMPTY, RiggedPartition, _counts, _surpluses, iota, kappa
 from .characters import (
     RestrictedSet,
     _fits_ceilings,
@@ -72,20 +72,42 @@ class VerifyReport:
 
 
 @lru_cache(maxsize=None)
-def _iota(a: Configuration, k: int, debug: bool) -> RiggedPartition:
-    """Cached ``iota(a, k)`` for an admissible ``a``; ``debug`` re-checks the float (``moves._detach``).
+def _iota(counts: tuple[int, ...], k: int, debug: bool) -> RiggedPartition:
+    """Cached ``iota(Configuration(0, counts), k)`` for admissible canonical ``counts``; ``debug`` re-checks the float.
 
-    A miss floats only the highest particle free and looks up what lies below
-    it, which the grid has usually mapped already.  Its new part is checked
+    The key is the translation class: every configuration reads its image
+    through ``_image``, which shifts this one.  A miss floats only the
+    highest particle free (``moves._detach``) and looks up what lies below it,
+    which the grid has usually mapped already.  Its new part is checked
     against the first part of that image only: the check is inductive, since
     every image in the cache passed it against its own first part when it was
-    built, so the whole partition is as ordered as ``RiggedPartition`` demands.
+    built, and a shift keeps the order, so the whole partition is as ordered
+    as ``RiggedPartition`` demands.
     """
-    if a.is_zero:
+    if not counts:
         return EMPTY
-    l, surplus, rest = _detach(a, k, debug)
-    tail = _iota(rest, k, debug)
+    l, surplus, rest = _detach(counts, k, debug)
+    tail = _image(rest, k, debug)
     return RiggedPartition._prepended((l, surplus - _load(k, l, _counts(tail.parts, k))), tail)
+
+
+def _image(a: Configuration, k: int, debug: bool) -> RiggedPartition:
+    """``iota(a, k)`` for an admissible ``a``, read from the cached image of its translate to offset 0.
+
+    Shifting a configuration by d columns raises each weight-w rigging by
+    w * d (``kappa`` relies on the same fact).  With ``debug`` every shifted
+    image is compared with ``iota``.
+    """
+    rp = _iota(a.counts, k, debug)
+    d = a.offset
+    if not d:
+        return rp
+    shifted = RiggedPartition._trusted(tuple([(w, r + w * d) for w, r in rp.parts]))
+    if debug:
+        expected = iota(a, k)
+        if shifted != expected:
+            raise InternalCheckError(f"image of {a} shifted from offset 0 is {shifted}, iota gives {expected}")
+    return shifted
 
 
 def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Configuration], debug: bool) -> Configuration:
@@ -161,7 +183,7 @@ def verify_roundtrip(k: int, N: int) -> VerifyReport:
     debug = _debug_enabled()
     for a in enumerate_configurations(k, 3, N):
         count += 1
-        rp = _iota(a, k, debug)
+        rp = _image(a, k, debug)
         back = _inverse(rp.parts, k, memo, debug)
         if back != a:
             witness = f"{a}: inverse map returns {back}"
@@ -270,7 +292,7 @@ def verify_polynomial_identity(k: int, l: int, a: int, b: int, N: int) -> Verify
 
 def _init_image(k: int, l: int, a: int, b: int, N: int, debug: bool) -> set[RiggedPartition]:
     """Forward-map image of the boundary-N configurations of weight <= l with (a_0, a_1) = (a, b)."""
-    return {_iota(cfg, k, debug) for cfg in enumerate_configurations(k, 3, N, a0=a, a1=b, max_weight=l)}
+    return {_image(cfg, k, debug) for cfg in enumerate_configurations(k, 3, N, a0=a, a1=b, max_weight=l)}
 
 
 def verify_init(k: int, l: int, a: int, b: int, N: int) -> VerifyReport:
@@ -320,7 +342,7 @@ def verify_boundary(k: int, l: int, N: int) -> VerifyReport:
     for cfg in enumerate_configurations(k, 3, N + 3, max_weight=l):
         checked += 1
         inside = cfg.support_max is None or cfg.support_max <= N
-        fits = _fits_ceilings(_iota(cfg, k, debug), k, N)
+        fits = _fits_ceilings(_image(cfg, k, debug), k, N)
         if inside != fits:
             witness = f"{cfg}: support inside boundary {inside} but ceilings {fits}"
             break
@@ -393,10 +415,10 @@ def verify_shift(k: int, l: int, samples: Iterable[Configuration]) -> VerifyRepo
         w = weight(a, k)
         if w >= l:
             raise ValueError(f"shift samples must have weight below l={l}, got {a} of weight {w}")
-        rp = _iota(a, k, debug)
+        rp = _image(a, k, debug)
         passed = pass_particle(a, k, l)
         expected = RiggedPartition(tuple((wi, ri + phase(k, l, wi)) for wi, ri in rp.parts))
-        actual = _iota(passed, k, debug)
+        actual = _image(passed, k, debug)
         if actual != expected:
             witness = f"{a}: riggings shift to {actual.riggings}, expected {expected.riggings}"
             break
@@ -473,7 +495,7 @@ def verify_golden() -> VerifyReport:
     if tuple(chain) != GOLDEN_CHAIN:
         witness = f"move chain diverges: {[str(c) for c in chain]}"
     if witness is None:
-        image = _iota(start, 3, _debug_enabled())
+        image = _image(start, 3, _debug_enabled())
         if image != RiggedPartition.of((3, 1), (0, 0)):
             witness = f"image of {start} is {image}"
     if witness is None:

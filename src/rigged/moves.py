@@ -121,6 +121,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable
 
 from .configuration import (
@@ -611,12 +612,18 @@ def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
     return peeled
 
 
-def _detach(a: Configuration, k: int, debug: bool) -> tuple[int, int, Configuration]:
-    """(weight, surplus, remainder below it) of the highest particle of a nonzero admissible ``a``, floated free."""
-    sc = _Scratch(a)
+def _detach(counts: tuple[int, ...], k: int, debug: bool) -> tuple[int, int, Configuration]:
+    """(weight, surplus, remainder below it) of the highest particle of ``Configuration(0, counts)``, floated free.
+
+    ``counts`` are canonical, nonzero and admissible.  The remainder is cut from column 0, where the input starts.
+    """
+    sc = _Scratch(ZERO)
+    sc.vals[sc.MARGIN : sc.MARGIN] = counts  # the buffer of Configuration(0, counts)
     # An admissible configuration has weight at most k: S and L - k are each at most a 3-window sum.
-    l, s, i = _float_off(sc, k, k, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, debug)
-    return l, s, sc.to_configuration(a.offset, sc.lo + i - 1)
+    top = len(sc.vals) - sc.MARGIN - 1
+    energy = sum(map(mul, range(len(counts)), counts))
+    l, s, i = _float_off(sc, k, k, top, sum(counts), energy, Configuration._trusted(0, counts), debug)
+    return l, s, sc.to_configuration(0, sc.lo + i - 1)
 
 
 def build_free_configuration(l: int, energies: list[int], k: int) -> Configuration:

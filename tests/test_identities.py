@@ -147,6 +147,36 @@ class TestInverseMemo:
             verify_roundtrip(2, 3)
 
 
+def forge_entry(monkeypatch):
+    """Make the forward memo's entry for the counts (1, 0, 1) at k = 2 ((1,1),(1,0)); 0:1,0,1 maps to ((1,1),(0,0))."""
+    honest = identities._iota
+    forged = RiggedPartition.of((1, 1), (1, 0))
+
+    def lookup(counts, k, debug):
+        return forged if (counts, k) == ((1, 0, 1), 2) else honest(counts, k, debug)
+
+    monkeypatch.setattr(identities, "_iota", lookup)
+    return forged
+
+
+@pytest.mark.usefixtures("fresh_iota")
+class TestForwardMemo:
+    def test_translates_read_the_entry(self, monkeypatch):
+        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+        forged = forge_entry(monkeypatch)
+        assert identities._image(cfg(1, 0, 1), 2, False) == forged
+        assert identities._image(cfg(1, 0, 1, offset=3), 2, False) == RiggedPartition.of((1, 1), (4, 3))
+        # The roundtrip's inverse map is honest, so it sees the forgery on the first translate it meets.
+        report = verify_roundtrip(2, 3)
+        assert report.passed is False and report.first_mismatch.startswith("1:1,0,1: inverse map returns ")
+
+    def test_wrong_entry_raises_under_debug(self, monkeypatch, rigged_debug):
+        forge_entry(monkeypatch)
+        match = r"image of 1:1,0,1 shifted from offset 0 is \(\(1,1\),\(2,1\)\), iota gives \(\(1,1\),\(1,1\)\)"
+        with pytest.raises(InternalCheckError, match=match):
+            verify_roundtrip(2, 3)
+
+
 class TestGordon:
     def test_series_head(self):
         report = verify_gordon(1, 3)
@@ -368,7 +398,7 @@ def forge_iota(monkeypatch, forge):
         back[rp.parts] = a
         return rp
 
-    monkeypatch.setattr(identities, "_iota", forged)
+    monkeypatch.setattr(identities, "_image", forged)
     monkeypatch.setattr(identities, "_inverse", lambda parts, k, memo, debug: back[parts])
 
 
@@ -421,7 +451,7 @@ class TestWitnesses:
         assert report.first_mismatch == "() lies in 6 families: [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]"
 
     def test_init_cover_missing_image(self, monkeypatch):
-        monkeypatch.setattr(identities, "_iota", lambda a, k, debug: EMPTY)
+        monkeypatch.setattr(identities, "_image", lambda a, k, debug: EMPTY)
         report = verify_init_cover(2, 2, 3)
         assert report.passed is False
         assert report.first_mismatch.endswith("claimed by (1, 0) but not in that image")
@@ -463,7 +493,7 @@ class TestWitnesses:
             return passed.shifted(-2)
 
         monkeypatch.setattr(identities, "pass_particle", low_pass)
-        monkeypatch.setattr(identities, "_iota", lambda a, k, debug: iota(lowered.get(a, a), k))
+        monkeypatch.setattr(identities, "_image", lambda a, k, debug: iota(lowered.get(a, a), k))
         report = verify_shift(3, 2, shift_sample_space(3, 2, 4))
         assert report.passed is False
         assert report.first_mismatch == "1:1: passed result 1:1 dips below column 2"
@@ -488,7 +518,7 @@ class TestWitnesses:
         assert verify_golden().first_mismatch.startswith("move chain diverges: ['0:3,0,0,1', '0:3,0,0,1'")
 
     def test_golden_image(self, monkeypatch):
-        monkeypatch.setattr(identities, "_iota", lambda a, k, debug: RiggedPartition.of((3, 1), (0, 1)))
+        monkeypatch.setattr(identities, "_image", lambda a, k, debug: RiggedPartition.of((3, 1), (0, 1)))
         assert verify_golden().first_mismatch == "image of 0:3,0,0,1 is ((3,1),(0,1))"
 
     def test_golden_pass_nodes(self, monkeypatch):

@@ -294,11 +294,23 @@ def test_passing_matches_reference(case):
 
 
 def test_cached_iota_matches_iota():
-    # The grid's cached map builds each image from its remainder's image.
+    # The grid's cached map builds each image from its remainder's image, and shifts it to the configuration's offset.
     identities._iota.cache_clear()
     for k in (1, 2, 3):
         for a in enumerate_configurations(k, 3, 8):
-            assert identities._iota(a, k, False) == iota(a, k)
+            for d in (0, -(10**6), -2, 3, 10**6):
+                assert identities._image(a.shifted(d), k, False) == iota(a.shifted(d), k)
+    identities._iota.cache_clear()
+
+
+def test_translates_share_one_cache_entry():
+    identities._iota.cache_clear()
+    a = Configuration(0, (1, 0, 2, 1))
+    identities._image(a, 3, False)
+    misses = identities._iota.cache_info().misses
+    for d in (-(10**6), -2, 3, 10**6):
+        identities._image(a.shifted(d), 3, False)
+    assert identities._iota.cache_info().misses == misses
     identities._iota.cache_clear()
 
 

@@ -141,6 +141,16 @@ MUTANTS = (
         ("tests/test_moves.py::TestFreeFlight::test_overlong_rise_detected",),
     ),
     Mutant(
+        "_image raises riggings by d, not w * d",
+        "src/rigged/identities.py",
+        "(w, r + w * d)",
+        "(w, r + d)",
+        (
+            "tests/test_identities.py::TestRoundtrip::test_level_three",
+            "tests/test_move_oracle.py::test_cached_iota_matches_iota",
+        ),
+    ),
+    Mutant(
         "enumerate_configurations ends a row at a column that costs exactly the energy left",
         "src/rigged/configuration.py",
         "if i > limit or left[i] < i:",
