@@ -74,6 +74,10 @@ class RiggedPartition:
             cls(parts)
         return cls._trusted(parts)
 
+    def _shifted(self, d: int) -> "RiggedPartition":
+        """Each weight-w rigging raised by w * d: the image of a configuration shifted by d columns, given its own."""
+        return RiggedPartition._trusted(tuple([(w, r + w * d) for w, r in self.parts]))
+
     @classmethod
     def of(cls, weights: tuple[int, ...], riggings: tuple[int, ...]) -> "RiggedPartition":
         if len(weights) != len(riggings):
@@ -204,8 +208,8 @@ def kappa(rp: RiggedPartition, k: int) -> Configuration:
     Builds the lighter particles first, then drops the weight-l particles in
     as free particles far above and lets them settle by as many full left
     sweeps as they started above their place, all on one column buffer.  A
-    run of sweeps that only moves isolated particles is made in one step
-    (``rigged.moves``).  The result does not depend on how far above they
+    particle with two zero columns below it falls across empty columns in one
+    step (``rigged.moves``).  The result does not depend on how far above they
     start; RIGGED_DEBUG=1 recomputes with a higher start and asserts
     agreement.
 
@@ -218,7 +222,7 @@ def kappa(rp: RiggedPartition, k: int) -> Configuration:
     if rp.parts and rp.parts[0][0] > k:
         raise RiggingError(f"largest weight {rp.parts[0][0]} exceeds the level k={k}")
     d = -min((r // w for w, r in rp.parts), default=0)
-    rp = RiggedPartition._trusted(tuple((w, r + w * d) for w, r in rp.parts))
+    rp = rp._shifted(d)
     debug = _debug_enabled()
     result = _kappa(rp, k, 0, debug)
     if debug:

@@ -86,7 +86,8 @@ def _iota(counts: tuple[int, ...], k: int, debug: bool) -> RiggedPartition:
     """
     if not counts:
         return EMPTY
-    l, surplus, rest = _detach(counts, k, debug)
+    # An admissible configuration has weight at most k: S and L - k are each at most a 3-window sum.
+    l, surplus, _, _, rest = _detach(Configuration._trusted(0, counts), k, k, debug)
     tail = _image(rest, k, debug)
     return RiggedPartition._prepended((l, surplus - _load(k, l, _counts(tail.parts, k))), tail)
 
@@ -95,14 +96,14 @@ def _image(a: Configuration, k: int, debug: bool) -> RiggedPartition:
     """``iota(a, k)`` for an admissible ``a``, read from the cached image of its translate to offset 0.
 
     Shifting a configuration by d columns raises each weight-w rigging by
-    w * d (``kappa`` relies on the same fact).  With ``debug`` every shifted
+    w * d (``RiggedPartition._shifted``).  With ``debug`` every shifted
     image is compared with ``iota``.
     """
     rp = _iota(a.counts, k, debug)
     d = a.offset
     if not d:
         return rp
-    shifted = RiggedPartition._trusted(tuple([(w, r + w * d) for w, r in rp.parts]))
+    shifted = rp._shifted(d)
     if debug:
         expected = iota(a, k)
         if shifted != expected:

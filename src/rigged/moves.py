@@ -16,7 +16,8 @@ sighted particle off a copy by zeroing its two columns, so each sighting
 locates the next particle: every window it reads afterwards lies on the near
 side of the cut.  A single move copies a configuration into a buffer, sights
 the end particle and bumps two columns.  The long-running procedures keep one
-buffer for their whole run:
+buffer for their whole run, which ``_Scratch.grow`` pads wherever a particle
+nears its margin:
 
 - Floating the highest particle free by right moves (``_float_off``), one
   run of them (below) per sighting.  A unit moved from column i to i + 1
@@ -29,6 +30,8 @@ buffer for their whole run:
   columns leaves the remainder in place.  The remainder weighs at most the
   peeled particle, so its weight steps down from there, one downward
   ``_sight`` per step, and the float starts at the first sighting.
+  ``separate_highest`` and the forward-map memo float only the highest
+  particle, through ``_detach``.
 - Settling a group of weight-l particles as t full bottom-up left sweeps
   would (``_settle``): each sweep cut-scans every window from below and
   moves each sighted particle left once.  ``_settle`` moves the particles one
@@ -61,9 +64,7 @@ buffer for their whole run:
   the lowest sighting.  RIGGED_DEBUG=1 replays every settle as t sweeps of
   ``move_all``, each a cut-scan of every window.
 - Passing a heavy probe down through a lighter configuration from far above,
-  one run of left moves (below) in place per sighting; only a move at the
-  buffer's low margin goes through ``bump``, which grows the buffer, one at
-  a time.
+  one run of left moves (below) in place per sighting.
 
 Runs.  A unit right move at window i keeps S and L at i and raises S and L
 at i + 1 and L at i + 2 by one each; every other S and L falls or stays.  A
@@ -81,37 +82,32 @@ the probe one move at a time on a copy, as the unit moves they made before
 runs, each only once ``_sight`` from two windows on sights window i
 (``_unit_moves_agree``); a settle's runs are replayed with the whole settle.
 
-Free flight.  A weight-l particle is *isolated* when all l of its units lie
-in two adjacent columns with three zero columns on each side.  A window
-reads four adjacent columns, so no window reads both it and anything else,
-and a window that reads only the rest reads the same values as if the
-particle were absent.  Alone, the particle of energy e sits where
-``build_free_configuration`` lays it out: column e // l holds l - e mod l,
-the next column the rest.  A left sweep sights it at column (e - 1) // l
-and a right scan at e // l, and the unit transfer there yields the layout
-of energy e - 1 or e + 1.  So while it stays isolated a run of moves is one
-arithmetic step.  It stays isolated as long as it keeps three zero columns
-from the nearest occupied column in the direction it moves: content it
-moves away from only falls further behind.  Content that never moves caps
-the run at the last energy keeping that clearance.  ``_float_off`` jumps
-when the particle it is floating is isolated below lighter content, and
-RIGGED_DEBUG=1 compares every such rise with the same moves made one at a
-time by ``right_move``, which scans every window.
-
-Falls.  A settling particle needs less: clearance below it only, and two
-zero columns instead of three.  Sighted by S at q, it holds all l units in
-columns q and q + 1.  Let columns q - 1 and q - 2 be empty, and let x be
-the nearest occupied column below them, with column c + 1 of the cut
-counted as occupied.  While its lower column stays at x + 3 or above, the
-particle moves as the free particle of its energy does.  Windows that read
-only columns at or below x are unchanged, so they sight nothing, as before.
-Windows that read only the particle and empty columns sight it where the
-free particle is sighted, and none lower.  Only window x + 1 reads both,
-and its L, a_x + a_(x+3), is below k + l: a_(x+3) <= l, and a_x = k would
-put S at x at k >= l, which weight at most l allows only as a sighting below
-the particle's.  Clearance above is not needed, because no window at or
-below the particle's sighting reads a column above it.  So ``_settle``
-makes the moves down to that clearance in one step.
+Free flight.  Alone, a weight-l particle of energy e sits where
+``_free_columns`` lays it out: column e // l holds l - e mod l, the next
+column the rest.  A left sweep sights it at column (e - 1) // l and a right
+scan at e // l, and the unit transfer there yields the layout of energy
+e - 1 or e + 1.  Beside other content it moves the same way while two zero
+columns part it from the content it moves towards.  Take a settling
+particle.  Sighted by S at q, it holds all l units in columns q and q + 1.
+Let columns q - 1 and q - 2 be empty, and let x be the nearest occupied
+column below them, with column c + 1 of the cut counted as occupied.  While
+its lower column stays at x + 3 or above, the particle moves as the free
+particle of its energy does.  Windows that read only columns at or below x
+are unchanged, so they sight nothing, as before.  Windows that read only the
+particle and empty columns sight it where the free particle is sighted, and
+none lower.  Only window x + 1 reads both, and its L, a_x + a_(x+3), is below
+k + l: a_(x+3) <= l, and a_x = k would put S at x at k >= l, which weight at
+most l allows only as a sighting below the particle's.  Clearance above is
+not needed, because no window at or below the particle's sighting reads a
+column above it.  So ``_settle`` makes the moves down to that clearance in
+one step.  Reflecting the columns, a_j -> a_(-j), takes S and L at j to S
+and L at -j - 1, so right moves at the highest sighting are left moves at
+the lowest, reflected, and the argument reflects with them: a particle that
+S sights at i, with columns i + 2 and i + 3 empty, rises as the free
+particle does until its upper column is n - 3, n the nearest occupied column
+above it.  ``_float_off`` makes that rise in one step, and RIGGED_DEBUG=1
+compares every rise with the same moves made one at a time by
+``right_move``, which scans every window.
 
 Input is validated once at entry.  Termination caps are generous
 over-estimates that only trip on internal bugs.
@@ -121,7 +117,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from operator import mul
 from typing import Iterable
 
 from .configuration import (
@@ -199,7 +194,7 @@ class _Scratch:
     """Mutable column buffer that every move loop runs on.  Internal only.
 
     Keeps at least four zero columns of margin on both sides so window reads
-    never go out of range, and doubles on the side that runs short.
+    never go out of range, and doubles on the side that runs short (``grow``).
     """
 
     __slots__ = ("lo", "vals")
@@ -211,26 +206,24 @@ class _Scratch:
         self.lo = a.offset - m
         self.vals = [0] * m + list(a.counts) + [0] * m
 
+    def grow(self, j: int) -> int:
+        """Pad ``vals`` until index ``j`` has ``MARGIN`` columns on each side; returns how far indices moved up."""
+        vals, m = self.vals, self.MARGIN
+        if j < m:
+            pad = max(m - j, len(vals))
+            vals[:0] = [0] * pad
+            self.lo -= pad
+            return pad
+        if j >= len(vals) - m:
+            vals.extend([0] * max(j + m + 1 - len(vals), len(vals)))
+        return 0
+
     def bump(self, col: int, delta: int) -> None:
         j = col - self.lo
-        m = self.MARGIN
-        if j < m:
-            pad = max(m - j, len(self.vals))
-            self.vals[:0] = [0] * pad
-            self.lo -= pad
-            j += pad
-        elif j >= len(self.vals) - m:
-            self.vals.extend([0] * max(j + m + 1 - len(self.vals), len(self.vals)))
+        j += self.grow(j)
         self.vals[j] += delta
         if self.vals[j] < 0:
             raise InternalCheckError(f"column {col} driven negative")
-
-    def place(self, e: int, l: int) -> None:
-        """Add a free weight-l particle of energy ``e``."""
-        j, counts = _free_columns(e, l)
-        for c in counts:
-            self.bump(j, c)
-            j += 1
 
     def to_configuration(self, lo: int | None = None, hi: int | None = None) -> Configuration:
         """The buffer as a configuration, keeping only columns in [lo, hi]."""
@@ -478,10 +471,9 @@ def separate_highest(a: Configuration, k: int, l: int) -> Separation:
     if a.is_zero:
         raise MoveError("the zero configuration holds no particle to separate")
     _require_weight_exact(a, k, l)
-    sc = _Scratch(a)
-    _, s, i = _float_off(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, _debug_enabled())
-    fp = FreeParticle(sc.lo + i, sc.vals[i], l)
-    return Separation(fp.energy - s, fp, s, sc.to_configuration(hi=fp.position - 1))
+    _, s, column, upper, remainder = _detach(a, k, l, _debug_enabled())
+    fp = FreeParticle(column, upper, l)
+    return Separation(fp.energy - s, fp, s, remainder)
 
 
 def _float_off(
@@ -493,9 +485,9 @@ def _float_off(
     ``_stepped_weight`` steps down to the weight and sights the particle (RIGGED_DEBUG=1 recomputes the weight).
     ``length`` and ``energy`` are the buffer's; the surplus is the free particle's energy less the moves.  Each
     run of moves at one sighting is one step, which re-checks the four windows it raises, then walks down as
-    ``_sight`` does.  An isolated particle below lighter content rises to four columns below it in one step.
-    Under ``debug`` both are replayed move by move, a rise by ``right_move`` (module docstring).  ``origin``
-    names the input in errors.
+    ``_sight`` does.  A particle two zero columns below the content above it rises to three columns below that
+    content in one step.  Under ``debug`` both are replayed move by move, a rise by ``right_move`` (module
+    docstring).  ``origin`` names the input in errors.
     """
     vals = sc.vals
     l, found = _stepped_weight(vals, k, l, top)
@@ -518,18 +510,19 @@ def _float_off(
         if by_s and vals[i] and top <= i + 1:
             return l, l * (sc.lo + i) + vals[i + 1] - t, i
         rise = 0
-        if by_s and not (vals[i - 1] or vals[i + 2] or vals[i - 2] or vals[i + 3] or vals[i - 3] or vals[i + 4]):
-            # Isolated below lighter content at column n: rise until the
-            # particle's upper column is n - 4, at energy l * (n - 4).
-            n = i + 5
+        if by_s and not (vals[i + 2] or vals[i + 3]):
+            # Two zero columns below the content at column n: rise until the
+            # particle's upper column is n - 3, at energy l * (n - 3).
+            n = i + 4
             while not vals[n]:
                 n += 1
             e = i * vals[i] + (i + 1) * vals[i + 1]
-            rise = l * (n - 4) - e
+            rise = l * (n - 3) - e
         if rise > 0:
             before = sc.to_configuration() if debug else None
             vals[i] = vals[i + 1] = 0
-            sc.place(e + rise + l * sc.lo, l)
+            j, counts = _free_columns(e + rise, l)
+            vals[j : j + len(counts)] = counts
             if before is not None:
                 for _ in range(rise):
                     before = right_move(before, k, l)
@@ -548,8 +541,7 @@ def _float_off(
                 q = 1
             if i + 1 > top:
                 top = i + 1
-                if top + sc.MARGIN >= len(vals):
-                    vals.extend([0] * len(vals))
+                sc.grow(top)
             before = vals[:] if debug else None
             vals[i] -= q
             vals[i + 1] += q
@@ -612,18 +604,14 @@ def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
     return peeled
 
 
-def _detach(counts: tuple[int, ...], k: int, debug: bool) -> tuple[int, int, Configuration]:
-    """(weight, surplus, remainder below it) of the highest particle of ``Configuration(0, counts)``, floated free.
+def _detach(a: Configuration, k: int, l: int, debug: bool) -> tuple[int, int, int, int, Configuration]:
+    """(weight, surplus, column, upper count, remainder below it) of the highest particle of ``a``, floated free.
 
-    ``counts`` are canonical, nonzero and admissible.  The remainder is cut from column 0, where the input starts.
+    ``a`` is nonzero and admissible of weight at most ``l``.
     """
-    sc = _Scratch(ZERO)
-    sc.vals[sc.MARGIN : sc.MARGIN] = counts  # the buffer of Configuration(0, counts)
-    # An admissible configuration has weight at most k: S and L - k are each at most a 3-window sum.
-    top = len(sc.vals) - sc.MARGIN - 1
-    energy = sum(map(mul, range(len(counts)), counts))
-    l, s, i = _float_off(sc, k, k, top, sum(counts), energy, Configuration._trusted(0, counts), debug)
-    return l, s, sc.to_configuration(0, sc.lo + i - 1)
+    sc = _Scratch(a)
+    l, s, i = _float_off(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, debug)
+    return l, s, sc.lo + i, sc.vals[i], sc.to_configuration(a.offset, sc.lo + i - 1)
 
 
 def build_free_configuration(l: int, energies: list[int], k: int) -> Configuration:
@@ -644,10 +632,14 @@ def build_free_configuration(l: int, energies: list[int], k: int) -> Configurati
             raise ValueError(
                 f"free-particle energies must descend by at least {gap}, got {d} then {d_next}"
             )
-    sc = _Scratch(ZERO)
+    if not energies:
+        return ZERO
+    lo = energies[-1] // l
+    vals = [0] * (energies[0] // l + 2 - lo)
     for d in energies:
-        sc.place(d, l)
-    return sc.to_configuration()
+        j, counts = _free_columns(d - l * lo, l)
+        vals[j : j + len(counts)] = counts
+    return Configuration._trusted(lo, tuple(vals))
 
 
 def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debug: bool, start: int = 1) -> None:
@@ -680,9 +672,7 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
                 )
         while True:
             if i < m:
-                pad = len(vals)
-                vals[:0] = [0] * pad
-                sc.lo -= pad
+                pad = sc.grow(i)
                 i += pad
                 if c >= 0:
                     c += pad
@@ -837,9 +827,7 @@ def _descend(
         if low > pos:  # a move at window i fills column i, the lowest a run can reach
             low = pos
         if i < sc.MARGIN:
-            sc.transfer(pos, +1)
-            moved += 1
-            continue
+            i += sc.grow(i)
         # The run of left moves at window i, at least one so that a fault still moves and is caught; it can
         # be longer only if column i + 1 holds more than one unit.
         q = _run_length(vals, i, +1, l, kl) if vals[i + 1] > 1 else 1

@@ -195,16 +195,20 @@ def reference_separation(a: Configuration, k: int, l: int):
 @example(FAR_L_6)
 @settings(max_examples=120, deadline=None)
 def test_separation_matches_reference(case):
-    # Every particle of the chain that iota reads, heaviest first.
-    k, cur = case
+    check_separation_chain(*case)
+
+
+def check_separation_chain(k: int, cur: Configuration) -> None:
+    """``separate_highest`` against ``reference_separation`` on every particle of the chain that iota reads, heaviest
+    first."""
     while cur != ZERO:
         l = reference_weight([0] * 3 + list(cur.counts) + [0] * 3, k)
         sep = separate_highest(cur, k, l)
         steps, free, surplus, remainder = reference_separation(cur, k, l)
-        assert sep.steps == steps
-        assert (sep.free.position, sep.free.upper_count, sep.free.weight) == (*free, l)
-        assert sep.surplus == surplus
-        assert sep.remainder == remainder
+        assert (sep.steps, sep.free.position, sep.free.upper_count, sep.free.weight, sep.surplus) == (
+            steps, *free, l, surplus
+        ), (k, cur)
+        assert sep.remainder == remainder, (k, cur)
         cur = remainder
 
 
@@ -423,6 +427,21 @@ def every_configuration(k: int, width: int):
     yield from grow([])
 
 
+def exhaustive_cases():
+    """(k, configuration) for every ``every_configuration`` at k <= 4 of support <= 7 columns and at k = 5 of <= 6."""
+    for k, width in ((1, 7), (2, 7), (3, 7), (4, 7), (5, 6)):
+        for a in every_configuration(k, width):
+            yield k, a
+
+
+def test_separation_chain_matches_reference_exhaustively(monkeypatch):
+    # Every rise and run that ``_float_off`` makes on these configurations and their remainders, without
+    # RIGGED_DEBUG, so that no replay stands in for the comparison.
+    monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+    for k, a in exhaustive_cases():
+        check_separation_chain(k, a)
+
+
 # Two corner cases of sweeps, kept as inputs: sightings four windows apart, and a second sweep that sights window j
 # with column j - 1 occupied and no sighting at j - 1.
 SWEEP_EXAMPLES = ((1, Configuration(0, (1, 0, 0, 0, 1))), (3, Configuration(0, (1, 0, 2, 0, 1, 2))))
@@ -430,10 +449,10 @@ SWEEP_EXAMPLES = ((1, Configuration(0, (1, 0, 0, 0, 1))), (3, Configuration(0, (
 
 def test_sweep_matches_cut_scan_and_moves(monkeypatch):
     # ``left_sweeps`` settles one particle at a time, lowest first; ``times`` sweeps must leave what ``times`` full
-    # scans of a cut copy and their left moves leave, for every configuration of support at most 6 columns at
-    # k <= 3, at its weight.  Without RIGGED_DEBUG, so that no replay stands in for the comparison.
+    # scans of a cut copy and their left moves leave, for every configuration of ``exhaustive_cases``, at its weight.
+    # Without RIGGED_DEBUG, so that no replay stands in for the comparison.
     monkeypatch.delenv("RIGGED_DEBUG", raising=False)
-    cases = [(k, a) for k in (1, 2, 3) for a in every_configuration(k, 6)] + list(SWEEP_EXAMPLES)
+    cases = list(exhaustive_cases()) + list(SWEEP_EXAMPLES)
     for k, a in cases:
         cols = [0] * 3 + list(a.counts) + [0] * 3
         l = reference_weight(cols, k)

@@ -201,7 +201,8 @@ class TestLocalRescan:
 class TestFreeFlight:
     # A weight-2 particle at column 7 above a weight-1 particle at column 0
     # falls freely by eight moves at k=3, to column 3; a weight-2 particle at
-    # column 0 below a weight-1 particle at column 8 rises freely by eight moves.
+    # column 0 below a weight-1 particle at column 8 rises freely by ten moves,
+    # to column 5.
     FALLING = cfg(1, 0, 0, 0, 0, 0, 0, 2)
     RISING = cfg(2, 0, 0, 0, 0, 0, 0, 0, 1)
 
@@ -227,7 +228,7 @@ class TestFreeFlight:
         # The rising particle lands one right move higher than counted.
         columns = moves._free_columns
         monkeypatch.setattr(moves, "_free_columns", lambda e, l: columns(e + 1, l))
-        with pytest.raises(InternalCheckError, match="free rise of 8 right moves"):
+        with pytest.raises(InternalCheckError, match="free rise of 10 right moves"):
             separate_highest(self.RISING, 3, 2)
 
 

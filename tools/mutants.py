@@ -134,15 +134,35 @@ MUTANTS = (
         ("tests/test_move_oracle.py::test_passing_matches_reference",),
     ),
     Mutant(
-        "_float_off's isolated rise overshoots by one column",
+        "_float_off's rise overshoots by one column",
         "src/rigged/moves.py",
-        "rise = l * (n - 4) - e",
         "rise = l * (n - 3) - e",
-        ("tests/test_moves.py::TestFreeFlight::test_overlong_rise_detected",),
+        "rise = l * (n - 2) - e",
+        (
+            "tests/test_move_oracle.py::test_separation_chain_matches_reference_exhaustively",
+            "tests/test_moves.py::TestSeparation::test_surplus_stable_past_first_freedom",
+        ),
+    ),
+    Mutant(
+        "_float_off's rise needs one zero column above the particle, not two",
+        "src/rigged/moves.py",
+        "if by_s and not (vals[i + 2] or vals[i + 3]):",
+        "if by_s and not vals[i + 2]:",
+        (
+            "tests/test_move_oracle.py::test_separation_chain_matches_reference_exhaustively",
+            "tests/test_moves.py::TestSeparation::test_showcase",
+        ),
+    ),
+    Mutant(
+        "_settle leaves the cut's columns unzeroed",
+        "src/rigged/moves.py",
+        "        vals[c] = vals[c + 1] = 0\n",
+        "",
+        ("tests/test_move_oracle.py::test_sweep_matches_cut_scan_and_moves",),
     ),
     Mutant(
         "_image raises riggings by d, not w * d",
-        "src/rigged/identities.py",
+        "src/rigged/bijection.py",
         "(w, r + w * d)",
         "(w, r + d)",
         (
