@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .configuration import ZERO, Configuration, _check_ints, _json_as, _json_fields, check_level
 from .moves import InternalCheckError, _debug_enabled, _drop_groups, _peel
-from .phases import _load, _quadratic_form
+from .phases import _load, _quadratic_form, _table
 
 
 class RiggingError(ValueError):
@@ -106,9 +106,9 @@ class RiggedPartition:
         return min(matching) if matching else None
 
     def drop_weight(self, w: int) -> "RiggedPartition":
-        """The partition with every weight-w part removed."""
+        """The partition with every weight-w part removed: a subsequence of ordered parts, so ordered too."""
         _check_ints("weight", w)
-        return RiggedPartition(tuple(p for p in self.parts if p[0] != w))
+        return RiggedPartition._trusted(tuple([p for p in self.parts if p[0] != w]))
 
     def to_json_dict(self) -> dict:
         return {"parts": [{"weight": w, "rigging": r} for w, r in self.parts]}
@@ -171,15 +171,25 @@ def iota(a: Configuration, k: int) -> RiggedPartition:
     Floats the heaviest remaining particle free, records its surplus energy,
     and discards it, all in place on one column buffer; the i-th rigging is
     that surplus minus the phase shifts against every later (lighter or
-    equal) particle, summed over a running count of the later weights.
+    equal) particle, summed over a running count of the later weights.  The
+    parts are built lightest first, each checked against the one built
+    before it as ``RiggedPartition._prepended`` checks; an out-of-order part
+    sends the whole partition through the validating constructor, which
+    raises its ``RiggingError``.
     """
     check_level(k)
+    table = _table(k)
     parts = []
     later = [0] * (k + 1)
+    ordered = True
     for w, s in reversed(_peel(a, k)):
-        parts.append((w, s - _load(k, w, later)))
+        part = (w, s - _load(table[w], later))
+        if parts and part < parts[-1]:
+            ordered = False
+        parts.append(part)
         later[w] += 1
-    return RiggedPartition(tuple(reversed(parts)))
+    parts.reverse()
+    return RiggedPartition._trusted(tuple(parts)) if ordered else RiggedPartition(tuple(parts))
 
 
 def _surpluses(k: int, group: Iterable[tuple[int, int]], later: list[int]) -> tuple[int, list[int]]:
@@ -188,9 +198,10 @@ def _surpluses(k: int, group: Iterable[tuple[int, int]], later: list[int]) -> tu
     A part's surplus is its rigging plus the load it owes every later part;
     ``later`` counts the later parts by weight and gains the group's.
     """
+    table = _table(k)
     surpluses = []
     for l, r in group:
-        surpluses.append(r + _load(k, l, later))
+        surpluses.append(r + _load(table[l], later))
         later[l] += 1
     return l, surpluses
 
@@ -229,4 +240,4 @@ def kappa(rp: RiggedPartition, k: int) -> Configuration:
         alt = _kappa(rp, k, rp.parts[0][0] if rp.parts else 1, debug)
         if alt != result:
             raise InternalCheckError(f"inverse map depends on the settling count: {result} vs {alt}")
-    return result.shifted(-d) if d else result
+    return Configuration._trusted(result.offset - d, result.counts) if d else result

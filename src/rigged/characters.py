@@ -128,7 +128,7 @@ def _fits_ceilings(rp: RiggedPartition, k: int, N: int) -> bool:
     m, table, last = _counts(rp.parts, k), _table(k), 0
     for w, r in rp.parts:
         if w != last:
-            last, ceiling = w, w * N + table[w][w] - _load(k, w, m)
+            last, ceiling = w, w * N + table[w][w] - _load(table[w], m)
         if r > ceiling:
             return False
     return True

@@ -243,9 +243,15 @@ def weight(a: Configuration, k: int) -> int:
     """Smallest l with S <= l and L <= k + l everywhere.
 
     Computed in closed form as max(max_j S[j], max_j L[j] - k, 0); zero exactly
-    for the zero sequence.
+    for the zero sequence.  This public entry checks the level; library
+    callers that have already checked it call the body, ``_weight``.
     """
     check_level(k)
+    return _weight(a, k)
+
+
+def _weight(a: Configuration, k: int) -> int:
+    """``weight`` for a level ``k`` already checked; raises AdmissibilityError unless ``a`` is (k, 3)-admissible."""
     s_max, t_max, l_max = _window_maxima((0, 0) + a.counts + (0, 0))
     if t_max > k:
         raise AdmissibilityError(f"{a} is not (k={k}, 3)-admissible")

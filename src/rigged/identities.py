@@ -27,7 +27,7 @@ from .characters import (
     rigged_sum,
     weighted_config_sum,
 )
-from .configuration import ZERO, Configuration, _check_ints, _check_nonnegative, check_level, enumerate_configurations, weight
+from .configuration import ZERO, Configuration, _check_ints, _check_nonnegative, _weight, check_level, enumerate_configurations
 from .moves import (
     InternalCheckError,
     _debug_enabled,
@@ -37,7 +37,7 @@ from .moves import (
     passing_history,
     right_move,
 )
-from .phases import _load, _quadratic_form, _rise, phase
+from .phases import _load, _quadratic_form, _rise, _table
 from .qseries import QPolynomial, _over_one_minus
 
 
@@ -89,7 +89,7 @@ def _iota(counts: tuple[int, ...], k: int, debug: bool) -> RiggedPartition:
     # An admissible configuration has weight at most k: S and L - k are each at most a 3-window sum.
     l, surplus, _, _, rest = _detach(Configuration._trusted(0, counts), k, k, debug)
     tail = _image(rest, k, debug)
-    return RiggedPartition._prepended((l, surplus - _load(k, l, _counts(tail.parts, k))), tail)
+    return RiggedPartition._prepended((l, surplus - _load(_table(k)[l], _counts(tail.parts, k))), tail)
 
 
 def _image(a: Configuration, k: int, debug: bool) -> RiggedPartition:
@@ -406,19 +406,24 @@ def verify_recursion(l: int, k: int, N: int) -> VerifyReport:
 
 
 def verify_shift(k: int, l: int, samples: Iterable[Configuration]) -> VerifyReport:
-    """Passing a weight-l probe shifts every rigging by its phase and commutes with the right move."""
+    """Passing a weight-l probe shifts every rigging by its phase and commutes with the right move.
+
+    The expected image raises every weight-w rigging of the sample's image by the same A(l, w), which keeps
+    the order, so it is built trusted.
+    """
     check_level(k, l)
     witness = None
     checked = 0
     debug = _debug_enabled()
+    row = _table(k)[l]
     for a in samples:
         checked += 1
-        w = weight(a, k)
+        w = _weight(a, k)
         if w >= l:
             raise ValueError(f"shift samples must have weight below l={l}, got {a} of weight {w}")
         rp = _image(a, k, debug)
         passed = pass_particle(a, k, l)
-        expected = RiggedPartition(tuple((wi, ri + phase(k, l, wi)) for wi, ri in rp.parts))
+        expected = RiggedPartition._trusted(tuple([(wi, ri + row[wi]) for wi, ri in rp.parts]))
         actual = _image(passed, k, debug)
         if actual != expected:
             witness = f"{a}: riggings shift to {actual.riggings}, expected {expected.riggings}"

@@ -61,8 +61,11 @@ nears its margin:
   it is cheap the kernel checks the order as it goes: each particle must
   still be the first sighting above the cut when it starts, and once all
   have settled, nothing may be sighted above the last and the first must be
-  the lowest sighting.  RIGGED_DEBUG=1 replays every settle as t sweeps of
-  ``move_all``, each a cut-scan of every window.
+  the lowest sighting.  Restoring the cut rests on a third step, checked but
+  not proven either: no particle moves a unit into the cut's two columns,
+  which only a sighting at window c + 1 could do, so the restore raises
+  InternalCheckError if either column is nonzero.  RIGGED_DEBUG=1 replays
+  every settle as t sweeps of ``move_all``, each a cut-scan of every window.
 - Passing a heavy probe down through a lighter configuration from far above,
   one run of left moves (below) in place per sighting.
 
@@ -125,11 +128,11 @@ from .configuration import (
     Configuration,
     _check_ints,
     _check_nonnegative,
+    _weight,
     _window_maxima,
     check_level,
-    weight,
 )
-from .phases import phase
+from .phases import _table
 
 
 class MoveError(ValueError):
@@ -340,7 +343,7 @@ def _leaves_class(vals: list[int], k: int, l: int) -> bool:
 
 def _require_weight_at_most(a: Configuration, k: int, l: int) -> int:
     check_level(k, l)
-    w = weight(a, k)
+    w = _weight(a, k)
     if w > l:
         raise AdmissibilityError(f"{a} has weight {w}, above the cap l={l}")
     return w
@@ -582,9 +585,9 @@ def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
     is what lies below its free position, so zeroing its two columns in place
     leaves the remainder in the buffer.  The next particle weighs at most l,
     the weight just peeled.  Length and energy are updated, not re-summed;
-    RIGGED_DEBUG=1 re-sums them.
+    RIGGED_DEBUG=1 re-sums them.  The level ``k`` has been checked by the caller.
     """
-    l = weight(a, k)
+    l = _weight(a, k)
     sc = _Scratch(a)
     vals, bottom = sc.vals, sc.MARGIN
     top = len(vals) - bottom - 1
@@ -626,7 +629,7 @@ def build_free_configuration(l: int, energies: list[int], k: int) -> Configurati
     if l < 1:
         raise ValueError("free particles need positive weight")
     _check_ints("energy", *energies)
-    gap = phase(k, l, l)
+    gap = _table(k)[l][l]
     for d, d_next in zip(energies, energies[1:]):
         if d - d_next < gap:
             raise ValueError(
@@ -728,6 +731,11 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
                 j += 1
             i = j
         if c >= 0:
+            # The cut's two columns come back as they were cut: no unit may have moved into them (module docstring).
+            if vals[c] or vals[c + 1]:
+                raise InternalCheckError(
+                    f"weight-{l} particle sighted at column {col} moved units into the cut at column {sc.lo + c}"
+                )
             vals[c], vals[c + 1] = cut
         else:
             first = sc.lo + i
@@ -820,7 +828,7 @@ def _descend(
             # isolated state is not part of the recorded history.
             if not (low < pos or vals[i + 2] or vals[i + 3]):
                 rest = sc.to_configuration(lo=pos + 2)
-                if weight(rest, k) < l:
+                if _weight(rest, k) < l:
                     return nodes, rest
             if record and pos <= top + 1:
                 nodes.append((kind, pos, sc.to_configuration()))
@@ -849,7 +857,7 @@ def _pass(a: Configuration, k: int, l: int, record: bool, debug: bool) -> tuple[
     check_level(k, l)
     if l < 1:
         raise ValueError("the probe needs positive weight")
-    w = weight(a, k)
+    w = _weight(a, k)
     if w >= l:
         raise AdmissibilityError(f"passing needs weight below l={l}, but {a} has weight {w}")
     if a.is_zero:

@@ -8,6 +8,8 @@ This module is the one home of the two-body term.  A is tabulated once per
 level; the private helpers below read the table with multiplicity vectors
 indexed by weight (``m[w]`` counts the weight-w particles), so that index 0
 lines up with the table's zero row and column and a load is one dot product.
+Callers that read many loads at one level fetch the table once and pass
+``_load`` its rows.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ def phase(k: int, l: int, lp: int) -> int:
     return _table(k)[l][lp]
 
 
-def _load(k: int, w: int, m: Sequence[int]) -> int:
-    """The phase shift a weight-w particle owes the particles counted by ``m``: sum_v A(w, v) m_v."""
-    return sum(map(mul, _table(k)[w], m))
+def _load(row: Sequence[int], m: Sequence[int]) -> int:
+    """sum_v A(w, v) m_v, the phase shift a weight-w particle owes the particles counted by ``m``; ``row`` is A(w, .)."""
+    return sum(map(mul, row, m))
 
 
 def _vacancies(k: int, N: int, m: Sequence[int], floor: Sequence[int]) -> list[int]:
@@ -76,4 +78,4 @@ def _gordon_form(m: Sequence[int]) -> int:
 
 def _rise(k: int, w: int, m: Sequence[int], window: int) -> int:
     """Q(m + e_w) - Q(m): the ground energy one more weight-w particle adds, in the window-3 or window-2 theory."""
-    return _load(k, w, m) if window == 3 else _gordon_load(w, m) + w
+    return _load(_table(k)[w], m) if window == 3 else _gordon_load(w, m) + w

@@ -14,7 +14,7 @@ from rigged.bijection import (
     multiplicities,
 )
 from rigged.configuration import ZERO, AdmissibilityError, Configuration, enumerate_configurations, weight
-from rigged.moves import InternalCheckError, pass_particle, right_move
+from rigged.moves import InternalCheckError, MoveError, pass_particle, right_move
 from rigged.phases import gordon_phase, phase
 
 
@@ -81,6 +81,28 @@ class TestRiggedPartition:
         else:
             assert RiggedPartition._prepended(part, tail) == expected
 
+    @pytest.mark.parametrize(
+        "peeled",
+        [[(2, 0), (1, 0)], [(1, 0), (2, 0)], [(2, 9), (2, 0)], [(2, 0), (2, 9)], [(3, 0), (1, 0), (2, 0)]],
+        ids=["ordered", "weights rise", "riggings ordered", "riggings rise", "middle pair out of order"],
+    )
+    def test_iota_checks_the_order_like_the_constructor(self, monkeypatch, peeled):
+        # iota builds its result trusted, checking each part against the one built before it; a faulty peel
+        # (weight, surplus) list that puts a part out of order must raise the constructor's RiggingError.
+        monkeypatch.setattr(bijection, "_peel", lambda a, k: peeled)
+        parts, later = [], []
+        for w, s in reversed(peeled):
+            parts.insert(0, (w, s - sum(phase(3, w, v) for v in later)))
+            later.append(w)
+        try:
+            expected = RiggedPartition(tuple(parts))
+        except RiggingError as exc:
+            with pytest.raises(RiggingError) as got:
+                iota(cfg(1), 3)
+            assert str(got.value) == str(exc)
+        else:
+            assert iota(cfg(1), 3) == expected
+
     def test_negative_riggings_allowed(self):
         part = rp((2, 1), (-3, 5))
         assert part.riggings == (-3, 5)
@@ -139,6 +161,40 @@ def test_integer_arguments_checked(call, value):
     # A float or bool is never truncated: 2.0 and True would pass every range check as 2 and 1.
     with pytest.raises(ValueError, match=rf"got {value!r}\b"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: weight(cfg(1, 1), 0), ValueError, "level k must be in 1..64, got 0"),
+        (lambda: weight(cfg(2, 2), 3), AdmissibilityError, "0:2,2 is not (k=3, 3)-admissible"),
+        (lambda: phase(65, 1, 1), ValueError, "level k must be in 1..64, got 65"),
+        (lambda: phase(3, 4, 1), ValueError, "weights must lie in 1..k=3, got (4, 1)"),
+        (lambda: phase(3, 1, 0), ValueError, "weights must lie in 1..k=3, got (1, 0)"),
+        (lambda: pass_particle(cfg(1), 0, 1), ValueError, "level k must be in 1..64, got 0"),
+        (lambda: pass_particle(cfg(1), 3, 4), ValueError, "weight cap must satisfy 0 <= l <= k, got l=4 at k=3"),
+        (lambda: pass_particle(cfg(2, 2), 3, 3), AdmissibilityError, "0:2,2 is not (k=3, 3)-admissible"),
+        (lambda: pass_particle(cfg(1, 1), 3, 2), AdmissibilityError, "passing needs weight below l=2, but 0:1,1 has weight 2"),
+        (lambda: right_move(cfg(1), 65, 1), ValueError, "level k must be in 1..64, got 65"),
+        (lambda: right_move(cfg(1), 2, 3), ValueError, "weight cap must satisfy 0 <= l <= k, got l=3 at k=2"),
+        (lambda: right_move(cfg(2, 2), 3, 3), AdmissibilityError, "0:2,2 is not (k=3, 3)-admissible"),
+        (lambda: right_move(cfg(1, 1), 3, 1), AdmissibilityError, "0:1,1 has weight 2, above the cap l=1"),
+        (lambda: right_move(cfg(1), 3, 2), MoveError, "0:1 has weight 1 < l=2; no weight-2 particle to move"),
+        (lambda: rp((2, 1), (0, 0)).drop_weight(2.0), ValueError, "weight must be an integer, got 2.0"),
+        (lambda: rp((2, 1), (0, 0)).drop_weight("1"), ValueError, "weight must be an integer, got '1'"),
+    ],
+    ids=[
+        "weight k=0", "weight inadmissible", "phase k=65", "phase l=4", "phase l'=0", "pass_particle k=0",
+        "pass_particle l>k", "pass_particle inadmissible", "pass_particle weight l", "right_move k=65",
+        "right_move l>k", "right_move inadmissible", "right_move above the cap", "right_move below l",
+        "drop_weight w=2.0", "drop_weight w='1'",
+    ],
+)
+def test_bad_level_or_weight_keeps_its_message(call, error, message):
+    # The public entries check a level or weight once; the library's own calls skip the check through private bodies.
+    with pytest.raises(error) as got:
+        call()
+    assert type(got.value) is error and str(got.value) == message
 
 
 class TestEnergySplit:

@@ -224,6 +224,15 @@ class TestFreeFlight:
         with pytest.raises(InternalCheckError, match="settling 1 weight-2 particles by 6 sweeps disagrees"):
             left_sweeps(self.FALLING, 3, 2, 6)
 
+    def test_fall_onto_the_cut_detected(self, monkeypatch):
+        # At k = 2 both weight-2 particles of 5:2,0,0,2 fall four moves: the lower one to column 3, sighted last at
+        # c = 2, and the upper one to column 6, three columns above column c + 1 of the cut.  Landing every fall
+        # three columns lower than counted puts the upper particle on column c + 1, which the restore catches.
+        columns = moves._free_columns
+        monkeypatch.setattr(moves, "_free_columns", lambda e, l: columns(e - 3 * l, l))
+        with pytest.raises(InternalCheckError, match="sighted at column 7 moved units into the cut at column 2$"):
+            left_sweeps(cfg(2, 0, 0, 2, offset=5), 2, 2, 4)
+
     def test_overlong_rise_detected(self, rigged_debug, monkeypatch):
         # The rising particle lands one right move higher than counted.
         columns = moves._free_columns

@@ -161,6 +161,20 @@ MUTANTS = (
         ("tests/test_move_oracle.py::test_sweep_matches_cut_scan_and_moves",),
     ),
     Mutant(
+        "_settle's restore of the cut stops checking the cut's columns",
+        "src/rigged/moves.py",
+        "            if vals[c] or vals[c + 1]:\n",
+        "            if False:\n",
+        ("tests/test_moves.py::TestFreeFlight::test_fall_onto_the_cut_detected",),
+    ),
+    Mutant(
+        "iota's order check dropped",
+        "src/rigged/bijection.py",
+        "        if parts and part < parts[-1]:\n            ordered = False\n",
+        "",
+        ("tests/test_bijection.py::TestRiggedPartition::test_iota_checks_the_order_like_the_constructor",),
+    ),
+    Mutant(
         "_image raises riggings by d, not w * d",
         "src/rigged/bijection.py",
         "(w, r + w * d)",
