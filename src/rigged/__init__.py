@@ -22,6 +22,7 @@ from .configuration import (
     ZERO,
     AdmissibilityError,
     Configuration,
+    InternalCheckError,
     enumerate_configurations,
     is_admissible,
     l_functional,
@@ -31,7 +32,6 @@ from .configuration import (
 from .identities import VerifyReport, verify_all
 from .moves import (
     FreeParticle,
-    InternalCheckError,
     MoveError,
     ParticleSighting,
     Separation,

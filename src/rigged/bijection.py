@@ -20,8 +20,9 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Iterable
 
-from .configuration import ZERO, Configuration, _check_ints, _json_as, _json_fields, check_level
-from .moves import InternalCheckError, _debug_enabled, _drop_groups, _peel
+from . import configuration
+from .configuration import ZERO, Configuration, InternalCheckError, _check_ints, _json_as, _json_fields, check_level
+from .moves import _drop_groups, _peel
 from .phases import _load, _quadratic_form, _table
 
 
@@ -206,11 +207,11 @@ def _surpluses(k: int, group: Iterable[tuple[int, int]], later: list[int]) -> tu
     return l, surpluses
 
 
-def _kappa(rp: RiggedPartition, k: int, extra: int, debug: bool) -> Configuration:
+def _kappa(rp: RiggedPartition, k: int, extra: int) -> Configuration:
     """Inverse map, ``extra`` more settling sweeps per weight: weight groups lightest first (``_drop_groups``)."""
     later = [0] * (k + 1)
     groups = (_surpluses(k, group, later) for _, group in groupby(reversed(rp.parts), itemgetter(0)))
-    return _drop_groups(ZERO, k, groups, extra, debug)
+    return _drop_groups(ZERO, k, groups, extra)
 
 
 def kappa(rp: RiggedPartition, k: int) -> Configuration:
@@ -234,10 +235,9 @@ def kappa(rp: RiggedPartition, k: int) -> Configuration:
         raise RiggingError(f"largest weight {rp.parts[0][0]} exceeds the level k={k}")
     d = -min((r // w for w, r in rp.parts), default=0)
     rp = rp._shifted(d)
-    debug = _debug_enabled()
-    result = _kappa(rp, k, 0, debug)
-    if debug:
-        alt = _kappa(rp, k, rp.parts[0][0] if rp.parts else 1, debug)
+    result = _kappa(rp, k, 0)
+    if configuration._DEBUG:
+        alt = _kappa(rp, k, rp.parts[0][0] if rp.parts else 1)
         if alt != result:
             raise InternalCheckError(f"inverse map depends on the settling count: {result} vs {alt}")
     return Configuration._trusted(result.offset - d, result.counts) if d else result

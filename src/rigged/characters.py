@@ -45,9 +45,9 @@ from operator import sub
 from typing import Iterable, Iterator
 
 from .bijection import RiggedPartition, RiggingError, _counts
-from .configuration import Configuration, _check_ints, _check_nonnegative, _check_window, _next_column, check_level
-from .configuration import enumerate_configurations, weight as config_weight
-from .moves import InternalCheckError, _debug_enabled
+from . import configuration
+from .configuration import Configuration, InternalCheckError, _check_ints, _check_nonnegative, _check_window
+from .configuration import _next_column, check_level, enumerate_configurations, weight as config_weight
 from .phases import _load, _quadratic_form, _table, _vacancies
 from .qseries import QPolynomial, _packed_binomial, _slot_bits, _times_binomial, _unpack
 
@@ -274,7 +274,7 @@ def _fermionic_sum(k: int, floor_values: tuple[int, ...], N: int, weight_cap: in
     bits = _slot_bits(sum(math.prod(math.comb(p_j + m_j, m_j) for p_j, m_j in keys) for _, keys in terms))
     packs = {key: _packed_binomial(*key, bits) for key in set(itertools.chain.from_iterable(keys for _, keys in terms))}
     result = _unpack(sum(math.prod(map(packs.__getitem__, keys)) << bits * e for e, keys in terms), bits)
-    if _debug_enabled():
+    if configuration._DEBUG:
         coeffs: Counter[int] = Counter()
         for e, keys in terms:
             product = [1]
@@ -373,7 +373,7 @@ def config_sum(
     _check_window(r)
     limit = min(bound for bound in (N, max_degree) if bound is not None)
     result = _column_transfer(k, r, {0: a0, 1: a1}, limit, max_degree)
-    if _debug_enabled():
+    if configuration._DEBUG:
         _check_against_enumeration(result, enumerate_configurations(k, r, N, a0=a0, a1=a1, max_energy=max_degree))
     return result
 
@@ -384,7 +384,7 @@ def weighted_config_sum(k: int, l: int, a0: int, a1: int, N: int) -> QPolynomial
     _check_nonnegative("boundary", N)
     # At l = k the cap never binds (L is two 3-windows), so the transfer runs on the smaller uncapped states.
     result = _column_transfer(k, 3, {0: a0, 1: a1}, N, None, l if l < k else None)
-    if _debug_enabled():
+    if configuration._DEBUG:
         # Filtered by weight(), not the enumerator's own cap, so the two caps never vouch for each other.
         family = enumerate_configurations(k, 3, N, a0=a0, a1=a1)
         _check_against_enumeration(result, (cfg for cfg in family if config_weight(cfg, k) <= l))

@@ -30,6 +30,7 @@ Everything is exact integer arithmetic on immutable values.
 
 from __future__ import annotations
 
+import os
 import reprlib
 from dataclasses import dataclass
 from operator import mul
@@ -42,6 +43,15 @@ MAX_LEVEL = 64
 
 class AdmissibilityError(ValueError):
     """A configuration violates a window or weight bound it was required to satisfy."""
+
+
+class InternalCheckError(RuntimeError):
+    """An internal invariant failed; indicates a bug, not bad input."""
+
+
+#: The double computations, on under RIGGED_DEBUG=1.  The variable is read here once, at import; each check
+#: reads this attribute as ``configuration._DEBUG`` when it runs, so setting it here reaches every module.
+_DEBUG = os.environ.get("RIGGED_DEBUG") == "1"
 
 
 def check_level(k: int, l: int | None = None) -> None:

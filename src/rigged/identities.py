@@ -27,16 +27,10 @@ from .characters import (
     rigged_sum,
     weighted_config_sum,
 )
-from .configuration import ZERO, Configuration, _check_ints, _check_nonnegative, _weight, check_level, enumerate_configurations
-from .moves import (
-    InternalCheckError,
-    _debug_enabled,
-    _detach,
-    _drop_groups,
-    pass_particle,
-    passing_history,
-    right_move,
-)
+from . import configuration
+from .configuration import ZERO, Configuration, InternalCheckError, _check_ints, _check_nonnegative, _weight
+from .configuration import check_level, enumerate_configurations
+from .moves import _detach, _drop_groups, pass_particle, passing_history, right_move
 from .phases import _load, _quadratic_form, _rise, _table
 from .qseries import QPolynomial, _over_one_minus
 
@@ -72,8 +66,8 @@ class VerifyReport:
 
 
 @lru_cache(maxsize=None)
-def _iota(counts: tuple[int, ...], k: int, debug: bool) -> RiggedPartition:
-    """Cached ``iota(Configuration(0, counts), k)`` for admissible canonical ``counts``; ``debug`` re-checks the float.
+def _iota(counts: tuple[int, ...], k: int) -> RiggedPartition:
+    """Cached ``iota(Configuration(0, counts), k)`` for admissible canonical ``counts``.
 
     The key is the translation class: every configuration reads its image
     through ``_image``, which shifts this one.  A miss floats only the
@@ -87,31 +81,31 @@ def _iota(counts: tuple[int, ...], k: int, debug: bool) -> RiggedPartition:
     if not counts:
         return EMPTY
     # An admissible configuration has weight at most k: S and L - k are each at most a 3-window sum.
-    l, surplus, _, _, rest = _detach(Configuration._trusted(0, counts), k, k, debug)
-    tail = _image(rest, k, debug)
+    l, surplus, _, _, rest = _detach(Configuration._trusted(0, counts), k, k)
+    tail = _image(rest, k)
     return RiggedPartition._prepended((l, surplus - _load(_table(k)[l], _counts(tail.parts, k))), tail)
 
 
-def _image(a: Configuration, k: int, debug: bool) -> RiggedPartition:
+def _image(a: Configuration, k: int) -> RiggedPartition:
     """``iota(a, k)`` for an admissible ``a``, read from the cached image of its translate to offset 0.
 
     Shifting a configuration by d columns raises each weight-w rigging by
-    w * d (``RiggedPartition._shifted``).  With ``debug`` every shifted
-    image is compared with ``iota``.
+    w * d (``RiggedPartition._shifted``).  RIGGED_DEBUG=1 compares every
+    shifted image with ``iota``.
     """
-    rp = _iota(a.counts, k, debug)
+    rp = _iota(a.counts, k)
     d = a.offset
     if not d:
         return rp
     shifted = rp._shifted(d)
-    if debug:
+    if configuration._DEBUG:
         expected = iota(a, k)
         if shifted != expected:
             raise InternalCheckError(f"image of {a} shifted from offset 0 is {shifted}, iota gives {expected}")
     return shifted
 
 
-def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Configuration], debug: bool) -> Configuration:
+def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Configuration]) -> Configuration:
     """``kappa`` of the rigged partition with ``parts``, memoized in ``memo``, which must map () to ZERO.
 
     A miss settles only the heaviest weight group, as ``kappa``'s loop does,
@@ -120,7 +114,7 @@ def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Confi
     case, where its rigging translation keeps the cost independent of the
     riggings, so it goes to ``kappa``.  A heavier group's sweep count reads
     only its riggings relative to the columns below it, which that
-    translation leaves unchanged.  With ``debug`` every miss is compared with
+    translation leaves unchanged.  RIGGED_DEBUG=1 compares every miss with
     ``kappa``.
     """
     c = memo.get(parts)
@@ -134,8 +128,8 @@ def _inverse(parts: tuple[tuple[int, int], ...], k: int, memo: dict[tuple, Confi
     else:
         lighter = parts[n:]
         group = _surpluses(k, reversed(parts[:n]), _counts(lighter, k))
-        c = _drop_groups(_inverse(lighter, k, memo, debug), k, [group], 0, debug)
-        if debug:
+        c = _drop_groups(_inverse(lighter, k, memo), k, [group], 0)
+        if configuration._DEBUG:
             expected = kappa(RiggedPartition._trusted(parts), k)
             if c != expected:
                 raise InternalCheckError(f"inverse memo settles {parts} to {c}, kappa to {expected}")
@@ -181,11 +175,10 @@ def verify_roundtrip(k: int, N: int) -> VerifyReport:
     memo = {(): ZERO}
     ground: dict[tuple[int, ...], int] = {}
     witness = None
-    debug = _debug_enabled()
     for a in enumerate_configurations(k, 3, N):
         count += 1
-        rp = _image(a, k, debug)
-        back = _inverse(rp.parts, k, memo, debug)
+        rp = _image(a, k)
+        back = _inverse(rp.parts, k, memo)
         if back != a:
             witness = f"{a}: inverse map returns {back}"
             break
@@ -291,15 +284,15 @@ def verify_polynomial_identity(k: int, l: int, a: int, b: int, N: int) -> Verify
     return _poly_report("polynomial", params, lhs, rhs)
 
 
-def _init_image(k: int, l: int, a: int, b: int, N: int, debug: bool) -> set[RiggedPartition]:
+def _init_image(k: int, l: int, a: int, b: int, N: int) -> set[RiggedPartition]:
     """Forward-map image of the boundary-N configurations of weight <= l with (a_0, a_1) = (a, b)."""
-    return {_image(cfg, k, debug) for cfg in enumerate_configurations(k, 3, N, a0=a, a1=b, max_weight=l)}
+    return {_image(cfg, k) for cfg in enumerate_configurations(k, 3, N, a0=a, a1=b, max_weight=l)}
 
 
 def verify_init(k: int, l: int, a: int, b: int, N: int) -> VerifyReport:
     """The forward image of the (a_0, a_1) = (a, b) family equals its predicate set."""
     check_level(k, l)
-    image = _init_image(k, l, a, b, N, _debug_enabled())
+    image = _init_image(k, l, a, b, N)
     rset = initial_columns_set(a, b, l, k, boundary=N)
     predicate = {rp for rp in enumerate_rigged(k, l, N, rset.floor) if _member(rp, rset, k)}
     witness = _set_mismatch(image, predicate)
@@ -319,8 +312,7 @@ def verify_init_cover(k: int, l: int, N: int) -> VerifyReport:
     check_level(k, l)
     pairs = [(a, b) for a in range(l + 1) for b in range(l + 1 - a)]
     sets = {(a, b): initial_columns_set(a, b, l, k, boundary=N) for a, b in pairs}
-    debug = _debug_enabled()
-    images = {(a, b): _init_image(k, l, a, b, N, debug) for a, b in pairs}
+    images = {(a, b): _init_image(k, l, a, b, N) for a, b in pairs}
     witness = None
     for rp in enumerate_rigged(k, l, N):
         hits = [(a, b) for a, b in pairs if _member(rp, sets[(a, b)], k)]
@@ -339,11 +331,10 @@ def verify_boundary(k: int, l: int, N: int) -> VerifyReport:
     _check_nonnegative("boundary", N)
     witness = None
     checked = 0
-    debug = _debug_enabled()
     for cfg in enumerate_configurations(k, 3, N + 3, max_weight=l):
         checked += 1
         inside = cfg.support_max is None or cfg.support_max <= N
-        fits = _fits_ceilings(_image(cfg, k, debug), k, N)
+        fits = _fits_ceilings(_image(cfg, k), k, N)
         if inside != fits:
             witness = f"{cfg}: support inside boundary {inside} but ceilings {fits}"
             break
@@ -414,17 +405,16 @@ def verify_shift(k: int, l: int, samples: Iterable[Configuration]) -> VerifyRepo
     check_level(k, l)
     witness = None
     checked = 0
-    debug = _debug_enabled()
     row = _table(k)[l]
     for a in samples:
         checked += 1
         w = _weight(a, k)
         if w >= l:
             raise ValueError(f"shift samples must have weight below l={l}, got {a} of weight {w}")
-        rp = _image(a, k, debug)
+        rp = _image(a, k)
         passed = pass_particle(a, k, l)
         expected = RiggedPartition._trusted(tuple([(wi, ri + row[wi]) for wi, ri in rp.parts]))
-        actual = _image(passed, k, debug)
+        actual = _image(passed, k)
         if actual != expected:
             witness = f"{a}: riggings shift to {actual.riggings}, expected {expected.riggings}"
             break
@@ -501,7 +491,7 @@ def verify_golden() -> VerifyReport:
     if tuple(chain) != GOLDEN_CHAIN:
         witness = f"move chain diverges: {[str(c) for c in chain]}"
     if witness is None:
-        image = _image(start, 3, _debug_enabled())
+        image = _image(start, 3)
         if image != RiggedPartition.of((3, 1), (0, 0)):
             witness = f"image of {start} is {image}"
     if witness is None:

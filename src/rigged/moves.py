@@ -118,14 +118,15 @@ over-estimates that only trip on internal bugs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import configuration
 from .configuration import (
     ZERO,
     AdmissibilityError,
     Configuration,
+    InternalCheckError,
     _check_ints,
     _check_nonnegative,
     _weight,
@@ -137,14 +138,6 @@ from .phases import _table
 
 class MoveError(ValueError):
     """A move was requested that the configuration cannot perform."""
-
-
-class InternalCheckError(RuntimeError):
-    """An internal invariant failed; indicates a bug, not bad input."""
-
-
-def _debug_enabled() -> bool:
-    return os.environ.get("RIGGED_DEBUG", "") == "1"
 
 
 @dataclass(frozen=True, slots=True)
@@ -474,13 +467,13 @@ def separate_highest(a: Configuration, k: int, l: int) -> Separation:
     if a.is_zero:
         raise MoveError("the zero configuration holds no particle to separate")
     _require_weight_exact(a, k, l)
-    _, s, column, upper, remainder = _detach(a, k, l, _debug_enabled())
+    _, s, column, upper, remainder = _detach(a, k, l)
     fp = FreeParticle(column, upper, l)
     return Separation(fp.energy - s, fp, s, remainder)
 
 
 def _float_off(
-    sc: _Scratch, k: int, l: int, top: int, length: int, energy: int, origin: Configuration, debug: bool
+    sc: _Scratch, k: int, l: int, top: int, length: int, energy: int, origin: Configuration
 ) -> tuple[int, int, int]:
     """(weight, surplus, index i) of the highest particle of ``sc``, floated free by right moves to i and i + 1 in place.
 
@@ -489,10 +482,10 @@ def _float_off(
     ``length`` and ``energy`` are the buffer's; the surplus is the free particle's energy less the moves.  Each
     run of moves at one sighting is one step, which re-checks the four windows it raises, then walks down as
     ``_sight`` does.  A particle two zero columns below the content above it rises to three columns below that
-    content in one step.  Under ``debug`` both are replayed move by move, a rise by ``right_move`` (module
+    content in one step.  RIGGED_DEBUG=1 replays both move by move, a rise by ``right_move`` (module
     docstring).  ``origin`` names the input in errors.
     """
-    vals = sc.vals
+    vals, debug = sc.vals, configuration._DEBUG
     l, found = _stepped_weight(vals, k, l, top)
     if debug:
         s_max, _, l_max = _window_maxima(vals[sc.MARGIN - 2 : top + 3])
@@ -592,12 +585,11 @@ def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
     vals, bottom = sc.vals, sc.MARGIN
     top = len(vals) - bottom - 1
     length, energy = a.length(), a.energy()
-    debug = _debug_enabled()
     peeled = []
     while top >= bottom:
-        if debug and (sum(vals), sum((sc.lo + j) * c for j, c in enumerate(vals))) != (length, energy):
+        if configuration._DEBUG and (sum(vals), sum((sc.lo + j) * c for j, c in enumerate(vals))) != (length, energy):
             raise InternalCheckError(f"running length {length} and energy {energy} disagree with the buffer, from {a}")
-        l, s, i = _float_off(sc, k, l, top, length, energy, a, debug)
+        l, s, i = _float_off(sc, k, l, top, length, energy, a)
         peeled.append((l, s))
         length, energy = length - l, energy - s
         vals[i] = vals[i + 1] = 0
@@ -607,13 +599,13 @@ def _peel(a: Configuration, k: int) -> list[tuple[int, int]]:
     return peeled
 
 
-def _detach(a: Configuration, k: int, l: int, debug: bool) -> tuple[int, int, int, int, Configuration]:
+def _detach(a: Configuration, k: int, l: int) -> tuple[int, int, int, int, Configuration]:
     """(weight, surplus, column, upper count, remainder below it) of the highest particle of ``a``, floated free.
 
     ``a`` is nonzero and admissible of weight at most ``l``.
     """
     sc = _Scratch(a)
-    l, s, i = _float_off(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, debug)
+    l, s, i = _float_off(sc, k, l, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a)
     return l, s, sc.lo + i, sc.vals[i], sc.to_configuration(a.offset, sc.lo + i - 1)
 
 
@@ -645,7 +637,7 @@ def build_free_configuration(l: int, energies: list[int], k: int) -> Configurati
     return Configuration._trusted(lo, tuple(vals))
 
 
-def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debug: bool, start: int = 1) -> None:
+def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, start: int = 1) -> None:
     """Apply ``times`` full bottom-up left sweeps to the weight-l particles in ``sc``, in place, lowest particle first.
 
     A cut-scan of the windows from index ``start`` up, none below which may sight a particle, locates the
@@ -653,11 +645,11 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
     with the one below cut off at its last sighting: a run of moves at one sighting or, once two zero columns
     clear it below, a fall, in one step (module docstring).  Each must still be the first sighting above the cut
     when it starts; once all have settled, nothing may be sighted above the last and the first must be the lowest
-    sighting.  With ``debug`` the result is compared with ``times`` sweeps of ``move_all``.
+    sighting.  RIGGED_DEBUG=1 compares the result with ``times`` sweeps of ``move_all``.
     """
     if not times:
         return
-    before = sc.to_configuration() if debug else None
+    before = sc.to_configuration() if configuration._DEBUG else None
     vals, m, kl = sc.vals, sc.MARGIN, k + l
     found = [sc.lo + p for p in _cut_scan(vals, l, kl, +1, start)]
     start += sc.lo
@@ -674,11 +666,8 @@ def _settle(sc: _Scratch, k: int, l: int, times: int, expected: int | None, debu
                     f"weight-{l} particle at column {col} is not the first sighting above the one settled below it"
                 )
         while True:
-            if i < m:
-                pad = sc.grow(i)
-                i += pad
-                if c >= 0:
-                    c += pad
+            if i < m:  # never once a cut exists: the cut is a settled particle's index, at least m, and i > c
+                i += sc.grow(i)
             if not left:
                 break
             s = vals[i] + vals[i + 1]
@@ -761,13 +750,11 @@ def left_sweeps(b: Configuration, k: int, l: int, times: int) -> Configuration:
     _require_weight_at_most(b, k, l)
     _check_nonnegative("times", times)
     sc = _Scratch(b)
-    _settle(sc, k, l, times, None, _debug_enabled())
+    _settle(sc, k, l, times, None)
     return sc.to_configuration()
 
 
-def _drop_groups(
-    base: Configuration, k: int, groups: Iterable[tuple[int, list[int]]], extra: int, debug: bool
-) -> Configuration:
+def _drop_groups(base: Configuration, k: int, groups: Iterable[tuple[int, list[int]]], extra: int) -> Configuration:
     """``base`` with each group (l, ascending surpluses) of weight-l particles dropped in and settled, in turn.
 
     Each group starts free at energies surplus + t, t the fewest sweeps that put it three columns clear above
@@ -785,7 +772,7 @@ def _drop_groups(
             j -= sc.lo
             vals[j : j + len(counts)] = counts
         # Windows up to the old top read only lighter content, which sights no weight-l particle.
-        _settle(sc, k, l, t, len(surpluses), debug, top - sc.lo + 1)
+        _settle(sc, k, l, t, len(surpluses), top - sc.lo + 1)
         top = (surpluses[-1] + t) // l + 1  # sweeps only lower the top
         while not vals[top - sc.lo]:
             top -= 1
@@ -796,7 +783,7 @@ def _drop_groups(
 
 
 def _descend(
-    a: Configuration, k: int, l: int, probe_column: int, record: bool, debug: bool
+    a: Configuration, k: int, l: int, probe_column: int, record: bool
 ) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
     """Drop a weight-l probe from ``probe_column`` through nonzero ``a`` by runs of left moves.
 
@@ -804,13 +791,13 @@ def _descend(
     from top + 1 (``top`` is the highest column of ``a``) down, unless
     ``record`` is off; nodes above that depend on ``probe_column``.  Stops as
     soon as the probe sits fully below the rest with a two-column gap; what
-    lies above it then is the passed configuration.  Under ``debug`` each run
-    is replayed move by move (``_unit_moves_agree``).
+    lies above it then is the passed configuration.  RIGGED_DEBUG=1 replays
+    each run move by move (``_unit_moves_agree``).
     """
     top, low = a.support_max, a.support_min
     sc = _Scratch(a)
     sc.bump(probe_column, l)
-    vals, kl = sc.vals, k + l
+    vals, kl, debug = sc.vals, k + l, configuration._DEBUG
     nodes: list[tuple[str, int, Configuration]] = []
     last_pos: int | None = None
     cap = l * (probe_column - low + 3 * (a.length() + 2) + 10) + 10
@@ -852,8 +839,8 @@ def _descend(
     raise InternalCheckError(f"probe failed to pass {a} within {cap} moves")
 
 
-def _pass(a: Configuration, k: int, l: int, record: bool, debug: bool) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
-    """``passing_history``, with the nodes left empty unless ``record`` is on; ``debug`` re-drops the probe."""
+def _pass(a: Configuration, k: int, l: int, record: bool) -> tuple[list[tuple[str, int, Configuration]], Configuration]:
+    """``passing_history``, with the nodes left empty unless ``record`` is on; RIGGED_DEBUG=1 re-drops the probe."""
     check_level(k, l)
     if l < 1:
         raise ValueError("the probe needs positive weight")
@@ -863,9 +850,9 @@ def _pass(a: Configuration, k: int, l: int, record: bool, debug: bool) -> tuple[
     if a.is_zero:
         return [], ZERO
     probe_column = a.support_max + 4
-    nodes, result = _descend(a, k, l, probe_column, record, debug)
-    if debug:
-        nodes2, result2 = _descend(a, k, l, probe_column + 1, record, debug)
+    nodes, result = _descend(a, k, l, probe_column, record)
+    if configuration._DEBUG:
+        nodes2, result2 = _descend(a, k, l, probe_column + 1, record)
         if result2 != result:
             raise InternalCheckError(f"passing result depends on the placement column: {result} vs {result2}")
         if nodes2 != nodes:
@@ -882,9 +869,9 @@ def passing_history(a: Configuration, k: int, l: int) -> tuple[list[tuple[str, i
     of where the probe was dropped from; with RIGGED_DEBUG=1 that
     independence is rechecked from one column higher.
     """
-    return _pass(a, k, l, True, _debug_enabled())
+    return _pass(a, k, l, True)
 
 
 def pass_particle(a: Configuration, k: int, l: int) -> Configuration:
     """What a configuration of weight below l becomes after a weight-l probe passes it (no history recorded)."""
-    return _pass(a, k, l, False, _debug_enabled())[1]
+    return _pass(a, k, l, False)[1]

@@ -340,14 +340,13 @@ SPREADS = (
 
 
 class TestRiggingSpread:
-    def test_wide_mixed_sign_spread_round_trips(self, monkeypatch):
+    def test_wide_mixed_sign_spread_round_trips(self, debug_off):
         # In the first case the weight-2 particle starts 30,000 columns up and
         # settles through the weight-1 particle in about 60,000 left sweeps;
         # the forward map floats it back up as far.  Nearly all of those
         # moves cross empty columns, which both maps do in one step each.
         # RIGGED_DEBUG=1 rescans the whole buffer on every sweep and replays
         # every such step move by move, so it is switched off here.
-        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
         for k, parts in SPREADS:
             part = RiggedPartition(parts)
             start = time.perf_counter()
@@ -364,8 +363,8 @@ class TestInverseMapDebug(TestInverseMap):
     def test_resettle_disagreement_detected(self, monkeypatch):
         honest = bijection._kappa
 
-        def drifting(rp, k, extra, debug):
-            return honest(rp, k, extra, debug).shifted(1 if extra else 0)
+        def drifting(rp, k, extra):
+            return honest(rp, k, extra).shifted(1 if extra else 0)
 
         monkeypatch.setattr(bijection, "_kappa", drifting)
         with pytest.raises(InternalCheckError, match="settling count"):

@@ -458,16 +458,13 @@ def floor_grid(k):
     return sorted({(0,) * k} | {floor_for(a, b, k, k).values for a in range(k + 1) for b in range(k + 1 - a)})
 
 
+@pytest.mark.usefixtures("debug_off")
 class TestPackedKernels:
     """The packed kernels against their list twins, with coefficients of up to 36 bits, and the slot widths.
 
     The debug recount is switched off: enumerating these families would take hours, and the list kernels
     are the independent side here.
     """
-
-    @pytest.fixture(autouse=True)
-    def no_recount(self, monkeypatch):
-        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
 
     @pytest.mark.parametrize(
         "k,r,a0,D,bits",

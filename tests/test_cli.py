@@ -94,9 +94,8 @@ class TestMapUnmap:
         code, out, err = run(capsys, "unmap", "--k", "3", "--partition", partition)
         assert (code, out) == (2, "") and err.startswith("error: cannot parse rigged partition") and message in err
 
-    def test_unmap_wide_mixed_sign_spread(self, capsys, monkeypatch):
+    def test_unmap_wide_mixed_sign_spread(self, capsys, debug_off):
         # RIGGED_DEBUG=1 rescans the whole buffer on every sweep by design.
-        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
         for k, parts in ((3, ((2, -20000), (1, 20000))), (4, ((3, 0), (3, -50000), (2, 7), (1, 90000)))):
             partition = json.dumps({"parts": [{"weight": w, "rigging": r} for w, r in parts]})
             code, out, _ = run(capsys, "unmap", "--k", str(k), "--partition", partition)

@@ -1,13 +1,18 @@
 import itertools
 import operator
+import os
 import random
 import re
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rigged
 from rigged.configuration import (
     ZERO,
     AdmissibilityError,
@@ -365,3 +370,17 @@ class TestEnumeration:
         for l in (-1, 3):
             with pytest.raises(ValueError, match="weight cap must satisfy"):
                 list(enumerate_configurations(2, 3, 4, max_weight=l))
+
+
+@pytest.mark.parametrize("value, on", [("1", True), (None, False), ("0", False)], ids=["1", "unset", "0"])
+def test_debug_switch_read_at_import(value, on):
+    # A fresh interpreter reads RIGGED_DEBUG when rigged.configuration is imported; only the value 1 turns the
+    # double computations on.
+    src = str(Path(rigged.__file__).resolve().parents[1])
+    env = {key: val for key, val in os.environ.items() if key != "RIGGED_DEBUG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if value is not None:
+        env["RIGGED_DEBUG"] = value
+    script = "import rigged; print(rigged.configuration._DEBUG)"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{on}\n", "")

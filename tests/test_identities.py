@@ -106,9 +106,9 @@ class TestRoundtrip:
         memos = []
         honest = identities._inverse
 
-        def recording(parts, k, memo, debug):
+        def recording(parts, k, memo):
             memos.append(memo)
-            return honest(parts, k, memo, debug)
+            return honest(parts, k, memo)
 
         monkeypatch.setattr(identities, "_inverse", recording)
         verify_roundtrip(2, 3)
@@ -125,17 +125,16 @@ def poison_memo(monkeypatch):
     """
     honest = identities._inverse
 
-    def poisoned(parts, k, memo, debug):
+    def poisoned(parts, k, memo):
         if parts == ((2, 3), (1, 0)):
             memo[((1, 0),)] = cfg(1, offset=1)
-        return honest(parts, k, memo, debug)
+        return honest(parts, k, memo)
 
     monkeypatch.setattr(identities, "_inverse", poisoned)
 
 
 class TestInverseMemo:
-    def test_wrong_entry_fails(self, monkeypatch):
-        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+    def test_wrong_entry_fails(self, monkeypatch, debug_off):
         poison_memo(monkeypatch)
         report = verify_roundtrip(2, 3)
         assert report.passed is False
@@ -152,8 +151,8 @@ def forge_entry(monkeypatch):
     honest = identities._iota
     forged = RiggedPartition.of((1, 1), (1, 0))
 
-    def lookup(counts, k, debug):
-        return forged if (counts, k) == ((1, 0, 1), 2) else honest(counts, k, debug)
+    def lookup(counts, k):
+        return forged if (counts, k) == ((1, 0, 1), 2) else honest(counts, k)
 
     monkeypatch.setattr(identities, "_iota", lookup)
     return forged
@@ -161,11 +160,10 @@ def forge_entry(monkeypatch):
 
 @pytest.mark.usefixtures("fresh_iota")
 class TestForwardMemo:
-    def test_translates_read_the_entry(self, monkeypatch):
-        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+    def test_translates_read_the_entry(self, monkeypatch, debug_off):
         forged = forge_entry(monkeypatch)
-        assert identities._image(cfg(1, 0, 1), 2, False) == forged
-        assert identities._image(cfg(1, 0, 1, offset=3), 2, False) == RiggedPartition.of((1, 1), (4, 3))
+        assert identities._image(cfg(1, 0, 1), 2) == forged
+        assert identities._image(cfg(1, 0, 1, offset=3), 2) == RiggedPartition.of((1, 1), (4, 3))
         # The roundtrip's inverse map is honest, so it sees the forgery on the first translate it meets.
         report = verify_roundtrip(2, 3)
         assert report.passed is False and report.first_mismatch.startswith("1:1,0,1: inverse map returns ")
@@ -203,16 +201,13 @@ class TestGordon:
         assert verify_gordon_r2(3, 15).passed
 
 
+@pytest.mark.usefixtures("debug_off")
 class TestBeyondTheGrid:
     """Sizes past the default grid that the running-product series make cheap.
 
     The RIGGED_DEBUG=1 recount enumerates every configuration, millions at these
     sizes, so these run without it; the debug tests cover the recount at small sizes.
     """
-
-    @pytest.fixture(autouse=True)
-    def no_debug(self, monkeypatch):
-        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
 
     def test_gordon_level_six_to_q100(self):
         assert verify_gordon(6, 100).passed
@@ -393,13 +388,13 @@ def forge_iota(monkeypatch, forge):
     """Make identities' forward map return ``forge(a, k)``, with the inverse map inverting the forgery."""
     back = {}
 
-    def forged(a, k, debug):
+    def forged(a, k):
         rp = forge(a, k)
         back[rp.parts] = a
         return rp
 
     monkeypatch.setattr(identities, "_image", forged)
-    monkeypatch.setattr(identities, "_inverse", lambda parts, k, memo, debug: back[parts])
+    monkeypatch.setattr(identities, "_inverse", lambda parts, k, memo: back[parts])
 
 
 def shifted_riggings(delta):
@@ -416,7 +411,7 @@ class TestWitnesses:
     """Every disagreement a check can find makes it report FAIL with its witness."""
 
     def test_roundtrip_inverse(self, monkeypatch):
-        monkeypatch.setattr(identities, "_inverse", lambda parts, k, memo, debug: cfg(1, offset=9))
+        monkeypatch.setattr(identities, "_inverse", lambda parts, k, memo: cfg(1, offset=9))
         report = verify_roundtrip(2, 3)
         assert report.passed is False
         assert report.first_mismatch == "0:: inverse map returns 9:1"
@@ -451,7 +446,7 @@ class TestWitnesses:
         assert report.first_mismatch == "() lies in 6 families: [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]"
 
     def test_init_cover_missing_image(self, monkeypatch):
-        monkeypatch.setattr(identities, "_image", lambda a, k, debug: EMPTY)
+        monkeypatch.setattr(identities, "_image", lambda a, k: EMPTY)
         report = verify_init_cover(2, 2, 3)
         assert report.passed is False
         assert report.first_mismatch.endswith("claimed by (1, 0) but not in that image")
@@ -493,7 +488,7 @@ class TestWitnesses:
             return passed.shifted(-2)
 
         monkeypatch.setattr(identities, "pass_particle", low_pass)
-        monkeypatch.setattr(identities, "_image", lambda a, k, debug: iota(lowered.get(a, a), k))
+        monkeypatch.setattr(identities, "_image", lambda a, k: iota(lowered.get(a, a), k))
         report = verify_shift(3, 2, shift_sample_space(3, 2, 4))
         assert report.passed is False
         assert report.first_mismatch == "1:1: passed result 1:1 dips below column 2"
@@ -518,7 +513,7 @@ class TestWitnesses:
         assert verify_golden().first_mismatch.startswith("move chain diverges: ['0:3,0,0,1', '0:3,0,0,1'")
 
     def test_golden_image(self, monkeypatch):
-        monkeypatch.setattr(identities, "_image", lambda a, k, debug: RiggedPartition.of((3, 1), (0, 1)))
+        monkeypatch.setattr(identities, "_image", lambda a, k: RiggedPartition.of((3, 1), (0, 1)))
         assert verify_golden().first_mismatch == "image of 0:3,0,0,1 is ((3,1),(0,1))"
 
     def test_golden_pass_nodes(self, monkeypatch):

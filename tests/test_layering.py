@@ -37,6 +37,17 @@ def test_only_moves_names_the_buffer():
     assert not offenders, f"only rigged.moves may name the column buffer and its kernels: {offenders}"
 
 
+def test_characters_names_nothing_from_moves():
+    # The character sums share only the configuration layer with the move kernels: the debug switch and
+    # InternalCheckError live there.
+    package = Path(rigged.__file__).parent
+    kernels = {node.name for node in ast.parse((package / "moves.py").read_text()).body if hasattr(node, "name")}
+    tree = ast.parse((package / "characters.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"moves", "rigged.moves"}
+    assert not names(tree) & (kernels | {"moves"})
+
+
 def test_value_objects_have_no_instance_dict():
     # verify_all memoizes one RiggedPartition per Configuration; a class that loses slots=True pays a
     # dictionary per instance again.

@@ -297,23 +297,23 @@ def test_passing_matches_reference(case):
     assert pass_particle(a, k, l) == result
 
 
-def test_cached_iota_matches_iota():
+def test_cached_iota_matches_iota(debug_off):
     # The grid's cached map builds each image from its remainder's image, and shifts it to the configuration's offset.
     identities._iota.cache_clear()
     for k in (1, 2, 3):
         for a in enumerate_configurations(k, 3, 8):
             for d in (0, -(10**6), -2, 3, 10**6):
-                assert identities._image(a.shifted(d), k, False) == iota(a.shifted(d), k)
+                assert identities._image(a.shifted(d), k) == iota(a.shifted(d), k)
     identities._iota.cache_clear()
 
 
-def test_translates_share_one_cache_entry():
+def test_translates_share_one_cache_entry(debug_off):
     identities._iota.cache_clear()
     a = Configuration(0, (1, 0, 2, 1))
-    identities._image(a, 3, False)
+    identities._image(a, 3)
     misses = identities._iota.cache_info().misses
     for d in (-(10**6), -2, 3, 10**6):
-        identities._image(a.shifted(d), 3, False)
+        identities._image(a.shifted(d), 3)
     assert identities._iota.cache_info().misses == misses
     identities._iota.cache_clear()
 
@@ -434,10 +434,9 @@ def exhaustive_cases():
             yield k, a
 
 
-def test_separation_chain_matches_reference_exhaustively(monkeypatch):
+def test_separation_chain_matches_reference_exhaustively(debug_off):
     # Every rise and run that ``_float_off`` makes on these configurations and their remainders, without
     # RIGGED_DEBUG, so that no replay stands in for the comparison.
-    monkeypatch.delenv("RIGGED_DEBUG", raising=False)
     for k, a in exhaustive_cases():
         check_separation_chain(k, a)
 
@@ -447,11 +446,10 @@ def test_separation_chain_matches_reference_exhaustively(monkeypatch):
 SWEEP_EXAMPLES = ((1, Configuration(0, (1, 0, 0, 0, 1))), (3, Configuration(0, (1, 0, 2, 0, 1, 2))))
 
 
-def test_sweep_matches_cut_scan_and_moves(monkeypatch):
+def test_sweep_matches_cut_scan_and_moves(debug_off):
     # ``left_sweeps`` settles one particle at a time, lowest first; ``times`` sweeps must leave what ``times`` full
     # scans of a cut copy and their left moves leave, for every configuration of ``exhaustive_cases``, at its weight.
     # Without RIGGED_DEBUG, so that no replay stands in for the comparison.
-    monkeypatch.delenv("RIGGED_DEBUG", raising=False)
     cases = list(exhaustive_cases()) + list(SWEEP_EXAMPLES)
     for k, a in cases:
         cols = [0] * 3 + list(a.counts) + [0] * 3
@@ -465,16 +463,14 @@ def test_sweep_matches_cut_scan_and_moves(monkeypatch):
 @example(FALLING_64, 260)  # about 250 sweeps carry the particle through the content
 @example(LONE_8, 30)
 @settings(max_examples=150, deadline=None)
+@pytest.mark.usefixtures("debug_off")
 def test_left_sweeps_match_reference_without_debug(case, times):
     # Without RIGGED_DEBUG nothing replays the settle, which moves one particle at a time by runs and falls.
     k, a = case
     cols = [0] * 3 + list(a.counts) + [0] * 3
     l = reference_weight(cols, k)
     m = len(reference_scan(cols, k, l))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("RIGGED_DEBUG", raising=False)
-        swept = left_sweeps(a, k, l, times)
-    assert swept == reference_sweeps(a, k, l, times, m)
+    assert left_sweeps(a, k, l, times) == reference_sweeps(a, k, l, times, m)
 
 
 @st.composite
@@ -505,13 +501,11 @@ def falling(draw):
 @given(falling())
 @example((6, 6, Configuration(0, (1,) + (0,) * 11 + (6, 0, 0, 0, 2, 4)), 5))  # a pair 5l - 2 apart
 @settings(max_examples=150, deadline=None)
+@pytest.mark.usefixtures("debug_off")
 def test_fall_keeps_three_zero_columns(case):
     # Particles that start three zero columns clear fall in one step while two zero columns stay between each and
     # the nearest occupied column below it, or the particle settled below it: ``times`` sweeps must still leave what
     # full scans and their moves leave.
     k, l, a, times = case
     m = len(reference_scan([0] * 3 + list(a.counts) + [0] * 3, k, l))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("RIGGED_DEBUG", raising=False)
-        swept = left_sweeps(a, k, l, times)
-    assert swept == reference_sweeps(a, k, l, times, m)
+    assert left_sweeps(a, k, l, times) == reference_sweeps(a, k, l, times, m)

@@ -143,6 +143,8 @@ class TestPositions:
         for k, l in ((2, 2), (3, 3)):
             for a in weight_classes(k, 5, l):
                 assert left_sweeps(a, k, l, 2) == move_all(a, k, l, "left", 2)
+        # Below the weight nothing is sighted: both leave the configuration as it is, and ``move_all`` stops early.
+        assert left_sweeps(cfg(1), 2, 2, 3) == move_all(cfg(1), 2, 2, "left", 3) == cfg(1)
 
     def test_sweep_leaving_the_class_detected(self, monkeypatch):
         # A scan that sights only the lowest unit of (1,0,0,1): moving it
@@ -157,14 +159,16 @@ def faulty_settle(monkeypatch, *replacements):
     """Install a copy of ``moves._settle`` compiled from its source with each (old, new) text replaced once.
 
     The copy runs in a copy of the module's namespace, so it calls the same helpers; ``left_sweeps`` and
-    ``_drop_groups`` find it through the module and run the fault in place of the kernel.
+    ``_drop_groups`` find it through the module and run the fault in place of the kernel.  It is compiled at the
+    kernel's own line numbers, so tracebacks and line traces of the copy point at the lines of ``moves.py``.
     """
-    source = textwrap.dedent(inspect.getsource(moves._settle))
+    lines, first = inspect.getsourcelines(moves._settle)
+    source = textwrap.dedent("".join(lines))
     for old, new in replacements:
         assert source.count(old) == 1, old
         source = source.replace(old, new)
     scope = dict(vars(moves))
-    exec(compile(source, moves.__file__, "exec"), scope)
+    exec(compile("\n" * (first - 1) + source, moves.__file__, "exec"), scope)
     monkeypatch.setattr(moves, "_settle", scope["_settle"])
 
 
@@ -253,10 +257,9 @@ class TestRuns:
             moves, "_run_length", lambda vals, i, step, l, kl: min(honest(vals, i, step, l, kl) + 1, vals[i + (step > 0)])
         )
 
-    def test_float_recheck(self, overlong, monkeypatch):
+    def test_float_recheck(self, overlong, debug_off):
         # The weight-3 particle of 0:3,0,0,1 at k = 3 makes two right moves before L at column 1 reaches 6; a
         # third puts four units in the 3-window at column 1.
-        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
         with pytest.raises(InternalCheckError, match="right move at column 0 left the weight-3 admissible class"):
             separate_highest(cfg(3, 0, 0, 1), 3, 3)
 
@@ -310,7 +313,7 @@ class TestSteppedWeight:
         a = cfg(1, offset=3)
         sc = moves._Scratch(a)
         with pytest.raises(InternalCheckError, match="remainder weight 1 disagrees with the stepped weight 3"):
-            moves._float_off(sc, 3, 3, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a, moves._debug_enabled())
+            moves._float_off(sc, 3, 3, len(sc.vals) - sc.MARGIN - 1, a.length(), a.energy(), a)
 
 
 @pytest.mark.parametrize(
@@ -462,7 +465,7 @@ class TestSeparation:
         with pytest.raises(InternalCheckError, match="admissible class"):
             separate_highest(cfg(1, 0, 0, 1), 1, 1)
 
-    def test_recheck_raises_exactly_when_the_move_leaves_the_class(self, monkeypatch):
+    def test_recheck_raises_exactly_when_the_move_leaves_the_class(self, monkeypatch, debug_off):
         # The per-move re-check reads only the four windows a unit right move
         # raises.  A float handed a sighting at one occupied column, and an
         # energy that leaves it a cap of 0 moves, re-checks one move of that
@@ -483,7 +486,7 @@ class TestSeparation:
                         energy = a.length() * (sc.lo + top + 2) + 2
                         handed["i"] = i
                         with pytest.raises(InternalCheckError) as err:
-                            moves._float_off(sc, k, l, top, a.length(), energy, a, False)
+                            moves._float_off(sc, k, l, top, a.length(), energy, a)
                         if "left the weight" in str(err.value):
                             assert moves._leaves_class(sc.vals, k, l), (k, l, a, i)
                             leaving += 1
@@ -498,13 +501,12 @@ def below_lowest_unit(vals, l, kl, j, step):
     return min(i for i, c in enumerate(vals) if c) - 1, True
 
 
+@pytest.mark.usefixtures("debug_off")
 class TestFaultPaths:
-    """Each remaining self-check of the move kernels raises when a patched kernel feeds it a fault."""
+    """Each remaining self-check of the move kernels raises when a patched kernel feeds it a fault.
 
-    @pytest.fixture(autouse=True)
-    def debug_off(self, monkeypatch):
-        # Without the debug double computations the kernels' own checks are the ones that fire.
-        monkeypatch.delenv("RIGGED_DEBUG", raising=False)
+    Without the debug double computations the kernels' own checks are the ones that fire.
+    """
 
     def test_transfer_from_empty_column(self, monkeypatch):
         # Index 5 of the buffer of 0:1,0,0,1 is the empty column 1: the right move takes a unit it does not hold.
@@ -530,15 +532,15 @@ class TestFaultPaths:
         sc = moves._Scratch(a)
         top = len(sc.vals) - sc.MARGIN - 1
         with pytest.raises(InternalCheckError, match="no free particle after 7 right moves from 0:2,0,0,0,0,0,0,0,1"):
-            moves._float_off(sc, 3, 2, top, a.length(), a.energy() + 17, a, False)
+            moves._float_off(sc, 3, 2, top, a.length(), a.energy() + 17, a)
 
     def test_running_energy_checked_under_debug(self, rigged_debug, monkeypatch):
         # One move too many counted for the first particle leaves the running energy one above the remainder's, 0.
         honest = moves._float_off
         calls = []
 
-        def miscounting(sc, k, l, top, length, energy, origin, debug):
-            l, s, i = honest(sc, k, l, top, length, energy, origin, debug)
+        def miscounting(sc, k, l, top, length, energy, origin):
+            l, s, i = honest(sc, k, l, top, length, energy, origin)
             calls.append(l)
             return l, s - (len(calls) == 1), i
 
@@ -550,10 +552,10 @@ class TestFaultPaths:
         # ``_drop_groups`` passes ``_settle`` the number of particles each sweep must sight.
         b = cfg(1, 0, 0, 0, 0, 0, 0, 2)
         sc = moves._Scratch(b)
-        moves._settle(sc, 3, 2, 3, 1, False)
+        moves._settle(sc, 3, 2, 3, 1)
         assert sc.to_configuration() == left_sweeps(b, 3, 2, 3)
         with pytest.raises(InternalCheckError, match="expected 2 weight-2 particles before settling, found 1"):
-            moves._settle(moves._Scratch(b), 3, 2, 3, 2, False)
+            moves._settle(moves._Scratch(b), 3, 2, 3, 2)
 
     def test_settled_count_checked(self, monkeypatch):
         # A fall that lands with one zero column below the particle instead of two: at k = 2 the weight-2 particle
@@ -563,13 +565,30 @@ class TestFaultPaths:
             monkeypatch, ("e - l * (x + 3)", "e - l * (x + 2)"), ("(e - left) // l - 2\n", "(e - left) // l - 1\n")
         )
         with pytest.raises(InternalCheckError, match="the first weight-2 particle settled is not the lowest sighting"):
-            moves._settle(moves._Scratch(cfg(1, 0, 0, 0, 2)), 2, 2, 4, 1, False)
+            moves._settle(moves._Scratch(cfg(1, 0, 0, 0, 2)), 2, 2, 4, 1)
+
+    @pytest.mark.parametrize(
+        "order, a, message",
+        [
+            ("reversed(found)", cfg(1, 0, 1), "particle at column -1 is not the first sighting above the one settled"),
+            ("found[:-1]", cfg(1, 0, 1), "a weight-1 particle is sighted above the last one settled"),
+            ("found[1:]", cfg(1, 0, 0, 0, 1), "the first weight-1 particle settled is not the lowest sighting"),
+        ],
+        ids=["highest first", "highest left out", "lowest left out"],
+    )
+    def test_settle_order_checked(self, monkeypatch, order, a, message):
+        # At k = 2 the weight-1 particles of 0:1,0,1 are sighted at columns -1 and 1, and those of 0:1,0,0,0,1 at
+        # -1 and 3.  A settle that takes them highest first, or leaves the highest or the lowest where it is, breaks
+        # the order that each of the settle's three order checks reads.
+        faulty_settle(monkeypatch, ("    for col in found:\n", f"    for col in {order}:\n"))
+        with pytest.raises(InternalCheckError, match=message):
+            left_sweeps(a, 2, 1, 1)
 
     def test_sweep_moves_from_empty_column(self):
         # Outside the weight-2 class (S = 3 at column 2), 0:1,0,3 at k=3 has L = 5 at column 0, so the settle
         # sights column 0 and moves a unit out of the empty column 1.
         with pytest.raises(InternalCheckError, match="column 1 driven negative"):
-            moves._settle(moves._Scratch(cfg(1, 0, 3)), 3, 2, 1, None, False)
+            moves._settle(moves._Scratch(cfg(1, 0, 3)), 3, 2, 1, None)
 
     def test_probe_vanishes(self, monkeypatch):
         monkeypatch.setattr(moves, "_sight", lambda vals, l, kl, j, step: None)
@@ -587,8 +606,8 @@ class TestFaultPaths:
         # Same result from either placement, but one node fewer from the odd one; without nodes no check fires.
         honest = moves._descend
 
-        def column_dependent(a, k, l, probe_column, record, debug):
-            nodes, result = honest(a, k, l, probe_column, record, debug)
+        def column_dependent(a, k, l, probe_column, record):
+            nodes, result = honest(a, k, l, probe_column, record)
             return nodes[: len(nodes) - probe_column % 2], result
 
         monkeypatch.setattr(moves, "_descend", column_dependent)
@@ -616,6 +635,7 @@ class TestFreeConfigurations:
     def test_single_particle_examples(self):
         assert build_free_configuration(3, [9], 3) == cfg(3, offset=3)
         assert build_free_configuration(2, [5], 3) == cfg(1, 1, offset=2)
+        assert build_free_configuration(2, [], 3) == ZERO
 
     def test_boundary_spacing(self):
         assert build_free_configuration(1, [3, 0], 1) == cfg(1, 0, 0, 1)
@@ -655,6 +675,12 @@ class TestPassing:
                         continue
                     nodes, _ = passing_history(a, k, l)
                     assert nodes and all(pos <= a.support_max + 1 for _, pos, _ in nodes)
+
+    def test_unit_runs_pass_alike(self, monkeypatch):
+        # A run length read as 0 is raised to one move, so runs cut to single moves take the probe down the same way.
+        expected = passing_history(cfg(1, 1, 1), 4, 3)
+        monkeypatch.setattr(moves, "_run_length", lambda vals, i, step, l, kl: 0)
+        assert passing_history(cfg(1, 1, 1), 4, 3) == expected
 
     def test_result_matches_history(self):
         # pass_particle records no nodes; its result must still be the history's.
@@ -753,8 +779,8 @@ class TestPassingDebug(TestPassing):
     def test_redrop_disagreement_detected(self, monkeypatch):
         honest = moves._descend
 
-        def column_dependent(a, k, l, probe_column, record, debug):
-            nodes, result = honest(a, k, l, probe_column, record, debug)
+        def column_dependent(a, k, l, probe_column, record):
+            nodes, result = honest(a, k, l, probe_column, record)
             return nodes, result.shifted(probe_column % 2)
 
         monkeypatch.setattr(moves, "_descend", column_dependent)

@@ -61,6 +61,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "RIGGED_DEBUG switches the double computations on only at the value 2",
+        "src/rigged/configuration.py",
+        '_DEBUG = os.environ.get("RIGGED_DEBUG") == "1"',
+        '_DEBUG = os.environ.get("RIGGED_DEBUG") == "2"',
+        ("tests/test_configuration.py::test_debug_switch_read_at_import[1]",),
+    ),
+    Mutant(
         "_settle re-sights a particle from q - 1 after a run at q",
         "src/rigged/moves.py",
         "j = i - 2 if i - 2 > c else c + 1",
@@ -209,6 +216,36 @@ MUTANTS = (
         (
             "tests/test_identities.py::TestBeyondTheGrid::test_every_polynomial_identity_at_level_five[2]",
             "tests/test_characters.py::TestPackedKernels::test_fermionic_sum_matches_lists",
+        ),
+    ),
+    Mutant(
+        "_over_one_minus drops a nonzero remainder of an exact division",
+        "src/rigged/qseries.py",
+        "        if any(c[-i:]):\n",
+        "        if False:\n",
+        (
+            "tests/test_qseries.py::test_exact_division_by_one_minus_q_power",
+            "tests/test_qseries.py::test_slice_loops_match_convolution",
+        ),
+    ),
+    Mutant(
+        "QPolynomial._trim keeps trailing zero coefficients",
+        "src/rigged/qseries.py",
+        "        while n and not coeffs[n - 1]:\n",
+        "        while False:\n",
+        (
+            "tests/test_qseries.py::TestArithmetic::test_canonical_form",
+            "tests/test_qseries.py::TestArithmetic::test_cancellation",
+        ),
+    ),
+    Mutant(
+        "QPolynomial._trim keeps the coefficients above the order",
+        "src/rigged/qseries.py",
+        "n = len(coeffs) if order is None else max(0, min(len(coeffs), order + 1))",
+        "n = len(coeffs)",
+        (
+            "tests/test_qseries.py::TestArithmetic::test_replaced_order_drops_higher_coefficients",
+            "tests/test_qseries.py::TestArithmetic::test_canonical_form",
         ),
     ),
     Mutant(
